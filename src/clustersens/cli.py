@@ -68,7 +68,11 @@ def _format_payload(obj, precision):
 
 
 def _emit_json(payload, precision):
-    click.echo(json.dumps(_format_payload(payload, precision), indent=2))
+    try:
+        text = json.dumps(_format_payload(payload, precision), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"result holds a non-finite number, not valid JSON: {exc}") from exc
+    click.echo(text)
 
 
 def _csv_cell(value, precision):

@@ -29,9 +29,13 @@ class StudyEffect:
     scale: str = "mean-difference"
 
     def __post_init__(self):
-        if self.within_variance <= 0.0:
+        if not math.isfinite(self.estimate):
             raise ValidationError(
-                f"study {self.study_id!r}: within-study variance must be > 0, "
+                f"study {self.study_id!r}: estimate must be finite, got {self.estimate}"
+            )
+        if not (math.isfinite(self.within_variance) and self.within_variance > 0.0):
+            raise ValidationError(
+                f"study {self.study_id!r}: within-study variance must be finite and > 0, "
                 f"got {self.within_variance}"
             )
 
@@ -194,6 +198,14 @@ def load_studies_csv(path, scale: str = "mean-difference") -> list[StudyEffect]:
                 std_error = float(row["std_error"])
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}: unparseable number at row {row_num}") from exc
+            if not math.isfinite(estimate):
+                raise ValidationError(
+                    f"{path}: estimate at row {row_num} must be finite, got {estimate}"
+                )
+            if not (math.isfinite(std_error) and std_error > 0.0):
+                raise ValidationError(
+                    f"{path}: std_error at row {row_num} must be finite and > 0, got {std_error}"
+                )
             studies.append(
                 StudyEffect(
                     study_id=row["study_id"],

@@ -4,7 +4,9 @@ Continuous outcomes: REML with the variance ratio nu/phi profiled out,
 which reduces estimation to a bracketed one-dimensional search on the log
 ratio. Binary outcomes: maximum marginal likelihood with adaptive
 Gauss-Hermite quadrature over the cluster intercept, quasi-Newton outer
-optimization over (beta, log nu).
+optimization over (beta, log nu) with the closed-form score of the
+adaptive quadrature sum (Liu & Pierce 1994; Pinheiro & Bates 1995), and
+observed information from a central difference of that score.
 
 ``marginal_logit_exact`` integrates the population-averaged logit
 numerically (cluster intercept and unmeasured confounder marginalized
@@ -73,24 +75,65 @@ def fit_to_json(fit: MixedModelFit) -> str:
     return json.dumps(doc, indent=2)
 
 
+_FIT_REQUIRED_KEYS = (
+    "scale", "coefficients", "coef_covariance", "random_intercept_variance",
+    "log_likelihood", "converged",
+)
+
+
 def fit_from_json(text: str) -> MixedModelFit:
-    doc = json.loads(text)
-    cov = np.array(doc["coef_covariance"], dtype=float).reshape(_DESIGN_COLUMNS, _DESIGN_COLUMNS)
+    """Rebuild a fit from ``fit_to_json`` output.
+
+    Raises ValidationError for malformed JSON, a missing key, an unknown
+    scale, a wrong-sized coefficient vector or covariance, and non-finite
+    numbers.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"fit document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("fit document must be a JSON object")
+    missing = [key for key in _FIT_REQUIRED_KEYS if key not in doc]
+    if missing:
+        raise ValidationError(f"fit document lacks required key(s): {', '.join(missing)}")
+    if doc["scale"] not in ("continuous", "binary"):
+        raise ValidationError(f"fit document has unknown scale {doc['scale']!r}")
+    try:
+        coefficients = np.array(doc["coefficients"], dtype=float)
+        cov = np.array(doc["coef_covariance"], dtype=float)
+        nu = float(doc["random_intercept_variance"])
+        residual = None if doc.get("residual_variance") is None else float(doc["residual_variance"])
+        loglik = float(doc["log_likelihood"])
+        n_obs = int(doc.get("n_obs", 0))
+        n_clusters = int(doc.get("n_clusters", 0))
+        n_iterations = int(doc.get("n_iterations", 0))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"fit document holds a malformed number: {exc}") from exc
+    if coefficients.shape != (_DESIGN_COLUMNS,):
+        raise ValidationError(
+            f"fit document needs {_DESIGN_COLUMNS} coefficients, got shape {coefficients.shape}"
+        )
+    if cov.size != _DESIGN_COLUMNS**2:
+        raise ValidationError(
+            f"fit document needs {_DESIGN_COLUMNS**2} coef_covariance entries, got {cov.size}"
+        )
+    numbers = [coefficients, cov, nu, loglik] + ([] if residual is None else [residual])
+    if not all(np.all(np.isfinite(v)) for v in numbers):
+        raise ValidationError("fit document holds a non-finite number")
     return MixedModelFit(
         scale=doc["scale"],
-        coefficients=np.array(doc["coefficients"], dtype=float),
-        coef_covariance=cov,
-        random_intercept_variance=float(doc["random_intercept_variance"]),
-        residual_variance=(
-            None if doc.get("residual_variance") is None else float(doc["residual_variance"])
-        ),
-        log_likelihood=float(doc["log_likelihood"]),
+        coefficients=coefficients,
+        coef_covariance=cov.reshape(_DESIGN_COLUMNS, _DESIGN_COLUMNS),
+        random_intercept_variance=nu,
+        residual_variance=residual,
+        log_likelihood=loglik,
         converged=bool(doc["converged"]),
         boundary=bool(doc.get("boundary", False)),
-        n_obs=int(doc.get("n_obs", 0)),
-        n_clusters=int(doc.get("n_clusters", 0)),
+        n_obs=n_obs,
+        n_clusters=n_clusters,
         quadrature_points=doc.get("quadrature_points"),
-        n_iterations=int(doc.get("n_iterations", 0)),
+        n_iterations=n_iterations,
     )
 
 
@@ -230,8 +273,33 @@ def _logistic_start(y, design):
     return beta
 
 
+def _expit_softplus(eta):
+    """expit(eta) and log(1 + exp(eta)) from one exponential of -|eta|.
+
+    Stable for any eta, and about a third of the cost of scipy's expit
+    plus numpy's logaddexp on the (observations, nodes) arrays.
+    """
+    small = np.exp(-np.abs(eta))
+    prob = np.where(eta >= 0.0, 1.0, small) / (1.0 + small)
+    return prob, np.maximum(eta, 0.0) + np.log1p(small)
+
+
 class _AgqLoglik:
-    """Marginal log-likelihood evaluator with per-cluster adaptive nodes.
+    """Marginal log-likelihood and its score with per-cluster adaptive nodes.
+
+    ``value_and_score`` returns the log-likelihood and its exact gradient in
+    (beta, log nu): the derivative of the quadrature sum as computed, with
+    the adaptive nodes moving with the parameters. Per cluster j, with
+    conditional mode m, curvature h = sum p(1-p) + 1/nu, node scale
+    s = sqrt(2/h) and nodes z_k = m + s t_k,
+
+        L_j = log sum_k exp(g(z_k) + lw_k) + log s - log(2 pi nu)/2,
+
+    so dL_j = E_w[dg(z_k)] + d log s, where w are the posterior node weights
+    and dz_k = dm + (z_k - m) d log s. The implicit-function theorem on the
+    mode equation gives dm/dbeta = -sum p(1-p) x / h and
+    dm/dlog nu = m / (nu h); d log s = -dh / (2h) brings in the logistic
+    third derivative p(1-p)(1-2p).
 
     Keeps the conditional modes between calls so the inner Newton solve
     warm-starts during the outer optimization.
@@ -248,22 +316,24 @@ class _AgqLoglik:
         self.log_weights = np.log(weights) + nodes**2  # exp-scaled weights
         self.modes = np.zeros(sizes.size)
 
-    def _cluster_loglik_terms(self, eta_fixed, zeta_per_obs):
-        eta = eta_fixed + zeta_per_obs
-        return self.y * eta - np.logaddexp(0.0, eta)
-
     def __call__(self, params):
+        return self.value_and_score(params)[0]
+
+    def value_and_score(self, params):
         beta = params[:_DESIGN_COLUMNS]
-        nu = max(math.exp(params[_DESIGN_COLUMNS]), _VAR_FLOOR)
-        eta_fixed = self.design @ beta
+        nu_raw = math.exp(params[_DESIGN_COLUMNS])
+        nu = max(nu_raw, _VAR_FLOOR)
+        # d log nu / d log nu-parameter: zero where the floor holds nu fixed
+        dlognu = 1.0 if nu_raw >= _VAR_FLOOR else 0.0
+        y, design, codes, starts = self.y, self.design, self.codes, self.starts
+        eta_fixed = design @ beta
 
         # conditional mode of the intercept per cluster (concave Newton)
         zeta = self.modes.copy()
         for _ in range(60):
-            z_obs = zeta[self.codes]
-            p = special.expit(eta_fixed + z_obs)
-            grad = np.add.reduceat(self.y - p, self.starts) - zeta / nu
-            hess = np.add.reduceat(p * (1.0 - p), self.starts) + 1.0 / nu
+            p = special.expit(eta_fixed + zeta[codes])
+            grad = np.add.reduceat(y - p, starts) - zeta / nu
+            hess = np.add.reduceat(p * (1.0 - p), starts) + 1.0 / nu
             step = grad / hess
             np.clip(step, -4.0, 4.0, out=step)
             zeta += step
@@ -271,66 +341,72 @@ class _AgqLoglik:
                 break
         self.modes = zeta
 
-        p = special.expit(eta_fixed + zeta[self.codes])
-        hess = np.add.reduceat(p * (1.0 - p), self.starts) + 1.0 / nu
-        sigma = 1.0 / np.sqrt(hess)
-        g_mode = (
-            np.add.reduceat(self._cluster_loglik_terms(eta_fixed, zeta[self.codes]), self.starts)
-            - zeta**2 / (2.0 * nu)
+        p = special.expit(eta_fixed + zeta[codes])
+        w = p * (1.0 - p)
+        hess = np.add.reduceat(w, starts) + 1.0 / nu
+        scale = np.sqrt(2.0 / hess)  # (J,)
+        offsets = scale[:, None] * self.nodes[None, :]  # z_k - m, (J, K)
+        z_nodes = zeta[:, None] + offsets
+        eta_nodes = eta_fixed[:, None] + z_nodes[codes, :]  # (n, K)
+        p_nodes, softplus = _expit_softplus(eta_nodes)
+        loglik_terms = y[:, None] * eta_nodes - softplus
+        rel = (
+            np.add.reduceat(loglik_terms, starts, axis=0)
+            - z_nodes**2 / (2.0 * nu)
+            + self.log_weights[None, :]
+        )  # (J, K)
+        shift = rel.max(axis=1)
+        expo = np.exp(rel - shift[:, None])
+        total = expo.sum(axis=1)
+        loglik = float(
+            np.sum(np.log(total) + shift + np.log(scale))
+            - 0.5 * scale.size * math.log(2.0 * math.pi * nu)
         )
 
-        scale = math.sqrt(2.0) * sigma  # (J,)
-        z_nodes = zeta[:, None] + scale[:, None] * self.nodes[None, :]  # (J, K)
-        eta_nodes = eta_fixed[:, None] + z_nodes[self.codes, :]  # (n, K)
-        loglik_terms = self.y[:, None] * eta_nodes - np.logaddexp(0.0, eta_nodes)
-        g_nodes = (
-            np.add.reduceat(loglik_terms, self.starts, axis=0)
-            - z_nodes**2 / (2.0 * nu)
-        )  # (J, K)
-        rel = g_nodes - g_mode[:, None] + self.log_weights[None, :]
-        cluster_integrals = special.logsumexp(rel, axis=1)
-        loglik = float(
+        post = expo / total[:, None]  # posterior node weights, (J, K)
+        resid = y[:, None] - p_nodes  # (n, K)
+        slope = np.add.reduceat(resid, starts, axis=0) - z_nodes / nu  # dg/dz at the nodes
+        slope_mean = np.sum(post * slope, axis=1)
+        # d log s enters through the node offsets (z_k - m) and through log s itself
+        spread = 1.0 + np.sum(post * slope * offsets, axis=1)
+        third = w * (1.0 - 2.0 * p)
+        third_sums = np.add.reduceat(third, starts)
+
+        dmode_beta = -np.add.reduceat(design * w[:, None], starts, axis=0) / hess[:, None]
+        dhess_beta = (
+            np.add.reduceat(design * third[:, None], starts, axis=0)
+            + third_sums[:, None] * dmode_beta
+        )
+        score_beta = (
+            design.T @ np.sum(post[codes, :] * resid, axis=1)
+            + dmode_beta.T @ slope_mean
+            - 0.5 * (dhess_beta / hess[:, None]).T @ spread
+        )
+
+        dmode_nu = zeta / (nu * hess)
+        dhess_nu = third_sums * dmode_nu - 1.0 / nu
+        score_nu = dlognu * float(
             np.sum(
-                cluster_integrals
-                + g_mode
-                + np.log(scale)
-                - 0.5 * math.log(2.0 * math.pi * nu)
+                np.sum(post * z_nodes**2, axis=1) / (2.0 * nu)
+                + slope_mean * dmode_nu
+                - 0.5 * spread * dhess_nu / hess
+                - 0.5
             )
         )
-        return loglik
+        return loglik, np.append(score_beta, score_nu)
 
 
-def _fd_gradient(func, params, rel_step=1e-6):
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        h = rel_step * max(1.0, abs(params[i]))
+def _score_information(score, params, rel_step=1e-4):
+    """Observed information as the symmetrised central difference of a score."""
+    steps = rel_step * np.maximum(1.0, np.abs(params))
+    info = np.empty((params.size, params.size))
+    for i, h in enumerate(steps):
         up = params.copy()
         down = params.copy()
         up[i] += h
         down[i] -= h
-        grad[i] = (func(up) - func(down)) / (2.0 * h)
-    return grad
-
-
-def _fd_hessian(func, params, rel_step=1e-4):
-    k = params.size
-    h = rel_step * np.maximum(1.0, np.abs(params))
-    hess = np.empty((k, k))
-    f0 = func(params)
-    for i in range(k):
-        up = params.copy()
-        dn = params.copy()
-        up[i] += h[i]
-        dn[i] -= h[i]
-        hess[i, i] = (func(up) - 2.0 * f0 + func(dn)) / (h[i] ** 2)
-        for j in range(i + 1, k):
-            pp = params.copy(); pp[i] += h[i]; pp[j] += h[j]
-            pm = params.copy(); pm[i] += h[i]; pm[j] -= h[j]
-            mp = params.copy(); mp[i] -= h[i]; mp[j] += h[j]
-            mm = params.copy(); mm[i] -= h[i]; mm[j] -= h[j]
-            val = (func(pp) - func(pm) - func(mp) + func(mm)) / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-    return hess
+        info[i] = (score(down) - score(up)) / (2.0 * h)
+    return 0.5 * (info + info.T)
 
 
 def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedModelFit:
@@ -338,9 +414,12 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
 
     The intercept is integrated out per cluster with Gauss-Hermite nodes
     re-centered at the conditional mode and rescaled by the conditional
-    curvature; quadrature_points=1 is the Laplace approximation. The
-    coefficient covariance is the (beta, beta) block of the inverse
-    observed information.
+    curvature; quadrature_points=1 is the Laplace approximation. BFGS over
+    (beta, log nu) is driven by the analytic score of that quadrature sum,
+    one value-and-score evaluation per likelihood call. The coefficient
+    covariance is the (beta, beta) block of the inverse observed
+    information, the symmetrised central difference of the analytic score
+    (over beta alone when nu sits at the boundary).
     """
     if ds.scale != "binary":
         raise ValidationError(f"fit_glmm_logit requires a binary-scale dataset, got {ds.scale!r}")
@@ -353,16 +432,18 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     loglik_fn = _AgqLoglik(y, design, codes, sizes, starts, quadrature_points)
 
     def penalized_nll(params):
+        loglik, score = loglik_fn.value_and_score(params)
         excess_beta = np.maximum(np.abs(params[:_DESIGN_COLUMNS]) - _SEPARATION_BOUND, 0.0)
         excess_nu = max(params[_DESIGN_COLUMNS] - 9.0, 0.0)
         penalty = 1e4 * float(np.sum(excess_beta**2)) + 1e4 * excess_nu**2
-        return -loglik_fn(params) + penalty
+        penalty_grad = 2e4 * np.append(excess_beta * np.sign(params[:_DESIGN_COLUMNS]), excess_nu)
+        return -loglik + penalty, penalty_grad - score
 
     start = np.append(_logistic_start(y, design), math.log(0.5))
     result = optimize.minimize(
         penalized_nll,
         start,
-        jac=lambda p: _fd_gradient(penalized_nll, p),
+        jac=True,
         method="BFGS",
         options={"gtol": 1e-8, "maxiter": 500},
     )
@@ -386,14 +467,15 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
 
     if boundary:
         # information over beta only: the nu direction is flat at the floor
-        def nll_beta(b):
-            return -loglik_fn(np.append(b, math.log(_VAR_FLOOR)))
+        def score(b):
+            params_b = np.append(b, math.log(_VAR_FLOOR))
+            return loglik_fn.value_and_score(params_b)[1][:_DESIGN_COLUMNS]
 
-        hess = _fd_hessian(nll_beta, beta)
+        info = _score_information(score, beta)
     else:
-        hess = _fd_hessian(lambda p: -loglik_fn(p), params)
+        info = _score_information(lambda p: loglik_fn.value_and_score(p)[1], params)
     try:
-        cov_full = np.linalg.inv(hess)
+        cov_full = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         cov_full = None
     cov = None if cov_full is None else cov_full[:_DESIGN_COLUMNS, :_DESIGN_COLUMNS]

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from scipy.stats import norm
 
@@ -220,6 +221,7 @@ def test_criterion_3_expected_se_oracle():
         assert abs(derived / sampled - 1.0) <= 0.02, (x, derived, sampled)
 
 
+@pytest.mark.slow
 def test_criterion_3_continuous_single_study_reproduction():
     config = CRITERION_3_CONFIG
     started = time.perf_counter()
@@ -250,6 +252,7 @@ def test_criterion_3_continuous_single_study_reproduction():
     report(3, checks)
 
 
+@pytest.mark.slow
 def test_criterion_4_binary_single_study_reproduction():
     config = ScenarioConfig(
         kind="single_binary", clusters=200, cluster_size=4, replications=500, seed=34,
@@ -271,6 +274,7 @@ def test_criterion_4_binary_single_study_reproduction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_meta_reproduction():
     config = ScenarioConfig(
         kind="meta", clusters=100, cluster_size=3, studies=30, replications=500,

@@ -204,6 +204,61 @@ def test_sensitivity_binary_fit_pipeline(tmp_path, runner):
     assert isinstance(doc["explains_away"], bool)
 
 
+def assert_single_error_line(result):
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "Traceback" not in result.stderr
+
+
+VALID_FIT_DOC = {
+    "scale": "continuous",
+    "coefficients": [1.0, 0.5, 2.0, -0.3],
+    "coef_covariance": np.eye(4).ravel().tolist(),
+    "random_intercept_variance": 0.4,
+    "residual_variance": 1.0,
+    "log_likelihood": -120.0,
+    "converged": True,
+}
+
+
+def test_sensitivity_hand_written_fit_document(tmp_path, runner):
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(VALID_FIT_DOC))
+    result = invoke(runner, ["sensitivity", "--fit", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["effect"]["estimate"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[1, 2, 3]",
+        json.dumps({"scale": "continuous"}),
+        json.dumps({k: v for k, v in VALID_FIT_DOC.items() if k != "coef_covariance"}),
+        json.dumps({**VALID_FIT_DOC, "scale": "ordinal"}),
+        json.dumps({**VALID_FIT_DOC, "coefficients": [1.0, 0.5, 2.0]}),
+        json.dumps({**VALID_FIT_DOC, "coefficients": "abcd"}),
+        json.dumps({**VALID_FIT_DOC, "coef_covariance": [1.0] * 15}),
+        json.dumps({**VALID_FIT_DOC, "coefficients": [1.0, math.nan, 2.0, -0.3]}),
+        json.dumps({**VALID_FIT_DOC, "coef_covariance": [math.inf] * 16}),
+        json.dumps({**VALID_FIT_DOC, "random_intercept_variance": math.nan}),
+    ],
+    ids=[
+        "malformed-json", "not-an-object", "scale-only", "missing-covariance", "unknown-scale",
+        "three-coefficients", "string-coefficients", "fifteen-covariance-entries",
+        "nan-coefficient", "inf-covariance", "nan-variance",
+    ],
+)
+def test_sensitivity_malformed_fit_document_exits_1(tmp_path, runner, text):
+    path = tmp_path / "fit.json"
+    path.write_text(text)
+    result = invoke(runner, ["sensitivity", "--fit", str(path)])
+    assert_single_error_line(result)
+
+
 # ---------------------------------------------------------------------------
 # meta
 # ---------------------------------------------------------------------------
@@ -243,6 +298,23 @@ def test_meta_pools_studies_csv(tmp_path, runner):
     doc = json.loads(result.stdout)
     assert doc["pooled"]["mu_hat"] == pytest.approx(1.5)
     assert doc["pooled"]["v_hat"] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize(
+    "row", ["s2,nan,0.1", "s2,inf,0.1", "s2,2.0,inf", "s2,2.0,-0.3", "s2,2.0,0"]
+)
+def test_meta_studies_non_finite_or_non_positive_row_exits_1(tmp_path, runner, row):
+    path = tmp_path / "studies.csv"
+    path.write_text(f"study_id,estimate,std_error\ns1,1.0,0.3\n{row}\ns3,0.5,0.3\n")
+    result = invoke(runner, ["meta", "--studies", str(path), "--q", "0.1", "--r", "0.3"])
+    assert_single_error_line(result)
+    assert "row 2" in result.stderr
+
+
+def test_meta_non_finite_result_never_reaches_stdout(runner):
+    result = invoke(runner, ["meta", "--mu", "nan", "--v", "0.08", "--q", "0.1", "--r", "0.3"])
+    assert_single_error_line(result)
+    assert "non-finite" in result.stderr
 
 
 def test_meta_studies_with_threshold_pipeline(tmp_path, runner):

@@ -15,7 +15,14 @@ from clustersens import (
     icc_logistic,
 )
 from clustersens.errors import DomainError
-from clustersens.mixed_models import LOGISTIC_LATENT_VARIANCE, _AgqLoglik, _prepare
+from clustersens import mixed_models
+from clustersens.mixed_models import (
+    LOGISTIC_LATENT_VARIANCE,
+    _AgqLoglik,
+    _expit_softplus,
+    _prepare,
+    _score_information,
+)
 from clustersens.simulation import ScenarioConfig, generate, nu_from_icc
 
 
@@ -60,6 +67,87 @@ def test_marginal_likelihood_matches_quadrature_oracle():
     for nu in (0.05, 0.4, 1.5):
         params = np.append(beta, math.log(nu))
         assert abs(loglik(params) - brute_force_loglik(ds, beta, nu)) < 1e-8
+
+
+def central_difference_gradient(func, params, rel_step=1e-5):
+    grad = np.empty_like(params)
+    for i in range(params.size):
+        h = rel_step * max(1.0, abs(params[i]))
+        up, down = params.copy(), params.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (func(up) - func(down)) / (2.0 * h)
+    return grad
+
+
+def central_difference_hessian(func, params, rel_step=1e-3):
+    k = params.size
+    h = rel_step * np.maximum(1.0, np.abs(params))
+    hess = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            total = 0.0
+            for si, sj, sign in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+                shifted = params.copy()
+                shifted[i] += si * h[i]
+                shifted[j] += sj * h[j]
+                total += sign * func(shifted)
+            hess[i, j] = total / (4.0 * h[i] * h[j])
+    return hess
+
+
+def test_expit_softplus_matches_scipy_and_numpy():
+    eta = np.concatenate([np.linspace(-800.0, 800.0, 4001), [-0.0, 0.0, 1e-300, -1e-300]])
+    prob, softplus = _expit_softplus(eta.reshape(-1, 5))
+    # below eta ~ -708 scipy flushes expit to zero where this keeps subnormals
+    np.testing.assert_allclose(prob.ravel(), special.expit(eta), rtol=4e-16, atol=1e-300)
+    np.testing.assert_allclose(softplus.ravel(), np.logaddexp(0.0, eta), rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("quadrature_points", [1, 15, 25])
+@pytest.mark.parametrize("nu", [0.05, 0.4, 1.5])
+def test_analytic_score_matches_central_differences(quadrature_points, nu):
+    rng = np.random.default_rng(2024 + quadrature_points)
+    ds = binary_dataset(rng, n_clusters=20, cluster_size=6)
+    loglik = _AgqLoglik(*_prepare(ds), quadrature_points=quadrature_points)
+    for _ in range(3):
+        params = np.append(rng.normal(0.0, 0.6, 4), math.log(nu))
+        value, score = loglik.value_and_score(params)
+        assert value == pytest.approx(loglik(params), abs=1e-10)
+        numeric = central_difference_gradient(loglik, params)
+        assert np.max(np.abs(score - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+
+
+def test_score_information_matches_value_hessian():
+    rng = np.random.default_rng(77)
+    ds = binary_dataset(rng, n_clusters=30, cluster_size=6)
+    fit = fit_glmm_logit(ds)
+    loglik = _AgqLoglik(*_prepare(ds), quadrature_points=15)
+    optimum = np.append(fit.coefficients, math.log(fit.random_intercept_variance))
+    interior = optimum + rng.normal(0.0, 0.2, 5)
+    for params in (optimum, interior):
+        info = _score_information(lambda p: loglik.value_and_score(p)[1], params)
+        hess = central_difference_hessian(loglik, params)
+        assert np.max(np.abs(info + hess)) <= 1e-4 * np.max(np.abs(hess))
+
+
+def test_criterion_4_design_fit_evaluation_budget(monkeypatch):
+    calls = []
+
+    class CountingLoglik(_AgqLoglik):
+        def value_and_score(self, params):
+            calls.append(1)
+            return super().value_and_score(params)
+
+    monkeypatch.setattr(mixed_models, "_AgqLoglik", CountingLoglik)
+    config = ScenarioConfig(
+        kind="single_binary", clusters=200, cluster_size=4, replications=1, seed=34,
+        true_betas=(-4.5, 1.0, 3.0, -0.5), theta=-0.5, sigma_u2=1.0,
+        nu=nu_from_icc(0.25), phi=1.0,
+    )
+    fit = fit_glmm_logit(generate(config, 0))
+    assert not fit.boundary
+    assert 0 < len(calls) <= 40
 
 
 def test_laplace_is_single_node():
@@ -113,6 +201,10 @@ def test_tiny_variance_approaches_plain_logistic():
     ds = ClusteredDataset.from_records(recs, "binary")
     fit = fit_glmm_logit(ds)
     assert fit.random_intercept_variance < 0.05
+    # the variance collapses onto the floor: information over beta alone
+    assert fit.boundary
+    assert fit.random_intercept_variance == 0.0
+    assert np.all(np.linalg.eigvalsh(fit.coef_covariance) > 0)
 
     # reference: plain logistic fit by direct minimization
     y, design, codes, sizes, starts = _prepare(ds)

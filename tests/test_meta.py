@@ -272,3 +272,24 @@ def test_load_studies_csv_schema_error(tmp_path):
     path.write_text("study_id,estimate\ns1,1.0\n")
     with pytest.raises(Exception, match="std_error"):
         load_studies_csv(path)
+
+
+@pytest.mark.parametrize(
+    "estimate, variance",
+    [(math.nan, 0.1), (math.inf, 0.1), (0.3, math.nan), (0.3, math.inf), (0.3, 0.0), (0.3, -0.1)],
+)
+def test_study_effect_rejects_non_finite_or_non_positive(estimate, variance):
+    with pytest.raises(ValidationError):
+        StudyEffect(study_id="s", estimate=estimate, within_variance=variance)
+
+
+@pytest.mark.parametrize(
+    "cell, column", [("nan,0.1", "estimate"), ("-inf,0.1", "estimate"),
+                     ("0.2,inf", "std_error"), ("0.2,nan", "std_error"),
+                     ("0.2,-0.1", "std_error"), ("0.2,0", "std_error")],
+)
+def test_load_studies_csv_rejects_bad_row_with_its_number(tmp_path, cell, column):
+    path = tmp_path / "studies.csv"
+    path.write_text(f"study_id,estimate,std_error\ns1,1.0,0.1\ns2,{cell}\n")
+    with pytest.raises(ValidationError, match=f"{column} at row 2"):
+        load_studies_csv(path)
