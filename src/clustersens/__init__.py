@@ -7,7 +7,6 @@ minimal bias factors, and tail probabilities of the random-effects law.
 
 from .dataset import (
     ClusteredDataset,
-    ObservationRecord,
     PositivityReport,
     PositivityStratum,
     load_csv,

@@ -12,6 +12,7 @@ import csv as csv_module
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -94,6 +95,15 @@ def _emit_csv(header, rows, precision):
     click.echo(buf.getvalue(), nl=False)
 
 
+def _require_finite(**options):
+    """Reject nan/inf float options by name: click's float type accepts them."""
+    for name, value in options.items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is not None and not math.isfinite(v):
+                option = "--" + name.replace("_", "-")
+                raise ValidationError(f"{option} is non-finite ({v}); give a finite number")
+
+
 def handle_errors(func):
     """Translate package exceptions into documented exit codes."""
 
@@ -157,6 +167,10 @@ def _effect_from_triple(estimate, lb, ub, x, level, scale):
         raise ValidationError("need lb < ub")
     z = normal.ppf(0.5 * (1.0 + level))
     implied_se = (ub - lb) / (2.0 * z)
+    if not math.isfinite(implied_se):
+        raise ValidationError(
+            f"interval ({lb:g}, {ub:g}) is too wide: its implied standard error overflows"
+        )
     if abs((ub - estimate) - (estimate - lb)) > 1e-6 * implied_se:
         raise ValidationError(
             "interval is not symmetric about the estimate beyond 1e-6 of the implied "
@@ -213,6 +227,8 @@ def _spec_from_flags(theta, m1x, m0x, p1x, p0x, mu1x, mu0x):
 def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
                     m1x, m0x, p1x, p0x, mu1x, mu0x, fmt, precision):
     """Minimal bias factor, and the verdict for a hypothesized confounder."""
+    _require_finite(estimate=estimate, lb=lb, ub=ub, x=x, level=level, theta=theta,
+                    m1x=m1x, m0x=m0x, p1x=p1x, p0x=p0x, mu1x=mu1x, mu0x=mu0x)
     triple = [v is not None for v in (estimate, lb, ub)]
     if fit_path is not None:
         if any(triple):
@@ -291,6 +307,7 @@ def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
 @handle_errors
 def cmd_meta(studies_path, mu, v, q, r, direction, bias_mean, bias_variance, fmt, precision):
     """Pooled effect, minimal common bias factor, and p(q)."""
+    _require_finite(mu=mu, v=v, q=q, r=r, bias_mean=bias_mean, bias_variance=bias_variance)
     payload = {}
     if studies_path is not None:
         if mu is not None or v is not None:
@@ -357,6 +374,7 @@ def cmd_meta(studies_path, mu, v, q, r, direction, bias_mean, bias_variance, fmt
 @handle_errors
 def cmd_contour(delta_range, theta_range, resolution, threshold, fmt, precision):
     """Grid of bias factors over (mean difference, effect) combinations."""
+    _require_finite(delta_range=delta_range, theta_range=theta_range, threshold=threshold)
     rows = contour_grid(delta_range, theta_range, resolution, threshold)
     if fmt == "json":
         _emit_json(

@@ -1,17 +1,21 @@
 """Long-format clustered observational data: ingestion, validation, strata checks.
 
-A dataset is an immutable collection of (cluster, outcome, treatment,
-covariate) records. ``truth_u`` is a simulation-only column carrying the
-generated unmeasured confounder; it is never placed in a fitting design
-matrix.
+A dataset holds validated, read-only numpy columns: ``outcome``,
+``treatment`` and ``covariate_x`` as float64, and ``cluster_codes``
+(int64, in first-appearance order) indexing the ``cluster_ids`` labels.
+``ClusteredDataset.from_columns`` is the one constructor and checks every
+row once. ``study_id`` and ``truth_u`` are optional per-row columns;
+``truth_u`` is a simulation-only column carrying the generated unmeasured
+confounder and is never placed in a fitting design matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,159 +26,180 @@ OPTIONAL_COLUMNS = ("study_id", "truth_u")
 SCALES = ("continuous", "binary")
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    cluster_id: str
-    unit_index: int  # ordinal within its cluster, assigned on construction
-    outcome: float
-    treatment: int
-    covariate_x: float
-    study_id: Optional[str] = None
-    truth_u: Optional[float] = None
+def _float_column(values) -> np.ndarray:
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteredDataset:
-    records: tuple[ObservationRecord, ...]
+    """Validated columns of one long-format dataset; build with ``from_columns``."""
+
     scale: str
-    cluster_count: int
-    study_count: int
+    outcome: np.ndarray
+    treatment: np.ndarray
+    covariate_x: np.ndarray
+    cluster_codes: np.ndarray
+    cluster_ids: tuple[str, ...]
+    study_id: Optional[tuple[str, ...]] = None
+    truth_u: Optional[np.ndarray] = None
 
     @staticmethod
-    def from_records(records: Sequence[ObservationRecord], scale: str) -> "ClusteredDataset":
+    def from_columns(
+        scale: str,
+        cluster_id,
+        outcome,
+        treatment,
+        covariate_x,
+        study_id=None,
+        truth_u=None,
+    ) -> "ClusteredDataset":
+        """Validate per-row columns once and build a dataset.
+
+        ``cluster_id`` is a sequence of one hashable label per row; ``str``
+        of each distinct label becomes its ``cluster_ids`` entry. A rejected
+        row is reported by its 1-based number.
+        """
         if scale not in SCALES:
             raise ValidationError(f"unknown scale {scale!r}; expected one of {SCALES}")
-        if not records:
+        index = {label: k for k, label in enumerate(dict.fromkeys(cluster_id))}
+        codes = np.fromiter(map(index.__getitem__, cluster_id), dtype=np.int64)
+        n = codes.size
+        if n == 0:
             raise ValidationError("dataset has no records")
-        has_study = records[0].study_id is not None
-        has_truth = records[0].truth_u is not None
-        clusters: list[str] = []
-        seen = set()
-        for i, rec in enumerate(records, start=1):
-            if rec.treatment not in (0, 1):
-                raise ValidationError(f"treatment must be 0 or 1, got {rec.treatment!r} at row {i}")
-            if not math.isfinite(rec.outcome):
-                raise ValidationError(f"non-finite outcome at row {i}")
-            if scale == "binary" and rec.outcome not in (0.0, 1.0):
+        codes.flags.writeable = False
+        y = _float_column(outcome)
+        a = _float_column(treatment)
+        x = _float_column(covariate_x)
+        u = None if truth_u is None else _float_column(truth_u)
+        studies = None if study_id is None else tuple(study_id)
+        shapes = [("outcome", y.shape), ("treatment", a.shape), ("covariate_x", x.shape)]
+        if studies is not None:
+            shapes.append(("study_id", (len(studies),)))
+        if u is not None:
+            shapes.append(("truth_u", u.shape))
+        for name, shape in shapes:
+            if shape != (n,):
+                size = math.prod(shape)
                 raise ValidationError(
-                    f"binary-scale outcome must be 0 or 1, got {rec.outcome!r} at row {i}"
+                    f"column {name} has {size} values for {n} cluster_id rows: "
+                    f"row {min(size, n) + 1} is incomplete"
                 )
-            if not math.isfinite(rec.covariate_x):
-                raise ValidationError(f"non-finite covariate_x at row {i}")
-            if (rec.study_id is not None) != has_study:
-                raise ValidationError(f"study_id present for some records but not row {i}")
-            if (rec.truth_u is not None) != has_truth:
-                raise ValidationError(f"truth_u present for some records but not row {i}")
-            if rec.cluster_id not in seen:
-                seen.add(rec.cluster_id)
-                clusters.append(rec.cluster_id)
-        if has_study:
-            study_count = len({rec.study_id for rec in records})
-        else:
-            study_count = 1
+
+        # (message, column, bad rows); the first offending row is reported,
+        # and on that row the first check in this order that fails
+        checks = [
+            ("treatment must be 0 or 1, got {!r}", a, (a != 0.0) & (a != 1.0)),
+            ("non-finite outcome", y, ~np.isfinite(y)),
+            ("non-finite covariate_x", x, ~np.isfinite(x)),
+        ]
+        if scale == "binary":
+            checks.insert(
+                2, ("binary-scale outcome must be 0 or 1, got {!r}", y, (y != 0.0) & (y != 1.0))
+            )
+        failures = [(int(np.argmax(bad)), k) for k, (_, _, bad) in enumerate(checks) if bad.any()]
+        if failures:
+            row, k = min(failures)
+            message, column, _ = checks[k]
+            raise ValidationError(f"{message.format(column[row].item())} at row {row + 1}")
+
         return ClusteredDataset(
-            records=tuple(records),
             scale=scale,
-            cluster_count=len(clusters),
-            study_count=study_count,
+            outcome=y,
+            treatment=a,
+            covariate_x=x,
+            cluster_codes=codes,
+            cluster_ids=tuple(map(str, index)),
+            study_id=studies,
+            truth_u=u,
         )
 
     @property
-    def has_truth_u(self) -> bool:
-        return self.records[0].truth_u is not None
+    def cluster_count(self) -> int:
+        return len(self.cluster_ids)
 
     @property
-    def has_study_id(self) -> bool:
-        return self.records[0].study_id is not None
-
-    def to_arrays(self):
-        """Outcome, treatment, covariate vectors plus integer cluster codes.
-
-        Cluster codes follow first appearance order. truth_u is deliberately
-        not returned: fitting code cannot see it.
-        """
-        n = len(self.records)
-        y = np.empty(n)
-        a = np.empty(n)
-        x = np.empty(n)
-        codes = np.empty(n, dtype=np.int64)
-        index: dict[str, int] = {}
-        for i, rec in enumerate(self.records):
-            y[i] = rec.outcome
-            a[i] = rec.treatment
-            x[i] = rec.covariate_x
-            codes[i] = index.setdefault(rec.cluster_id, len(index))
-        return y, a, x, codes
+    def study_count(self) -> int:
+        return 1 if self.study_id is None else len(set(self.study_id))
 
 
-def _parse_float(text: str, column: str, row: int) -> float:
+def _parse_column(texts, column: str) -> np.ndarray:
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {column}={text!r} as a number at row {row}") from exc
+        return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        for row, text in enumerate(texts, start=1):
+            try:
+                float(text)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"cannot parse {column}={text!r} as a number at row {row}"
+                ) from exc
+        raise
 
 
 def load_csv(path, scale: str) -> ClusteredDataset:
     """Read a comma-delimited UTF-8 file with a header row into a dataset.
 
     Required columns: cluster_id, outcome, treatment, covariate_x.
-    Optional: study_id, truth_u. Row order is preserved; missing values
-    are rejected.
+    Optional: study_id, truth_u. Row order is preserved and blank lines
+    are skipped; missing values are rejected.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
         for col in REQUIRED_COLUMNS:
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        has_study = "study_id" in reader.fieldnames
-        has_truth = "truth_u" in reader.fieldnames
-        records: list[ObservationRecord] = []
-        counters: dict[str, int] = {}
-        for row_num, row in enumerate(reader, start=1):
-            for col in REQUIRED_COLUMNS + tuple(c for c in OPTIONAL_COLUMNS if c in reader.fieldnames):
-                if row.get(col) is None or row[col] == "":
-                    raise ValidationError(f"missing value for {col!r} at row {row_num}")
-            treatment_raw = _parse_float(row["treatment"], "treatment", row_num)
-            if treatment_raw not in (0.0, 1.0):
-                raise ValidationError(
-                    f"treatment must be 0 or 1, got {row['treatment']!r} at row {row_num}"
-                )
-            cluster_id = row["cluster_id"]
-            unit = counters.get(cluster_id, 0)
-            counters[cluster_id] = unit + 1
-            records.append(
-                ObservationRecord(
-                    cluster_id=cluster_id,
-                    unit_index=unit,
-                    outcome=_parse_float(row["outcome"], "outcome", row_num),
-                    treatment=int(treatment_raw),
-                    covariate_x=_parse_float(row["covariate_x"], "covariate_x", row_num),
-                    study_id=row["study_id"] if has_study else None,
-                    truth_u=_parse_float(row["truth_u"], "truth_u", row_num) if has_truth else None,
-                )
-            )
-    return ClusteredDataset.from_records(records, scale)
+        rows = [row for row in reader if row]
+    # short rows are padded with "", which the missing-value check rejects
+    columns = list(itertools.zip_longest(*rows, fillvalue=""))
+    names = REQUIRED_COLUMNS + tuple(c for c in OPTIONAL_COLUMNS if c in header)
+    texts = {}
+    for name in names:
+        i = header.index(name)
+        texts[name] = columns[i] if i < len(columns) else ("",) * len(rows)
+    missing = [(col.index(""), k) for k, col in enumerate(texts.values()) if "" in col]
+    if missing:
+        row, k = min(missing)
+        raise ValidationError(f"missing value for {names[k]!r} at row {row + 1}")
+    values = {
+        name: _parse_column(texts[name], name)
+        for name in ("treatment", "outcome", "covariate_x", "truth_u")
+        if name in texts
+    }
+    return ClusteredDataset.from_columns(
+        scale,
+        texts["cluster_id"],
+        values["outcome"],
+        values["treatment"],
+        values["covariate_x"],
+        study_id=texts.get("study_id"),
+        truth_u=values.get("truth_u"),
+    )
 
 
 def write_csv(ds: ClusteredDataset, path) -> None:
     """Inverse of load_csv: field-for-field round trip on valid datasets."""
-    columns = list(REQUIRED_COLUMNS)
-    if ds.has_study_id:
-        columns.append("study_id")
-    if ds.has_truth_u:
-        columns.append("truth_u")
+    header = list(REQUIRED_COLUMNS)
+    columns = [
+        [ds.cluster_ids[c] for c in ds.cluster_codes.tolist()],
+        ds.outcome.tolist(),
+        ds.treatment.astype(np.int64).tolist(),
+        ds.covariate_x.tolist(),
+    ]
+    if ds.study_id is not None:
+        header.append("study_id")
+        columns.append(ds.study_id)
+    if ds.truth_u is not None:
+        header.append("truth_u")
+        columns.append(ds.truth_u.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in ds.records:
-            row = [rec.cluster_id, repr(rec.outcome), rec.treatment, repr(rec.covariate_x)]
-            if ds.has_study_id:
-                row.append(rec.study_id)
-            if ds.has_truth_u:
-                row.append(repr(rec.truth_u))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -203,12 +228,11 @@ def positivity_report(ds: ClusteredDataset) -> PositivityReport:
     A stratum with no treated or no control units is flagged, never
     raised: empty cells are a finding, not an error.
     """
-    counts: dict[float, list[int]] = {}
-    for rec in ds.records:
-        cell = counts.setdefault(rec.covariate_x, [0, 0])
-        cell[rec.treatment] += 1
+    values, stratum = np.unique(ds.covariate_x, return_inverse=True)
+    treated = np.bincount(stratum[ds.treatment == 1.0], minlength=values.size)
+    control = np.bincount(stratum[ds.treatment == 0.0], minlength=values.size)
     strata = tuple(
-        PositivityStratum(covariate_x=xv, treated=counts[xv][1], control=counts[xv][0])
-        for xv in sorted(counts)
+        PositivityStratum(covariate_x=xv, treated=t, control=c)
+        for xv, t, c in zip(values.tolist(), treated.tolist(), control.tolist())
     )
     return PositivityReport(strata=strata)

@@ -143,10 +143,14 @@ def fit_from_json(text: str) -> MixedModelFit:
 
 
 def _prepare(ds: ClusteredDataset):
-    """Design matrix and contiguous cluster blocks (records sorted by cluster)."""
-    y, a, x, codes = ds.to_arrays()
-    order = np.argsort(codes, kind="stable")
-    y, a, x, codes = y[order], a[order], x[order], codes[order]
+    """Design matrix and contiguous cluster blocks (rows stably sorted by cluster).
+
+    The sort is needed because CSV input need not list a cluster's rows
+    together; ``truth_u`` never enters the design.
+    """
+    order = np.argsort(ds.cluster_codes, kind="stable")
+    y, a, x = ds.outcome[order], ds.treatment[order], ds.covariate_x[order]
+    codes = ds.cluster_codes[order]
     design = np.column_stack([np.ones_like(y), a, x, a * x])
     sizes = np.bincount(codes)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])

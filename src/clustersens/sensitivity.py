@@ -254,11 +254,11 @@ def contour_grid(delta_m_range, theta_range, resolution: int, threshold: float):
     t_lo, t_hi = map(float, theta_range)
     if not (d_lo <= d_hi and t_lo <= t_hi):
         raise DomainError("ranges must be ordered (lo, hi)")
-    deltas = np.linspace(d_lo, d_hi, resolution)
-    thetas = np.linspace(t_lo, t_hi, resolution)
-    rows = []
-    for dm in deltas:
-        for th in thetas:
-            b = dm * th
-            rows.append((float(dm), float(th), float(b), bool(b >= threshold)))
-    return rows
+    deltas, thetas = np.meshgrid(
+        np.linspace(d_lo, d_hi, resolution), np.linspace(t_lo, t_hi, resolution), indexing="ij"
+    )
+    bias = deltas * thetas
+    return list(
+        zip(deltas.ravel().tolist(), thetas.ravel().tolist(), bias.ravel().tolist(),
+            (bias >= threshold).ravel().tolist())
+    )

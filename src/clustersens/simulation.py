@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from . import normal
-from .dataset import ClusteredDataset, ObservationRecord
+from .dataset import ClusteredDataset
 from .errors import ConvergenceError, DomainError, SingularDesignError, ValidationError
 from .meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, p_of_q, pool
 from .mixed_models import LOGISTIC_LATENT_VARIANCE, fit_glmm_logit, fit_lmm
@@ -198,24 +198,6 @@ def _draw_mechanism(rng, n, mech: MechanismParams, sigma_u2: float):
     return u, x, a
 
 
-def _records_from_arrays(y, a, x, u, cluster_size, study_id=None):
-    records = []
-    for i in range(y.size):
-        cluster = i // cluster_size
-        records.append(
-            ObservationRecord(
-                cluster_id=str(cluster + 1),
-                unit_index=i % cluster_size,
-                outcome=float(y[i]),
-                treatment=int(a[i]),
-                covariate_x=float(x[i]),
-                study_id=study_id,
-                truth_u=float(u[i]),
-            )
-        )
-    return records
-
-
 def _generate_single(config: ScenarioConfig, rng, study_id=None, clusters=None, betas=None, theta=None):
     j = config.clusters if clusters is None else clusters
     b0, b1, b2, b3 = config.true_betas if betas is None else betas
@@ -231,8 +213,15 @@ def _generate_single(config: ScenarioConfig, rng, study_id=None, clusters=None, 
     else:
         y = linear
         scale = "continuous"
-    records = _records_from_arrays(y, a, x, u, config.cluster_size, study_id)
-    return ClusteredDataset.from_records(records, scale)
+    return ClusteredDataset.from_columns(
+        scale,
+        np.repeat(np.arange(1, j + 1), config.cluster_size),
+        y,
+        a,
+        x,
+        study_id=None if study_id is None else (study_id,) * n,
+        truth_u=u,
+    )
 
 
 def generate(config: ScenarioConfig, replicate_index: int):
@@ -335,7 +324,7 @@ def _meta_replicate(config: ScenarioConfig, index: int):
             eff = confounded_effect(fit, x)
             studies.append(
                 StudyEffect(
-                    study_id=ds.records[0].study_id or "?",
+                    study_id=ds.study_id[0],
                     estimate=eff.estimate,
                     within_variance=eff.std_error**2,
                 )

@@ -27,7 +27,7 @@ from clustersens import (
     p_of_q,
 )
 from clustersens.cli import main
-from clustersens.dataset import ClusteredDataset, ObservationRecord
+from clustersens.dataset import ClusteredDataset
 from clustersens.sensitivity import SCALE_MEAN_DIFFERENCE, _wald_effect, adjust, BiasFactor
 from clustersens.sensitivity import SensitivitySpec, CONTINUOUS_OUTCOME, explains_away
 from clustersens.meta import StudyEffect, pool
@@ -177,8 +177,8 @@ def _expected_se(config, x):
 
 def _exact_gls_information(config, ds):
     """D'V^-1 D for one generated design, V block-diagonal at the true components."""
-    _, a, x, codes = ds.to_arrays()
-    order = np.argsort(codes, kind="stable")
+    a, x = ds.treatment, ds.covariate_x
+    order = np.argsort(ds.cluster_codes, kind="stable")
     design = np.column_stack([np.ones_like(a), a, x, a * x])[order]
     blocks = design.reshape(config.clusters, config.cluster_size, 4)
     phi_eff, nu = _true_marginal_variances(config)
@@ -195,7 +195,7 @@ def test_criterion_3_expected_se_oracle():
     informations = []
     for r in range(designs):
         ds = generate(config, r)
-        _, a, x, _ = ds.to_arrays()
+        a, x = ds.treatment, ds.covariate_x
         for av in (0, 1):
             for xv in (0, 1):
                 counts[av, xv] += np.sum((a == av) & (x == xv))
@@ -312,7 +312,7 @@ def test_criterion_5_meta_reproduction():
 
 
 def _random_small_dataset(rng):
-    records = []
+    rows = []
     for j in range(6):
         size = int(rng.integers(2, 7))
         if j == 0:
@@ -325,12 +325,12 @@ def _random_small_dataset(rng):
                 a = int(rng.integers(0, 2))
                 x = int(rng.integers(0, 2))
             y = 0.5 - a + 2 * x + 0.7 * a * x + zeta + rng.normal(0, 1.0)
-            records.append(ObservationRecord(f"c{j}", i, float(y), a, float(x)))
-    return ClusteredDataset.from_records(records, "continuous")
+            rows.append((f"c{j}", float(y), a, float(x)))
+    return ClusteredDataset.from_columns("continuous", *zip(*rows))
 
 
 def _dense_reml(ds, ratio):
-    y, a, x, codes = ds.to_arrays()
+    y, a, x, codes = ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes
     n = y.size
     design = np.column_stack([np.ones(n), a, x, a * x])
     z = (codes[:, None] == np.unique(codes)[None, :]).astype(float)

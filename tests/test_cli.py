@@ -379,6 +379,33 @@ def test_contour_deterministic(runner):
 
 
 # ---------------------------------------------------------------------------
+# non-finite float options
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["contour", "--threshold", "nan", "--resolution", "2"], "--threshold"),
+        (["contour", "--delta-range", "0", "inf", "--threshold", "0.5"], "--delta-range"),
+        (["meta", "--mu", "nan", "--v", "1", "--q", "0.1", "--r", "0.2"], "--mu"),
+        (["meta", "--mu", "0.3", "--v", "0.08", "--q", "0.1", "--bias-mean", "-inf"],
+         "--bias-mean"),
+        (["sensitivity", "--estimate", "0.5", "--lb", "0.1", "--ub", "0.9", "--theta", "nan",
+          "--m1x", "0.5", "--m0x", "0.1"], "--theta"),
+        (["sensitivity", "--estimate", "0", "--lb", "-1e308", "--ub", "1e308"],
+         "implied standard error"),
+    ],
+    ids=["contour-threshold", "contour-range", "meta-mu", "meta-bias-mean", "sensitivity-theta",
+         "sensitivity-overflowing-interval"],
+)
+def test_non_finite_float_option_exits_1_naming_it(runner, args, named):
+    result = invoke(runner, args)
+    assert_single_error_line(result)
+    assert named in result.stderr
+
+
+# ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 

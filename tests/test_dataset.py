@@ -1,24 +1,40 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clustersens import (
     ClusteredDataset,
-    ObservationRecord,
     SchemaError,
     ValidationError,
     load_csv,
     positivity_report,
     write_csv,
 )
+from clustersens.mixed_models import _prepare
 from clustersens.simulation import ScenarioConfig, generate
 
 
-def make_record(cluster, outcome, treatment, x, unit=0, **kw):
-    return ObservationRecord(
-        cluster_id=cluster, unit_index=unit, outcome=outcome, treatment=treatment,
-        covariate_x=x, **kw,
+def make_dataset(rows, scale="continuous", study_id=None, truth_u=None):
+    """Dataset from (cluster, outcome, treatment, covariate_x) rows."""
+    cluster, outcome, treatment, x = zip(*rows)
+    return ClusteredDataset.from_columns(
+        scale, cluster, outcome, treatment, x, study_id=study_id, truth_u=truth_u
     )
+
+
+def assert_same_columns(got, expected):
+    assert got.scale == expected.scale
+    for name in ("outcome", "treatment", "covariate_x", "cluster_codes"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert got.cluster_ids == expected.cluster_ids
+    assert got.study_id == expected.study_id
+    if expected.truth_u is None:
+        assert got.truth_u is None
+    else:
+        assert np.array_equal(got.truth_u, expected.truth_u)
 
 
 def small_csv(tmp_path, rows, header="cluster_id,outcome,treatment,covariate_x"):
@@ -31,10 +47,10 @@ def test_load_four_rows_two_clusters(tmp_path):
     path = small_csv(tmp_path, ["c1,1.5,1,0", "c1,2.5,0,1", "c2,0.5,1,1", "c2,-0.5,0,0"])
     ds = load_csv(path, "continuous")
     assert ds.cluster_count == 2
-    assert len(ds.records) == 4
-    assert ds.records[0].outcome == 1.5
-    assert ds.records[2].cluster_id == "c2"
-    assert ds.records[1].unit_index == 1
+    assert ds.outcome.size == 4
+    assert ds.outcome[0] == 1.5
+    assert ds.cluster_ids[ds.cluster_codes[2]] == "c2"
+    assert ds.cluster_codes.tolist() == [0, 0, 1, 1]
     assert ds.study_count == 1
 
 
@@ -70,37 +86,34 @@ def test_optional_columns_parsed(tmp_path):
     )
     ds = load_csv(path, "continuous")
     assert ds.study_count == 2
-    assert ds.records[0].truth_u == 0.77
-    assert ds.records[1].study_id == "s2"
+    assert ds.truth_u[0] == 0.77
+    assert ds.study_id[1] == "s2"
 
 
 def test_truth_u_never_in_arrays():
-    recs = [
-        make_record("a", 1.0, 1, 0.0, truth_u=9.0),
-        make_record("a", 2.0, 0, 1.0, unit=1, truth_u=9.0),
-        make_record("b", 3.0, 1, 1.0, truth_u=9.0),
-        make_record("b", 0.0, 0, 0.0, unit=1, truth_u=9.0),
-    ]
-    ds = ClusteredDataset.from_records(recs, "continuous")
-    arrays = ds.to_arrays()
-    assert len(arrays) == 4  # outcome, treatment, covariate, codes only
-    for arr in arrays:
-        assert not np.any(arr == 9.0)
+    truth = [9.25, -7.5, 123.0, 0.3125, 42.5, -0.0625]
+    ds = make_dataset(
+        [("a", 1.0, 1, 0.0), ("a", 2.0, 0, 1.0), ("b", 3.0, 1, 1.0),
+         ("b", 0.0, 0, 0.0), ("c", 2.5, 1, 1.0), ("c", -1.0, 0, 0.0)],
+        truth_u=truth,
+    )
+    y, design, codes, sizes, starts = _prepare(ds)
+    for column in (y, *design.T):
+        assert not np.any(np.isin(column, truth))
 
 
 def test_round_trip_identity(tmp_path):
-    recs = [
-        make_record("a", 1.5e-7, 1, 0.0, study_id="s", truth_u=0.123456789012345),
-        make_record("a", -2.25, 0, 1.0, unit=1, study_id="s", truth_u=-1.5),
-        make_record("b", 3.0, 1, 1.0, study_id="t", truth_u=2.0),
-    ]
-    ds = ClusteredDataset.from_records(recs, "continuous")
+    ds = make_dataset(
+        [("a", 1.5e-7, 1, 0.0), ("a", -2.25, 0, 1.0), ("b", 3.0, 1, 1.0)],
+        study_id=["s", "s", "t"],
+        truth_u=[0.123456789012345, -1.5, 2.0],
+    )
     path = tmp_path / "round.csv"
     write_csv(ds, path)
     ds2 = load_csv(path, "continuous")
-    assert ds2.records == ds.records
+    assert_same_columns(ds2, ds)
     assert ds2.cluster_count == ds.cluster_count
-    assert ds2.study_count == ds.study_count
+    assert ds2.study_count == ds.study_count == 2
 
 
 record_values = st.tuples(
@@ -115,18 +128,10 @@ record_values = st.tuples(
 @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(record_values, min_size=1, max_size=25))
 def test_round_trip_identity_property(tmp_path, rows):
-    counters = {}
-    records = []
-    for cluster, outcome, treatment, x, u in rows:
-        unit = counters.get(cluster, 0)
-        counters[cluster] = unit + 1
-        records.append(
-            ObservationRecord(cluster, unit, outcome, treatment, x, truth_u=u)
-        )
-    ds = ClusteredDataset.from_records(records, "continuous")
+    ds = make_dataset([row[:4] for row in rows], truth_u=[row[4] for row in rows])
     path = tmp_path / "prop.csv"
     write_csv(ds, path)
-    assert load_csv(path, "continuous").records == ds.records
+    assert_same_columns(load_csv(path, "continuous"), ds)
 
 
 def test_cluster_count_invariant_to_reordering(tmp_path):
@@ -134,9 +139,7 @@ def test_cluster_count_invariant_to_reordering(tmp_path):
     ds = load_csv(small_csv(tmp_path, rows), "continuous")
     shuffled = load_csv(small_csv(tmp_path, [rows[i] for i in (4, 2, 0, 3, 1)]), "continuous")
     assert ds.cluster_count == shuffled.cluster_count == 3
-    counts = lambda d: sorted(
-        np.bincount(d.to_arrays()[3]).tolist()
-    )
+    counts = lambda d: sorted(np.bincount(d.cluster_codes).tolist())
     assert counts(ds) == counts(shuffled)
 
 
@@ -146,22 +149,16 @@ def test_generated_scenario_round_trips(tmp_path):
         true_betas=(1.0, -1.0, 3.0, 1.0), theta=0.5, sigma_u2=0.25, nu=4.0, phi=1.0,
     )
     ds = generate(config, 0)
-    assert len(ds.records) == 300
+    assert ds.outcome.size == 300
     assert ds.cluster_count == 100
     path = tmp_path / "scenario.csv"
     write_csv(ds, path)
-    ds2 = load_csv(path, "continuous")
-    assert ds2.records == ds.records
+    assert_same_columns(load_csv(path, "continuous"), ds)
 
 
 def test_positivity_flags_empty_stratum():
-    recs = [
-        make_record("a", 1.0, 0, 1.0),
-        make_record("a", 2.0, 0, 1.0, unit=1),
-        make_record("b", 3.0, 1, 0.0),
-        make_record("b", 0.0, 0, 0.0, unit=1),
-    ]
-    report = positivity_report(ClusteredDataset.from_records(recs, "continuous"))
+    ds = make_dataset([("a", 1.0, 0, 1.0), ("a", 2.0, 0, 1.0), ("b", 3.0, 1, 0.0), ("b", 0.0, 0, 0.0)])
+    report = positivity_report(ds)
     assert report.flagged_values == (1.0,)
     by_x = {s.covariate_x: s for s in report.strata}
     assert by_x[1.0].treated == 0 and by_x[1.0].control == 2
@@ -169,13 +166,8 @@ def test_positivity_flags_empty_stratum():
 
 
 def test_positivity_balanced_no_flags():
-    recs = [
-        make_record("a", 1.0, 1, 0.0),
-        make_record("a", 2.0, 0, 0.0, unit=1),
-        make_record("b", 3.0, 1, 1.0),
-        make_record("b", 0.0, 0, 1.0, unit=1),
-    ]
-    report = positivity_report(ClusteredDataset.from_records(recs, "continuous"))
+    ds = make_dataset([("a", 1.0, 1, 0.0), ("a", 2.0, 0, 0.0), ("b", 3.0, 1, 1.0), ("b", 0.0, 0, 1.0)])
+    report = positivity_report(ds)
     assert report.flagged_values == ()
 
 
@@ -186,3 +178,71 @@ def test_positivity_on_generated_scenario():
     report = positivity_report(generate(config, 0))
     assert report.flagged_values == ()
     assert {s.covariate_x for s in report.strata} == {0.0, 1.0}
+
+
+def test_positivity_matches_per_row_count():
+    config = ScenarioConfig(
+        kind="single_continuous", clusters=40, cluster_size=3, replications=1, seed=12,
+    )
+    ds = generate(config, 0)
+    counts = {}
+    for xv, av in zip(ds.covariate_x.tolist(), ds.treatment.tolist()):
+        counts.setdefault(xv, [0, 0])[int(av)] += 1
+    expected = [(xv, counts[xv][1], counts[xv][0]) for xv in sorted(counts)]
+    got = [(s.covariate_x, s.treated, s.control) for s in positivity_report(ds).strata]
+    assert got == expected
+
+
+GOOD_COLUMNS = dict(
+    cluster_id=["a", "a", "b", "b"],
+    outcome=[1.0, 0.0, 1.0, 0.0],
+    treatment=[1, 0, 1, 0],
+    covariate_x=[0.0, 1.0, 1.0, 0.0],
+)
+
+
+@pytest.mark.parametrize(
+    "scale, change, message",
+    [
+        ("continuous", {"treatment": [1, 0, 2, 0]}, "treatment must be 0 or 1, got 2.0 at row 3"),
+        ("continuous", {"treatment": [1, math.nan, 1, 0]}, "treatment must be 0 or 1, got nan at row 2"),
+        ("continuous", {"outcome": [1.0, math.nan, 1.0, 0.0]}, "non-finite outcome at row 2"),
+        ("binary", {"outcome": [1.0, 0.0, 0.0, 0.5]},
+         "binary-scale outcome must be 0 or 1, got 0.5 at row 4"),
+        ("continuous", {"covariate_x": [0.0, 1.0, 1.0, math.inf]}, "non-finite covariate_x at row 4"),
+        ("continuous", {"treatment": [1, 0, 1]},
+         "column treatment has 3 values for 4 cluster_id rows: row 4 is incomplete"),
+        ("continuous", {"truth_u": [0.1] * 5},
+         "column truth_u has 5 values for 4 cluster_id rows: row 5 is incomplete"),
+        ("continuous", {"study_id": ["s1"]},
+         "column study_id has 1 values for 4 cluster_id rows: row 2 is incomplete"),
+        # the first offending row is reported, whichever check it fails
+        ("continuous", {"treatment": [1, 0, 1, 7], "covariate_x": [0.0, 1.0, math.nan, 0.0]},
+         "non-finite covariate_x at row 3"),
+    ],
+    ids=[
+        "bad-treatment", "nan-treatment", "non-finite-outcome", "non-binary-outcome",
+        "non-finite-covariate", "short-column", "long-column", "short-study-id", "first-row-wins",
+    ],
+)
+def test_from_columns_rejection_names_row(scale, change, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ClusteredDataset.from_columns(scale, **{**GOOD_COLUMNS, **change})
+
+
+def test_from_columns_rejects_empty_dataset_and_unknown_scale():
+    with pytest.raises(ValidationError, match="dataset has no records"):
+        ClusteredDataset.from_columns("continuous", [], [], [], [])
+    with pytest.raises(ValidationError, match="unknown scale"):
+        ClusteredDataset.from_columns("ordinal", **GOOD_COLUMNS)
+
+
+def test_from_columns_copies_and_freezes_columns():
+    outcome = np.array(GOOD_COLUMNS["outcome"])
+    ds = ClusteredDataset.from_columns("continuous", **{**GOOD_COLUMNS, "outcome": outcome})
+    outcome[0] = 99.0
+    assert ds.outcome[0] == 1.0
+    with pytest.raises(ValueError):
+        ds.outcome[0] = 5.0
+    assert ds.cluster_ids == ("a", "b")
+    assert ds.treatment.dtype == np.float64 and ds.cluster_codes.dtype == np.int64

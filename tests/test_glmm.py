@@ -6,7 +6,6 @@ from scipy import integrate, optimize, special
 
 from clustersens import (
     ClusteredDataset,
-    ObservationRecord,
     SeparationError,
     ValidationError,
     fit_from_json,
@@ -27,7 +26,7 @@ from clustersens.simulation import ScenarioConfig, generate, nu_from_icc
 
 
 def binary_dataset(rng, n_clusters=25, cluster_size=6, nu=0.8):
-    recs = []
+    rows = []
     for j in range(n_clusters):
         zeta = rng.normal(0, math.sqrt(nu))
         for i in range(cluster_size):
@@ -35,8 +34,8 @@ def binary_dataset(rng, n_clusters=25, cluster_size=6, nu=0.8):
             x = int(rng.integers(0, 2))
             eta = -0.5 + 0.9 * a + 0.6 * x - 0.4 * a * x + zeta
             y = float(rng.random() < special.expit(eta))
-            recs.append(ObservationRecord(f"c{j}", i, y, a, float(x)))
-    return ClusteredDataset.from_records(recs, "binary")
+            rows.append((f"c{j}", y, a, float(x)))
+    return ClusteredDataset.from_columns("binary", *zip(*rows))
 
 
 def brute_force_loglik(ds, beta, nu):
@@ -162,15 +161,9 @@ def test_laplace_is_single_node():
 
 
 def test_all_zero_outcomes_is_degenerate():
-    recs = [
-        ObservationRecord("a", 0, 0.0, 1, 1.0),
-        ObservationRecord("a", 1, 0.0, 0, 0.0),
-        ObservationRecord("b", 0, 0.0, 1, 0.0),
-        ObservationRecord("b", 1, 0.0, 0, 1.0),
-        ObservationRecord("c", 0, 0.0, 1, 1.0),
-        ObservationRecord("c", 1, 0.0, 0, 0.0),
-    ]
-    ds = ClusteredDataset.from_records(recs, "binary")
+    ds = ClusteredDataset.from_columns(
+        "binary", list("aabbcc"), [0.0] * 6, [1, 0, 1, 0, 1, 0], [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
+    )
     with pytest.raises(SeparationError):
         fit_glmm_logit(ds)
 
@@ -190,15 +183,15 @@ def test_agq_15_vs_64_consistency_on_scenario_replicate():
 def test_tiny_variance_approaches_plain_logistic():
     rng = np.random.default_rng(5150)
     # no true cluster effect: the intercept variance should collapse
-    recs = []
+    rows = []
     for j in range(40):
         for i in range(8):
             a = int(rng.integers(0, 2))
             x = int(rng.integers(0, 2))
             eta = -0.3 + 0.7 * a + 0.4 * x - 0.2 * a * x
             y = float(rng.random() < special.expit(eta))
-            recs.append(ObservationRecord(f"c{j}", i, y, a, float(x)))
-    ds = ClusteredDataset.from_records(recs, "binary")
+            rows.append((f"c{j}", y, a, float(x)))
+    ds = ClusteredDataset.from_columns("binary", *zip(*rows))
     fit = fit_glmm_logit(ds)
     assert fit.random_intercept_variance < 0.05
     # the variance collapses onto the floor: information over beta alone
@@ -220,14 +213,12 @@ def test_tiny_variance_approaches_plain_logistic():
 def test_relabeling_clusters_preserves_likelihood():
     rng = np.random.default_rng(808)
     ds = binary_dataset(rng, n_clusters=12)
-    relabeled = ClusteredDataset.from_records(
-        [
-            ObservationRecord(
-                "zz" + rec.cluster_id, rec.unit_index, rec.outcome, rec.treatment, rec.covariate_x
-            )
-            for rec in reversed(ds.records)
-        ],
+    relabeled = ClusteredDataset.from_columns(
         "binary",
+        ["zz" + ds.cluster_ids[c] for c in ds.cluster_codes[::-1]],
+        ds.outcome[::-1],
+        ds.treatment[::-1],
+        ds.covariate_x[::-1],
     )
     fit = fit_glmm_logit(ds)
     fit2 = fit_glmm_logit(relabeled)
@@ -239,14 +230,8 @@ def test_requires_binary_scale_and_positive_nodes():
     ds = binary_dataset(rng, n_clusters=6)
     with pytest.raises(DomainError):
         fit_glmm_logit(ds, quadrature_points=0)
-    cont = ClusteredDataset.from_records(
-        [
-            ObservationRecord("a", 0, 0.7, 1, 1.0),
-            ObservationRecord("a", 1, 0.3, 0, 0.0),
-            ObservationRecord("b", 0, 0.9, 1, 0.0),
-            ObservationRecord("b", 1, 0.1, 0, 1.0),
-        ],
-        "continuous",
+    cont = ClusteredDataset.from_columns(
+        "continuous", list("aabb"), [0.7, 0.3, 0.9, 0.1], [1, 0, 1, 0], [1.0, 0.0, 0.0, 1.0]
     )
     with pytest.raises(ValidationError):
         fit_glmm_logit(cont)

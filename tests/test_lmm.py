@@ -6,7 +6,6 @@ import pytest
 
 from clustersens import (
     ClusteredDataset,
-    ObservationRecord,
     ValidationError,
     SingularDesignError,
     fit_from_json,
@@ -17,14 +16,11 @@ from clustersens.simulation import ScenarioConfig, generate
 
 
 def dataset_from_arrays(y, a, x, codes, scale="continuous"):
-    recs = [
-        ObservationRecord(
-            cluster_id=str(codes[i]), unit_index=0, outcome=float(y[i]),
-            treatment=int(a[i]), covariate_x=float(x[i]),
-        )
-        for i in range(len(y))
-    ]
-    return ClusteredDataset.from_records(recs, scale)
+    return ClusteredDataset.from_columns(scale, [str(c) for c in codes], y, a, x)
+
+
+def columns(ds):
+    return ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes
 
 
 def random_dataset(rng, n_clusters=6, size_low=2, size_high=6, nu=1.0, phi=1.0):
@@ -49,7 +45,7 @@ def dense_reml(ds, ratio):
     Profiles the residual variance analytically; everything else is
     explicit linear algebra on the full n x n covariance.
     """
-    y, a, x, codes = ds.to_arrays()
+    y, a, x, codes = columns(ds)
     n = y.size
     design = np.column_stack([np.ones(n), a, x, a * x])
     z = (codes[:, None] == np.unique(codes)[None, :]).astype(float)
@@ -68,7 +64,7 @@ def dense_reml(ds, ratio):
 
 
 def dense_gls(ds, ratio):
-    y, a, x, codes = ds.to_arrays()
+    y, a, x, codes = columns(ds)
     n = y.size
     design = np.column_stack([np.ones(n), a, x, a * x])
     z = (codes[:, None] == np.unique(codes)[None, :]).astype(float)
@@ -84,8 +80,8 @@ def test_interpolation_recovers_linear_map_exactly():
         for ai in (0, 1):
             for xi in (0, 1):
                 y = betas[0] + betas[1] * ai + betas[2] * xi + betas[3] * ai * xi
-                rows.append(ObservationRecord(cluster, 0, y, ai, float(xi)))
-    ds = ClusteredDataset.from_records(rows, "continuous")
+                rows.append((cluster, y, ai, float(xi)))
+    ds = ClusteredDataset.from_columns("continuous", *zip(*rows))
     fit = fit_lmm(ds)
     np.testing.assert_allclose(fit.coefficients, betas, atol=1e-10)
 
@@ -118,7 +114,7 @@ def test_covariance_matches_dense_gls_covariance():
     rng = np.random.default_rng(3000)
     ds = random_dataset(rng, n_clusters=10)
     fit = fit_lmm(ds)
-    y, a, x, codes = ds.to_arrays()
+    y, a, x, codes = columns(ds)
     n = y.size
     design = np.column_stack([np.ones(n), a, x, a * x])
     z = (codes[:, None] == np.unique(codes)[None, :]).astype(float)
@@ -159,14 +155,12 @@ def test_relabeling_clusters_preserves_likelihood():
     rng = np.random.default_rng(77)
     ds = random_dataset(rng, n_clusters=8)
     fit = fit_lmm(ds)
-    relabeled = ClusteredDataset.from_records(
-        [
-            ObservationRecord(
-                "z" + rec.cluster_id, rec.unit_index, rec.outcome, rec.treatment, rec.covariate_x
-            )
-            for rec in reversed(ds.records)
-        ],
+    relabeled = ClusteredDataset.from_columns(
         "continuous",
+        ["z" + ds.cluster_ids[c] for c in ds.cluster_codes[::-1]],
+        ds.outcome[::-1],
+        ds.treatment[::-1],
+        ds.covariate_x[::-1],
     )
     fit2 = fit_lmm(relabeled)
     assert abs(fit.log_likelihood - fit2.log_likelihood) < 1e-10
@@ -174,29 +168,20 @@ def test_relabeling_clusters_preserves_likelihood():
 
 
 def test_rank_deficient_design_raises():
-    recs = [
-        ObservationRecord("a", 0, 1.0, 1, 1.0),
-        ObservationRecord("a", 1, 2.0, 0, 0.0),
-        ObservationRecord("b", 0, 3.0, 1, 1.0),
-        ObservationRecord("b", 1, 1.0, 0, 0.0),
-        ObservationRecord("c", 0, 2.0, 1, 1.0),
-        ObservationRecord("c", 1, 0.0, 0, 0.0),
-    ]
+    ds = ClusteredDataset.from_columns(
+        "continuous", list("aabbcc"), [1.0, 2.0, 3.0, 1.0, 2.0, 0.0], [1, 0, 1, 0, 1, 0],
+        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+    )
     # x == a everywhere, so the interaction column duplicates x
     with pytest.raises(SingularDesignError):
-        fit_lmm(ClusteredDataset.from_records(recs, "continuous"))
+        fit_lmm(ds)
 
 
 def test_requires_continuous_scale():
-    recs = [
-        ObservationRecord("a", 0, 1.0, 1, 1.0),
-        ObservationRecord("a", 1, 0.0, 0, 0.0),
-        ObservationRecord("b", 0, 1.0, 1, 0.0),
-        ObservationRecord("b", 1, 0.0, 0, 1.0),
-        ObservationRecord("c", 0, 0.0, 1, 1.0),
-        ObservationRecord("c", 1, 1.0, 0, 0.0),
-    ]
-    ds = ClusteredDataset.from_records(recs, "binary")
+    ds = ClusteredDataset.from_columns(
+        "binary", list("aabbcc"), [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], [1, 0, 1, 0, 1, 0],
+        [1.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+    )
     with pytest.raises(ValidationError):
         fit_lmm(ds)
 

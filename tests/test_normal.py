@@ -57,6 +57,10 @@ def test_ppf_rejects_out_of_range():
         normal.ppf(-0.1)
     with pytest.raises(DomainError):
         normal.ppf(1.5)
+    with pytest.raises(DomainError):
+        normal.ppf(float("nan"))
+    with pytest.raises(DomainError):
+        normal.ppf(np.array([0.2, np.nan, 0.7]))
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))

@@ -342,6 +342,20 @@ def test_contour_exhaustive_flagging():
     assert rows[100][0] == deltas[1]
 
 
+def test_contour_matches_nested_loop_reference():
+    # the per-node loop the grid is vectorised from; float64 products are the
+    # same IEEE operation either way, so rows must agree exactly
+    deltas = np.linspace(-0.3, 1.7, 37)
+    thetas = np.linspace(0.1, 5.3, 37)
+    expected = [
+        (float(d), float(t), float(d * t), bool(d * t >= 0.9)) for d in deltas for t in thetas
+    ]
+    rows = contour_grid((-0.3, 1.7), (0.1, 5.3), 37, threshold=0.9)
+    assert rows == expected
+    assert all(type(v) is float for r in rows for v in r[:3])
+    assert all(type(r[3]) is bool for r in rows)
+
+
 def test_contour_bad_resolution():
     with pytest.raises(DomainError):
         contour_grid((0.0, 1.0), (0.0, 5.0), 1, threshold=0.5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -27,8 +28,15 @@ BASE = dict(
 )
 
 
-def records_key(ds):
-    return [(r.cluster_id, r.outcome, r.treatment, r.covariate_x, r.truth_u) for r in ds.records]
+def columns_key(ds):
+    return (
+        ds.cluster_ids,
+        ds.cluster_codes.tolist(),
+        ds.outcome.tolist(),
+        ds.treatment.tolist(),
+        ds.covariate_x.tolist(),
+        ds.truth_u.tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +85,10 @@ def test_conditioning_values_validated():
 def test_continuous_generation_shape_and_variance():
     config = ScenarioConfig(**{**BASE, "replications": 1})
     ds = generate(config, 0)
-    assert len(ds.records) == 300
+    assert ds.outcome.size == 300
     assert ds.cluster_count == 100
-    assert ds.has_truth_u
-    y, a, x, codes = ds.to_arrays()
+    assert ds.truth_u is not None
+    y, codes = ds.outcome, ds.cluster_codes
     cluster_means = np.array([y[codes == j].mean() for j in range(100)])
     # cluster means vary with variance nu + noise; very loose band around nu=4
     assert 2.0 < cluster_means.var(ddof=1) < 8.0
@@ -89,8 +97,7 @@ def test_continuous_generation_shape_and_variance():
 def test_theta_zero_outcome_unrelated_to_truth_u():
     config = ScenarioConfig(**{**BASE, "theta": 0.0, "clusters": 400, "cluster_size": 3})
     ds = generate(config, 0)
-    y, a, x, codes = ds.to_arrays()
-    u = np.array([r.truth_u for r in ds.records])
+    y, a, x, codes, u = ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes, ds.truth_u
     design = np.column_stack([np.ones_like(y), a, x, a * x])
     # residualize out fixed effects and cluster means, then correlate with u
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -107,7 +114,7 @@ def test_binary_generation_is_bernoulli():
     )
     ds = generate(config, 0)
     assert ds.scale == "binary"
-    outcomes = {r.outcome for r in ds.records}
+    outcomes = set(ds.outcome.tolist())
     assert outcomes <= {0.0, 1.0}
 
 
@@ -120,13 +127,51 @@ def test_meta_generation_sizes_and_studies():
     assert len(datasets) == 15
     for k, ds in enumerate(datasets):
         assert 50 <= ds.cluster_count <= 150
-        assert len(ds.records) == ds.cluster_count * 3
-        assert ds.records[0].study_id == str(k + 1)
+        assert ds.outcome.size == ds.cluster_count * 3
+        assert ds.study_id == (str(k + 1),) * ds.outcome.size
 
 
 def test_generation_deterministic():
     config = ScenarioConfig(**BASE)
-    assert records_key(generate(config, 2)) == records_key(generate(config, 2))
+    assert columns_key(generate(config, 2)) == columns_key(generate(config, 2))
+
+
+def _columns_digest(datasets):
+    h = hashlib.sha256()
+    for ds in datasets:
+        for column in (ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes, ds.truth_u):
+            h.update(np.ascontiguousarray(column).tobytes())
+        h.update("\x1f".join(ds.cluster_ids).encode())
+        h.update("\x1f".join(ds.study_id or ("",) * ds.outcome.size).encode())
+    return h.hexdigest()
+
+
+# sha256 of replicate 7's generated columns (float64 outcome, treatment and
+# covariate, int64 cluster codes, float64 truth_u, then the cluster and study
+# labels), recorded before the data path became array-native; a changed
+# Philox draw order or a changed column changes the digest
+PINNED_DIGESTS = [
+    (
+        dict(kind="single_continuous", clusters=100, cluster_size=3, seed=20260808),
+        "6349bc220891a2c810ebbde4818f8676dab49ec17200b4d8ecd937db2c8c781c",
+    ),
+    (
+        dict(kind="single_binary", clusters=200, cluster_size=4, seed=34, nu=1.0966227112321509),
+        "5ecfc6a6471fec002d017255e1ab432d690c1ac50a868d490ff215c87d278679",
+    ),
+    (
+        dict(kind="meta", clusters=100, cluster_size=3, seed=2718, studies=30, theta_var=0.05),
+        "db84c5b1830b92340481def4020c0da063b128b916144f867f19ea9815a4e88e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, digest", PINNED_DIGESTS, ids=[fields["kind"] for fields, _ in PINNED_DIGESTS]
+)
+def test_generated_columns_match_pinned_digest(fields, digest):
+    out = generate(ScenarioConfig(replications=1, **fields), 7)
+    assert _columns_digest(out if isinstance(out, list) else [out]) == digest
 
 
 def test_stream_independence():
@@ -136,13 +181,13 @@ def test_stream_independence():
     for r in range(5):
         generate(config, r)
     again = generate(config, 5)
-    assert records_key(fresh) == records_key(again)
+    assert columns_key(fresh) == columns_key(again)
 
 
 def test_seed_changes_data():
     config = ScenarioConfig(**BASE)
     other = ScenarioConfig(**{**BASE, "seed": 124})
-    assert records_key(generate(config, 0)) != records_key(generate(other, 0))
+    assert columns_key(generate(config, 0)) != columns_key(generate(other, 0))
 
 
 # ---------------------------------------------------------------------------
