@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 
-from clustersens.simulation import ScenarioConfig, run_single_study
+from clustersens.simulation import ScenarioConfig, run_scenario
 
 ROWS = [
     # clusters, cluster_size, beta1, beta3, theta, sigma_u2
@@ -22,6 +22,11 @@ ROWS = [
     (100, 3, 1.0, -1.0, 0.5, 0.25),
     (100, 3, -1.0, 1.0, 0.5, 1.0),
 ]
+
+
+def cell(value):
+    """Four decimals; empty when too few replicates were usable for the metric."""
+    return "" if value is None else f"{value:.4f}"
 
 
 def main(argv=None):
@@ -49,11 +54,11 @@ def main(argv=None):
             nu=4.0,
             phi=1.0,
         )
-        metrics = run_single_study(config, workers=args.workers)
+        metrics = run_scenario(config, workers=args.workers)
         for row in metrics.rows:
             writer.writerow(
                 [clusters, size, b1, b3, theta, sigma_u2, row.x,
-                 f"{row.bias:.4f}", f"{row.se:.4f}", f"{row.cp:.4f}", row.replications_used]
+                 cell(row.bias), cell(row.se), cell(row.cp), row.replications_used]
             )
         print(
             f"done: J={clusters} I={size} beta1={b1} beta3={b3} theta={theta} "

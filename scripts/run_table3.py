@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 
-from clustersens.simulation import ScenarioConfig, nu_from_icc, run_single_study
+from clustersens.simulation import ScenarioConfig, nu_from_icc, run_scenario
 
 ROWS = [
     # theta, icc, sigma_u2
@@ -27,6 +27,11 @@ ROWS = [
     (0.5, 0.25, 1.0),
     (0.5, 0.25, 2.25),
 ]
+
+
+def cell(value):
+    """Four decimals; empty when too few replicates were usable for the metric."""
+    return "" if value is None else f"{value:.4f}"
 
 
 def main(argv=None):
@@ -55,11 +60,11 @@ def main(argv=None):
             phi=1.0,
             quadrature_points=args.quadrature,
         )
-        metrics = run_single_study(config, workers=args.workers)
+        metrics = run_scenario(config, workers=args.workers)
         for row in metrics.rows:
             writer.writerow(
-                [theta, icc, sigma_u2, row.x, f"{row.bias:.4f}", f"{row.se:.4f}",
-                 f"{row.cp:.4f}", row.replications_used, metrics.non_converged]
+                [theta, icc, sigma_u2, row.x, cell(row.bias), cell(row.se),
+                 cell(row.cp), row.replications_used, metrics.non_converged]
             )
         print(
             f"done: theta={theta} icc={icc} sigma_u2={sigma_u2} "

@@ -11,7 +11,7 @@ import argparse
 import csv
 import sys
 
-from clustersens.simulation import ScenarioConfig, run_meta
+from clustersens.simulation import ScenarioConfig, run_scenario
 
 ROWS = [
     # studies, mean clusters, cluster size
@@ -28,6 +28,11 @@ ROWS = [
     (100, 200, 3),
     (100, 200, 5),
 ]
+
+
+def cell(value):
+    """Four decimals; empty when too few replicates were usable for the metric."""
+    return "" if value is None else f"{value:.4f}"
 
 
 def main(argv=None):
@@ -57,11 +62,11 @@ def main(argv=None):
             nu=4.0,
             phi=1.0,
         )
-        metrics = run_meta(config, workers=args.workers)
+        metrics = run_scenario(config, workers=args.workers)
         for row in metrics.rows:
             writer.writerow(
-                [studies, clusters, size, row.x, f"{row.truth:.4f}", f"{row.bias:.4f}",
-                 f"{row.se:.4f}", f"{row.cp:.4f}", row.replications_used]
+                [studies, clusters, size, row.x, cell(row.truth), cell(row.bias),
+                 cell(row.se), cell(row.cp), row.replications_used]
             )
         print(
             f"done: K={studies} J={clusters} I={size} ({metrics.runtime_seconds:.1f}s)",

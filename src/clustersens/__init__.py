@@ -67,8 +67,7 @@ from .simulation import (
     generate,
     load_scenario,
     nu_from_icc,
-    run_meta,
-    run_single_study,
+    run_scenario,
     true_conditional_means,
 )
 

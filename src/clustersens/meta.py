@@ -26,7 +26,6 @@ class StudyEffect:
     study_id: str
     estimate: float
     within_variance: float
-    scale: str = "mean-difference"
 
     def __post_init__(self):
         if not math.isfinite(self.estimate):
@@ -181,7 +180,7 @@ def explains_away_meta(
     return bias.mu_b >= minimal_common_bias(fit, spec, direction).value
 
 
-def load_studies_csv(path, scale: str = "mean-difference") -> list[StudyEffect]:
+def load_studies_csv(path) -> list[StudyEffect]:
     """Study-level CSV with columns study_id, estimate, std_error."""
     required = ("study_id", "estimate", "std_error")
     studies = []
@@ -211,7 +210,6 @@ def load_studies_csv(path, scale: str = "mean-difference") -> list[StudyEffect]:
                     study_id=row["study_id"],
                     estimate=estimate,
                     within_variance=std_error**2,
-                    scale=scale,
                 )
             )
     return studies

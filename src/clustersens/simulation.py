@@ -6,7 +6,8 @@ threshold rules, making all three dependent. Single-study scenarios fit
 the confounded mixed model, remove the analytically known bias factor,
 and score bias / spread / interval coverage of the adjusted estimator.
 Meta scenarios pool per-study confounded effects and score the estimated
-probability of a meaningful effect.
+probability of a meaningful effect. ``run_scenario`` runs every kind
+through one replicate worker.
 
 Replicates are keyed counter-based streams (see ``rng``), so results are
 identical across worker counts and replicate orderings.
@@ -19,6 +20,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -109,7 +111,6 @@ class ScenarioConfig:
     studies: int = 0
     effect_dist: MetaEffectDistribution = field(default_factory=MetaEffectDistribution)
     q: Optional[float] = None
-    r: float = 0.4
     quadrature_points: int = 15
     mechanism: MechanismParams = field(default_factory=MechanismParams)
 
@@ -286,58 +287,61 @@ class SimMetrics:
     runtime_seconds: float
 
 
-def _single_replicate(config: ScenarioConfig, index: int):
-    """(estimate, lb, ub) triples at x = 0, 1 for one replicate, or None.
+def _run_constants(config: ScenarioConfig):
+    """Per-x quantities that depend on the config only, computed once per run.
 
-    Non-convergence, separation, and degenerate designs all drop the
-    replicate; dropped replicates are counted, never resampled.
+    Single-study kinds get the true bias shift; the meta kind gets the bias
+    law (theta * dm, theta_var * dm^2) and the meaningful size q, where
+    dm = E(U|A=1,X=x) - E(U|A=0,X=x).
     """
-    ds = generate(config, index)
-    try:
-        if config.kind == SINGLE_CONTINUOUS:
-            fit = fit_lmm(ds)
-        else:
-            fit = fit_glmm_logit(ds, config.quadrature_points)
-    except (ConvergenceError, SingularDesignError):
-        return None
     out = []
     for x in (0, 1):
-        eff = confounded_effect(fit, x)
-        shift = bias_factor_true(config, x)
-        out.append((eff.estimate - shift, eff.lb - shift, eff.ub - shift))
-    return out
+        if config.kind != META:
+            out.append(bias_factor_true(config, x))
+            continue
+        delta_m = true_conditional_means(config, 1, x) - true_conditional_means(config, 0, x)
+        bias = BiasDistribution(mu_b=config.theta * delta_m, v_b=config.theta_var * delta_m**2)
+        out.append((bias, _meta_q(config, x)))
+    return tuple(out)
 
 
-def _meta_replicate(config: ScenarioConfig, index: int):
-    """(p_hat, lo, hi) per x for one replicate, or None when unusable."""
-    datasets = generate(config, index)
+def _replicate(config: ScenarioConfig, per_x, index: int):
+    """(value, lb, ub) triples at x = 0, 1 for one replicate, or None.
+
+    Single-study kinds give the adjusted effect; the meta kind gives the
+    estimated exceedance probability with its delta-method interval.
+    Non-convergence, separation, degenerate designs and variance
+    domination drop the replicate; dropped replicates are counted, never
+    resampled.
+    """
+    data = generate(config, index)
+    datasets = data if config.kind == META else [data]
     fits = []
     for ds in datasets:
         try:
-            fits.append(fit_lmm(ds))
+            if config.kind == SINGLE_BINARY:
+                fits.append(fit_glmm_logit(ds, config.quadrature_points))
+            else:
+                fits.append(fit_lmm(ds))
         except (ConvergenceError, SingularDesignError):
             return None
     out = []
-    for x in (0, 1):
-        studies = []
-        for ds, fit in zip(datasets, fits):
-            eff = confounded_effect(fit, x)
-            studies.append(
-                StudyEffect(
-                    study_id=ds.study_id[0],
-                    estimate=eff.estimate,
-                    within_variance=eff.std_error**2,
-                )
-            )
+    for x, constants in zip((0, 1), per_x):
+        effects = [confounded_effect(fit, x) for fit in fits]
+        if config.kind != META:
+            (eff,) = effects
+            out.append((eff.estimate - constants, eff.lb - constants, eff.ub - constants))
+            continue
+        bias, q = constants
+        studies = [
+            StudyEffect(ds.study_id[0], eff.estimate, eff.std_error**2)
+            for ds, eff in zip(datasets, effects)
+        ]
         meta_fit = pool(studies)
-        delta_m = true_conditional_means(config, 1, x) - true_conditional_means(config, 0, x)
-        bias = BiasDistribution(mu_b=config.theta * delta_m, v_b=config.theta_var * delta_m**2)
         if meta_fit.v_hat <= bias.v_b:
             return None
-        q = _meta_q(config, x)
         p_hat = p_of_q(meta_fit, bias, q, "positive")
-        lo, hi = _delta_interval(meta_fit, bias, q, studies)
-        out.append((p_hat, lo, hi))
+        out.append((p_hat, *_delta_interval(meta_fit, bias, q, studies)))
     return out
 
 
@@ -379,15 +383,6 @@ def _delta_interval(meta_fit: MetaFit, bias: BiasDistribution, q: float, studies
     return max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
-def _run_replicates(config: ScenarioConfig, worker, workers: int):
-    indices = range(config.replications)
-    if workers <= 1:
-        return [worker(config, i) for i in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool_:
-        chunk = max(1, config.replications // (8 * workers))
-        return list(pool_.map(worker, [config] * config.replications, indices, chunksize=chunk))
-
-
 def _aggregate(config: ScenarioConfig, results, truths, started) -> SimMetrics:
     usable = [r for r in results if r is not None]
     non_converged = len(results) - len(usable)
@@ -412,30 +407,28 @@ def _aggregate(config: ScenarioConfig, results, truths, started) -> SimMetrics:
     )
 
 
-def run_single_study(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
-    """Monte Carlo bias / SE / coverage of the adjusted effect at x = 0, 1."""
-    if config.kind not in (SINGLE_CONTINUOUS, SINGLE_BINARY):
-        raise ValidationError(f"run_single_study cannot run a {config.kind!r} scenario")
-    started = time.perf_counter()
-    results = _run_replicates(config, _single_replicate, workers)
-    _, b1, _, b3 = config.true_betas
-    return _aggregate(config, results, (b1, b1 + b3), started)
-
-
-def run_meta(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
-    """Monte Carlo bias / SE / coverage of the exceedance probability estimator."""
-    if config.kind != META:
-        raise ValidationError(f"run_meta cannot run a {config.kind!r} scenario")
-    started = time.perf_counter()
-    results = _run_replicates(config, _meta_replicate, workers)
-    truths = (true_p_of_q(config, 0), true_p_of_q(config, 1))
-    return _aggregate(config, results, truths, started)
-
-
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
+    """Monte Carlo bias / SE / coverage at x = 0, 1 for any scenario kind.
+
+    Single-study kinds score the adjusted effect against the true
+    coefficients; the meta kind scores the exceedance probability
+    estimator against its closed form.
+    """
+    started = time.perf_counter()
+    worker = partial(_replicate, config, _run_constants(config))
+    indices = range(config.replications)
+    if workers <= 1:
+        results = [worker(i) for i in indices]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool_:
+            chunk = max(1, config.replications // (8 * workers))
+            results = list(pool_.map(worker, indices, chunksize=chunk))
     if config.kind == META:
-        return run_meta(config, workers)
-    return run_single_study(config, workers)
+        truths = (true_p_of_q(config, 0), true_p_of_q(config, 1))
+    else:
+        _, b1, _, b3 = config.true_betas
+        truths = (b1, b1 + b3)
+    return _aggregate(config, results, truths, started)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +448,6 @@ _SCALAR_KEYS = {
     "phi": float,
     "studies": int,
     "q": float,
-    "r": float,
     "quadrature_points": int,
 }
 

@@ -36,8 +36,7 @@ from clustersens.simulation import (
     generate,
     metrics_rows,
     nu_from_icc,
-    run_meta,
-    run_single_study,
+    run_scenario,
 )
 
 
@@ -225,7 +224,7 @@ def test_criterion_3_expected_se_oracle():
 def test_criterion_3_continuous_single_study_reproduction():
     config = CRITERION_3_CONFIG
     started = time.perf_counter()
-    metrics = run_single_study(config)
+    metrics = run_scenario(config)
     elapsed = time.perf_counter() - started
     rows = {row.x: row for row in metrics.rows}
     # The published x=0 SE (0.157) is not reachable under this mechanism: its
@@ -260,7 +259,7 @@ def test_criterion_4_binary_single_study_reproduction():
         nu=nu_from_icc(0.25), phi=1.0,
     )
     started = time.perf_counter()
-    metrics = run_single_study(config)
+    metrics = run_scenario(config)
     elapsed = time.perf_counter() - started
     row = {r.x: r for r in metrics.rows}[1]
     report(
@@ -282,7 +281,7 @@ def test_criterion_5_meta_reproduction():
         sigma_u2=0.25, nu=4.0, phi=1.0,
     )
     started = time.perf_counter()
-    metrics = run_meta(config)
+    metrics = run_scenario(config)
     checks = []
     for row in metrics.rows:
         checks.append(
@@ -297,7 +296,7 @@ def test_criterion_5_meta_reproduction():
             seed=515, true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=0.01,
             sigma_u2=0.25, nu=4.0, phi=1.0,
         )
-        trend = run_meta(trend_config)
+        trend = run_scenario(trend_config)
         spreads[studies] = {row.x: row.se for row in trend.rows}
     for x in (0, 1):
         checks.append(
@@ -491,8 +490,8 @@ def test_criterion_8_property_suites():
             buf.write(",".join("" if v is None else repr(v) for v in row) + "\n")
         return buf.getvalue()
 
-    first = render(run_single_study(config))
-    second = render(run_single_study(config))
+    first = render(run_scenario(config))
+    second = render(run_scenario(config))
     checks.append(("simulation determinism (byte-identical reruns)", first == second))
 
     report(8, checks)

@@ -7,6 +7,7 @@ import pytest
 
 from clustersens import ValidationError
 from clustersens.errors import DomainError
+from clustersens import simulation
 from clustersens.simulation import (
     MechanismParams,
     MetaEffectDistribution,
@@ -16,8 +17,7 @@ from clustersens.simulation import (
     load_scenario,
     metrics_rows,
     nu_from_icc,
-    run_meta,
-    run_single_study,
+    run_scenario,
     true_conditional_means,
     true_p_of_q,
 )
@@ -191,13 +191,13 @@ def test_seed_changes_data():
 
 
 # ---------------------------------------------------------------------------
-# run_single_study / run_meta
+# run_scenario
 # ---------------------------------------------------------------------------
 
 
 def test_single_study_metrics_smoke():
     config = ScenarioConfig(**{**BASE, "replications": 30})
-    metrics = run_single_study(config)
+    metrics = run_scenario(config)
     assert metrics.kind == "single_continuous"
     assert metrics.non_converged == 0
     assert not metrics.flagged
@@ -210,17 +210,53 @@ def test_single_study_metrics_smoke():
         assert 0.8 <= row.cp <= 1.0
 
 
-def test_metrics_deterministic_and_worker_invariant():
-    config = ScenarioConfig(**{**BASE, "replications": 6})
-    serial = run_single_study(config, workers=1)
-    parallel = run_single_study(config, workers=2)
-    assert serial.rows == parallel.rows
+SMALL_CONFIGS = {
+    "single_continuous": dict(BASE, replications=6),
+    "single_binary": dict(
+        kind="single_binary", clusters=50, cluster_size=4, replications=4, seed=34,
+        true_betas=(-1.0, 1.0, 1.0, -0.5), theta=-0.5, sigma_u2=1.0, nu=nu_from_icc(0.25),
+        quadrature_points=5,
+    ),
+    "meta": dict(
+        kind="meta", clusters=60, cluster_size=3, studies=4, replications=4, seed=2718,
+        true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=0.01,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+def test_metrics_deterministic_and_worker_invariant(kind):
+    config = ScenarioConfig(**SMALL_CONFIGS[kind])
+    serial = run_scenario(config, workers=1)
+    again = run_scenario(config, workers=1)
+    parallel = run_scenario(config, workers=2)
+    assert serial.kind == kind
+    assert serial.rows == again.rows == parallel.rows
+    assert serial.non_converged == parallel.non_converged
+    assert serial.rows[0].replications_used > 0
+
+
+def test_run_constants_computed_once_per_run(monkeypatch):
+    calls = []
+    original = simulation.true_conditional_means
+
+    def counting(config, a, x):
+        calls.append((a, x))
+        return original(config, a, x)
+
+    monkeypatch.setattr(simulation, "true_conditional_means", counting)
+    counts = []
+    for replications in (1, 5):
+        calls.clear()
+        run_scenario(ScenarioConfig(**{**BASE, "replications": replications}))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 4
 
 
 @pytest.mark.slow
 def test_unconfounded_coverage_is_nominal():
     config = ScenarioConfig(**{**BASE, "theta": 0.0, "replications": 1000, "seed": 515})
-    metrics = run_single_study(config)
+    metrics = run_scenario(config)
     for row in metrics.rows:
         assert abs(row.bias) < 0.03
         assert 0.935 <= row.cp <= 0.965
@@ -230,7 +266,7 @@ def test_unconfounded_coverage_is_nominal():
 def test_smaller_single_study_scenario():
     # 50-cluster variant: adjusted estimator stays unbiased with nominal coverage
     config = ScenarioConfig(**{**BASE, "clusters": 50, "replications": 1000, "seed": 262})
-    metrics = run_single_study(config)
+    metrics = run_scenario(config)
     row = {r.x: r for r in metrics.rows}[1]
     assert abs(row.bias) <= 0.05
     assert 0.93 <= row.cp <= 0.97
@@ -244,7 +280,7 @@ def test_large_meta_scenario_tightens():
         seed=9090, true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=0.01,
         sigma_u2=0.25, nu=4.0, phi=1.0,
     )
-    metrics = run_meta(config)
+    metrics = run_scenario(config)
     for row in metrics.rows:
         assert abs(row.bias) <= 0.07
         assert row.cp >= 0.93
@@ -259,7 +295,7 @@ def test_degenerate_replicates_flagged_but_reported():
         true_betas=(-5.0, 0.8, 1.0, -0.4), theta=0.2, sigma_u2=0.25, nu=0.3,
         quadrature_points=5,
     )
-    metrics = run_single_study(config)
+    metrics = run_scenario(config)
     assert metrics.non_converged > 1
     assert metrics.flagged
     used = metrics.rows[0].replications_used
@@ -271,7 +307,7 @@ def test_meta_run_smoke():
         kind="meta", clusters=100, cluster_size=3, studies=8, replications=10, seed=2024,
         true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=0.01,
     )
-    metrics = run_meta(config)
+    metrics = run_scenario(config)
     truth = true_p_of_q(config, 0)
     assert 0.0 < truth < 1.0
     for row in metrics.rows:
@@ -289,17 +325,6 @@ def test_degenerate_meta_truth_is_point_mass():
     assert true_p_of_q(config, 0) == 1.0  # mu1 = 3 > q = 2
     high_q = ScenarioConfig(**{**config.__dict__, "q": 9.0})
     assert true_p_of_q(high_q, 0) == 0.0
-
-
-def test_kind_mismatch_rejected():
-    config = ScenarioConfig(**BASE)
-    with pytest.raises(ValidationError):
-        run_meta(config)
-    meta_config = ScenarioConfig(
-        kind="meta", clusters=100, cluster_size=3, studies=5, replications=1, seed=1,
-    )
-    with pytest.raises(ValidationError):
-        run_single_study(meta_config)
 
 
 def test_delta_interval_matches_finite_difference_propagation():
@@ -359,10 +384,11 @@ def test_load_scenario_round_trip(tmp_path):
     assert config.true_betas == (-4.5, 1.0, 3.0, -0.5)
 
 
-def test_load_scenario_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize("key", ["bogus", "r"])
+def test_load_scenario_rejects_unknown_keys(tmp_path, key):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**{k: v for k, v in BASE.items()}, "bogus": 1}))
-    with pytest.raises(ValidationError, match="bogus"):
+    path.write_text(json.dumps({**BASE, key: 1}))
+    with pytest.raises(ValidationError, match=repr(key)):
         load_scenario(path)
 
 
@@ -375,7 +401,7 @@ def test_load_scenario_rejects_malformed_json(tmp_path):
 
 def test_metrics_rows_mark_missing_se():
     config = ScenarioConfig(**{**BASE, "replications": 1})
-    metrics = run_single_study(config)
+    metrics = run_scenario(config)
     header, rows = metrics_rows(metrics)
     assert header[3] == "se"
     assert rows[0][3] is None
