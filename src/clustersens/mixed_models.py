@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy import linalg, optimize, special
+from scipy import optimize, special
 
 from .dataset import ClusteredDataset
 from .errors import ConvergenceError, DomainError, SeparationError, SingularDesignError, ValidationError
@@ -171,24 +171,22 @@ def _reml_profile(ratio, sizes, xtx, xty, yty, cluster_x_sums, cluster_y_sums, n
 
     With W_j = I + ratio * 11', W_j^{-1} = I - c_j 11' for
     c_j = ratio / (1 + ratio * n_j), so every quantity reduces to
-    cluster sums. Returns (loglik, beta, phi, xtwx_cho).
+    cluster sums. Returns (loglik, beta, phi, xtwx).
     """
     c = ratio / (1.0 + ratio * sizes)
     xtwx = xtx - (cluster_x_sums.T * c) @ cluster_x_sums
     xtwy = xty - cluster_x_sums.T @ (c * cluster_y_sums)
     ytwy = yty - float(np.dot(c, cluster_y_sums**2))
-    try:
-        cho = linalg.cho_factor(xtwx, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SingularDesignError("weighted design cross-product is singular") from exc
-    beta = linalg.cho_solve(cho, xtwy)
+    sign, logdet_xtwx = np.linalg.slogdet(xtwx)
+    if sign <= 0:
+        raise SingularDesignError("weighted design cross-product is singular")
+    beta = np.linalg.solve(xtwx, xtwy)
     rss = max(ytwy - float(np.dot(xtwy, beta)), 1e-300)
     dof = n - _DESIGN_COLUMNS
     phi = rss / dof
     logdet_w = float(np.sum(np.log1p(ratio * sizes)))
-    logdet_xtwx = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    loglik = -0.5 * (dof * (math.log(phi) + 1.0 + math.log(2.0 * math.pi)) + logdet_w + logdet_xtwx)
-    return loglik, beta, phi, cho
+    loglik = -0.5 * (dof * (math.log(phi) + 1.0 + math.log(2.0 * math.pi)) + logdet_w + float(logdet_xtwx))
+    return loglik, beta, phi, xtwx
 
 
 def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
@@ -229,10 +227,10 @@ def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
     boundary = log_ratio <= lower + 1e-6
     # at the boundary re-solve with ratio exactly zero so the fit is plain OLS
     ratio = 0.0 if boundary else math.exp(log_ratio)
-    loglik, beta, phi, cho = _reml_profile(
+    loglik, beta, phi, xtwx = _reml_profile(
         ratio, sizes, xtx, xty, yty, cluster_x_sums, cluster_y_sums, n
     )
-    cov = phi * linalg.cho_solve(cho, np.eye(_DESIGN_COLUMNS))
+    cov = phi * np.linalg.inv(xtwx)
     cov = 0.5 * (cov + cov.T)
     return MixedModelFit(
         scale="continuous",

@@ -64,6 +64,11 @@ class MechanismParams:
     a_prob_above: float = 0.5
     a_threshold: float = 2.0
 
+    def __post_init__(self):
+        for name in ("x_prob_below", "x_prob_above", "a_prob_below", "a_prob_above"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValidationError(f"mechanism {name} must lie in [0, 1], got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class MetaEffectDistribution:
@@ -118,7 +123,7 @@ class ScenarioConfig:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
         for name in ("sigma_u2", "nu", "phi", "theta_var"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # also rejects nan
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.clusters < 2 or self.cluster_size < 1:
             raise ValidationError("need at least 2 clusters of at least 1 unit")
@@ -179,6 +184,8 @@ def true_conditional_means(config: ScenarioConfig, a: int, x: int) -> float:
         first_moment = config.sigma_u2 * (pdf_lo - pdf_hi)
         numerator += w * first_moment
         denominator += w * mass
+    if denominator <= 0.0:
+        raise DomainError(f"the mechanism gives the cell A={a}, X={x} zero probability")
     return numerator / denominator
 
 
@@ -435,20 +442,29 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
 # Declarative scenario files
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
+
+def _object_of_floats(cls):
+    return lambda value: cls(**{k: float(v) for k, v in value.items()})
+
+
+_CONVERTERS = {
     "kind": str,
     "clusters": int,
     "cluster_size": int,
     "replications": int,
     "seed": int,
+    "true_betas": lambda value: tuple(float(v) for v in value),
     "theta": float,
     "theta_var": float,
     "sigma_u2": float,
     "nu": float,
+    "icc": lambda value: nu_from_icc(float(value)),
     "phi": float,
     "studies": int,
-    "q": float,
+    "effect_dist": _object_of_floats(MetaEffectDistribution),
+    "q": lambda value: None if value is None else float(value),
     "quadrature_points": int,
+    "mechanism": _object_of_floats(MechanismParams),
 }
 
 
@@ -457,7 +473,8 @@ def load_scenario(path) -> ScenarioConfig:
 
     Accepts the ScenarioConfig field names plus "icc" as an alternative to
     "nu" (mapped through the logistic latent variance) and nested
-    "effect_dist" / "mechanism" objects. Unknown keys are rejected.
+    "effect_dist" / "mechanism" objects. Unknown keys and values of the
+    wrong type are rejected with a ValidationError naming the key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -468,18 +485,12 @@ def load_scenario(path) -> ScenarioConfig:
         raise ValidationError(f"{path}: scenario file must hold a JSON object")
     kwargs = {}
     for key, value in raw.items():
-        if key in _SCALAR_KEYS:
-            kwargs[key] = _SCALAR_KEYS[key](value)
-        elif key == "true_betas":
-            kwargs["true_betas"] = tuple(float(v) for v in value)
-        elif key == "icc":
-            kwargs["nu"] = nu_from_icc(float(value))
-        elif key == "effect_dist":
-            kwargs["effect_dist"] = MetaEffectDistribution(**{k: float(v) for k, v in value.items()})
-        elif key == "mechanism":
-            kwargs["mechanism"] = MechanismParams(**{k: float(v) for k, v in value.items()})
-        else:
+        if key not in _CONVERTERS:
             raise ValidationError(f"{path}: unknown scenario key {key!r}")
+        try:
+            kwargs["nu" if key == "icc" else key] = _CONVERTERS[key](value)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"{path}: bad value for scenario key {key!r}: {exc}") from exc
     if "icc" in raw and "nu" in raw:
         raise ValidationError(f"{path}: give either icc or nu, not both")
     try:
@@ -492,19 +503,9 @@ def metrics_rows(metrics: SimMetrics):
     """Flat rows for CSV emission; runtime is intentionally not included
     so repeated runs of the same scenario are byte-identical."""
     header = ["x", "truth", "bias", "se", "cp", "replications_used", "non_converged", "flagged", "seed"]
-    rows = []
-    for row in metrics.rows:
-        rows.append(
-            [
-                row.x,
-                row.truth,
-                row.bias,
-                row.se,
-                row.cp,
-                row.replications_used,
-                metrics.non_converged,
-                metrics.flagged,
-                metrics.seed,
-            ]
-        )
+    rows = [
+        [row.x, row.truth, row.bias, row.se, row.cp, row.replications_used,
+         metrics.non_converged, metrics.flagged, metrics.seed]
+        for row in metrics.rows
+    ]
     return header, rows

@@ -445,6 +445,28 @@ def test_simulate_malformed_config_exits_1(tmp_path, runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"clusters": "many"}, "'clusters'"),
+        ({"true_betas": "abc"}, "'true_betas'"),
+        ({"mechanism": {"bogus": 1.0}}, "'mechanism'"),
+        ({"effect_dist": {"bogus": 1.0}}, "'effect_dist'"),
+        ({"effect_dist": 3}, "'effect_dist'"),
+        ({"mechanism": {"a_prob_below": 1.7}}, "a_prob_below"),
+        ({"mechanism": {"x_prob_below": 1.0, "x_prob_above": 1.0}}, "A=1, X=0"),
+        ({"sigma_u2": math.nan}, "sigma_u2"),
+    ],
+    ids=["clusters-string", "true-betas-string", "mechanism-unknown-key",
+         "effect-dist-unknown-key", "effect-dist-not-an-object", "probability-above-1",
+         "empty-x0-cell", "nan-variance"],
+)
+def test_simulate_bad_scenario_value_exits_1_naming_it(tmp_path, runner, overrides, named):
+    result = invoke(runner, ["simulate", scenario_file(tmp_path, **overrides)])
+    assert_single_error_line(result)
+    assert named in result.stderr
+
+
 def test_simulate_json_format(tmp_path, runner):
     path = scenario_file(tmp_path, replications=3)
     result = invoke(runner, ["simulate", path, "--format", "json"])

@@ -77,6 +77,13 @@ def test_conditioning_values_validated():
         true_conditional_means(config, 2, 0)
 
 
+@pytest.mark.parametrize("name", ["x_prob_below", "x_prob_above", "a_prob_below", "a_prob_above"])
+@pytest.mark.parametrize("value", [-0.1, 1.7, math.nan])
+def test_mechanism_probabilities_validated(name, value):
+    with pytest.raises(ValidationError, match=name):
+        MechanismParams(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -390,6 +397,14 @@ def test_load_scenario_rejects_unknown_keys(tmp_path, key):
     path.write_text(json.dumps({**BASE, key: 1}))
     with pytest.raises(ValidationError, match=repr(key)):
         load_scenario(path)
+
+
+def test_load_scenario_null_q_is_the_default(tmp_path):
+    path = tmp_path / "meta.json"
+    doc = {"kind": "meta", "clusters": 100, "cluster_size": 3, "studies": 5, "replications": 2,
+           "seed": 1, "q": None}
+    path.write_text(json.dumps(doc))
+    assert load_scenario(path).q is None
 
 
 def test_load_scenario_rejects_malformed_json(tmp_path):
