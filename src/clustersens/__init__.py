@@ -41,6 +41,7 @@ from .mixed_models import (
     fit_from_json,
     fit_glmm_logit,
     fit_lmm,
+    fit_lmm_batch,
     fit_to_json,
     icc_logistic,
     marginal_logit_approx,

@@ -30,7 +30,7 @@ from . import normal
 from .dataset import ClusteredDataset
 from .errors import ConvergenceError, DomainError, SingularDesignError, ValidationError
 from .meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, p_of_q, pool
-from .mixed_models import LOGISTIC_LATENT_VARIANCE, fit_glmm_logit, fit_lmm
+from .mixed_models import LOGISTIC_LATENT_VARIANCE, fit_glmm_logit, fit_lmm_batch
 from .rng import replicate_stream
 from .sensitivity import confounded_effect
 
@@ -221,9 +221,11 @@ def _generate_single(config: ScenarioConfig, rng, study_id=None, clusters=None, 
     else:
         y = linear
         scale = "continuous"
+    # Python ints: from_columns codes the labels by hashing, which is faster
+    # on ints than on numpy scalars
     return ClusteredDataset.from_columns(
         scale,
-        np.repeat(np.arange(1, j + 1), config.cluster_size),
+        np.repeat(np.arange(1, j + 1), config.cluster_size).tolist(),
         y,
         a,
         x,
@@ -323,15 +325,13 @@ def _replicate(config: ScenarioConfig, per_x, index: int):
     """
     data = generate(config, index)
     datasets = data if config.kind == META else [data]
-    fits = []
-    for ds in datasets:
-        try:
-            if config.kind == SINGLE_BINARY:
-                fits.append(fit_glmm_logit(ds, config.quadrature_points))
-            else:
-                fits.append(fit_lmm(ds))
-        except (ConvergenceError, SingularDesignError):
-            return None
+    try:
+        if config.kind == SINGLE_BINARY:
+            fits = [fit_glmm_logit(data, config.quadrature_points)]
+        else:
+            fits = fit_lmm_batch(datasets)
+    except (ConvergenceError, SingularDesignError):
+        return None
     out = []
     for x, constants in zip((0, 1), per_x):
         effects = [confounded_effect(fit, x) for fit in fits]
@@ -447,12 +447,19 @@ def _object_of_floats(cls):
     return lambda value: cls(**{k: float(v) for k, v in value.items()})
 
 
+def _integer(value):
+    """int(value), refusing bools and fractions that int() would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 _CONVERTERS = {
     "kind": str,
-    "clusters": int,
-    "cluster_size": int,
-    "replications": int,
-    "seed": int,
+    "clusters": _integer,
+    "cluster_size": _integer,
+    "replications": _integer,
+    "seed": _integer,
     "true_betas": lambda value: tuple(float(v) for v in value),
     "theta": float,
     "theta_var": float,
@@ -460,10 +467,10 @@ _CONVERTERS = {
     "nu": float,
     "icc": lambda value: nu_from_icc(float(value)),
     "phi": float,
-    "studies": int,
+    "studies": _integer,
     "effect_dist": _object_of_floats(MetaEffectDistribution),
     "q": lambda value: None if value is None else float(value),
-    "quadrature_points": int,
+    "quadrature_points": _integer,
     "mechanism": _object_of_floats(MechanismParams),
 }
 
@@ -473,8 +480,9 @@ def load_scenario(path) -> ScenarioConfig:
 
     Accepts the ScenarioConfig field names plus "icc" as an alternative to
     "nu" (mapped through the logistic latent variance) and nested
-    "effect_dist" / "mechanism" objects. Unknown keys and values of the
-    wrong type are rejected with a ValidationError naming the key.
+    "effect_dist" / "mechanism" objects. Unknown keys, values of the wrong
+    type, and bools or fractions given for integer keys are rejected with a
+    ValidationError naming the key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -456,10 +456,15 @@ def test_simulate_malformed_config_exits_1(tmp_path, runner):
         ({"mechanism": {"a_prob_below": 1.7}}, "a_prob_below"),
         ({"mechanism": {"x_prob_below": 1.0, "x_prob_above": 1.0}}, "A=1, X=0"),
         ({"sigma_u2": math.nan}, "sigma_u2"),
+        ({"clusters": 30.9}, "'clusters'"),
+        ({"replications": 2.5}, "'replications'"),
+        ({"seed": True}, "'seed'"),
+        ({"quadrature_points": 15.7}, "'quadrature_points'"),
     ],
     ids=["clusters-string", "true-betas-string", "mechanism-unknown-key",
          "effect-dist-unknown-key", "effect-dist-not-an-object", "probability-above-1",
-         "empty-x0-cell", "nan-variance"],
+         "empty-x0-cell", "nan-variance", "clusters-fraction", "replications-fraction",
+         "seed-bool", "quadrature-fraction"],
 )
 def test_simulate_bad_scenario_value_exits_1_naming_it(tmp_path, runner, overrides, named):
     result = invoke(runner, ["simulate", scenario_file(tmp_path, **overrides)])

@@ -10,8 +10,11 @@ from clustersens import (
     SingularDesignError,
     fit_from_json,
     fit_lmm,
+    fit_lmm_batch,
     fit_to_json,
 )
+from clustersens import simulation
+from clustersens.mixed_models import _reml_slope_curvature, _reml_statistics
 from clustersens.simulation import ScenarioConfig, generate
 
 
@@ -72,18 +75,22 @@ def dense_gls(ds, ratio):
     return np.linalg.solve(design.T @ w_inv @ design, design.T @ w_inv @ y)
 
 
-def test_interpolation_recovers_linear_map_exactly():
-    # two balanced clusters, outcomes exactly linear, zero noise
+def exact_fit_dataset():
+    """Two balanced clusters whose outcomes are exactly linear: the residual sum is 0."""
     betas = (2.0, -1.5, 0.5, 3.0)
     rows = []
-    for j, cluster in enumerate(("p", "q")):
+    for cluster in ("p", "q"):
         for ai in (0, 1):
             for xi in (0, 1):
                 y = betas[0] + betas[1] * ai + betas[2] * xi + betas[3] * ai * xi
                 rows.append((cluster, y, ai, float(xi)))
-    ds = ClusteredDataset.from_columns("continuous", *zip(*rows))
-    fit = fit_lmm(ds)
-    np.testing.assert_allclose(fit.coefficients, betas, atol=1e-10)
+    return ClusteredDataset.from_columns("continuous", *zip(*rows))
+
+
+def test_interpolation_recovers_linear_map_exactly():
+    # two balanced clusters, outcomes exactly linear, zero noise
+    fit = fit_lmm(exact_fit_dataset())
+    np.testing.assert_allclose(fit.coefficients, (2.0, -1.5, 0.5, 3.0), atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -198,3 +205,234 @@ def test_fit_json_round_trip():
     np.testing.assert_array_equal(restored.coef_covariance, fit.coef_covariance)
     assert restored.residual_variance == fit.residual_variance
     assert restored.log_likelihood == fit.log_likelihood
+
+
+# ---------------------------------------------------------------------------
+# Batched Newton REML
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("log_ratio", [-4.0, -1.0, 0.0, 1.5, 4.0])
+def test_reml_derivatives_match_central_differences(seed, log_ratio):
+    # unbalanced clusters of 1 to 7 units; the value comes from the dense oracle
+    ds = random_dataset(np.random.default_rng(4000 + seed), n_clusters=8, size_low=1, size_high=7)
+    slope, curvature = _reml_slope_curvature(_reml_statistics([ds]), np.array([log_ratio]))
+
+    def value(u):
+        return dense_reml(ds, math.exp(u))[0]
+
+    h1, h2 = 1e-4, 1e-3
+    slope_fd = (value(log_ratio + h1) - value(log_ratio - h1)) / (2.0 * h1)
+    curvature_fd = (value(log_ratio + h2) - 2.0 * value(log_ratio) + value(log_ratio - h2)) / h2**2
+    assert abs(slope[0] - slope_fd) <= 1e-7 * max(1.0, abs(slope_fd))
+    assert abs(curvature[0] - curvature_fd) <= 1e-5 * max(1.0, abs(curvature_fd))
+
+
+SMALL_META = ScenarioConfig(
+    kind="meta", clusters=60, cluster_size=3, studies=3, replications=1, seed=6,
+    true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=0.01,
+)
+
+
+def batch_studies():
+    rng = np.random.default_rng(5000)
+    studies = [
+        random_dataset(rng, n_clusters=int(rng.integers(5, 12)), size_low=1, size_high=6)
+        for _ in range(6)
+    ]
+    return studies + generate(SMALL_META, 0)
+
+
+def assert_same_fit(got, expected):
+    np.testing.assert_allclose(got.coefficients, expected.coefficients, rtol=0, atol=1e-10)
+    assert abs(got.log_likelihood - expected.log_likelihood) <= 1e-9
+    assert got.boundary == expected.boundary
+
+
+def fit_one(ds):
+    return fit_lmm_batch([ds])[0]
+
+
+def test_batch_equals_separate_fits_in_any_order():
+    studies = batch_studies()
+    separate = [fit_one(ds) for ds in studies]
+    for got, expected in zip(fit_lmm_batch(studies), separate):
+        assert_same_fit(got, expected)
+    order = np.random.default_rng(7).permutation(len(studies))
+    permuted = fit_lmm_batch([studies[i] for i in order])
+    for got, i in zip(permuted, order):
+        assert_same_fit(got, separate[i])
+
+
+def test_batch_agrees_with_the_brent_fit():
+    # Brent stops within the rounding of the profile's value, Newton on its
+    # slope: the fits agree closely, and Newton's log-likelihood is no lower
+    for got, ds in zip(fit_lmm_batch(batch_studies()), batch_studies()):
+        brent = fit_lmm(ds)
+        np.testing.assert_allclose(got.coefficients, brent.coefficients, rtol=0, atol=1e-6)
+        assert got.log_likelihood >= brent.log_likelihood - 1e-9
+        np.testing.assert_allclose(
+            np.sqrt(np.diag(got.coef_covariance)), np.sqrt(np.diag(brent.coef_covariance)),
+            rtol=1e-6,
+        )
+        assert got.boundary == brent.boundary
+
+
+def test_batch_meets_the_dense_oracles():
+    # the datasets of the grid-oracle and dense-GLS tests above, in one batch
+    studies = [random_dataset(np.random.default_rng(seed)) for seed in range(1000, 1020)]
+    studies += [random_dataset(np.random.default_rng(seed)) for seed in range(2000, 2020)]
+    studies.append(random_dataset(np.random.default_rng(3000), n_clusters=10))
+    grid = np.logspace(-8, 4, 200)
+    for fit, ds in zip(fit_lmm_batch(studies), studies):
+        ratio = 0.0 if fit.boundary else fit.random_intercept_variance / fit.residual_variance
+        assert fit.log_likelihood >= max(dense_reml(ds, r)[0] for r in grid) - 1e-6
+        assert abs(dense_reml(ds, ratio)[0] - fit.log_likelihood) < 1e-8
+        np.testing.assert_allclose(fit.coefficients, dense_gls(ds, ratio), atol=1e-10)
+        y, a, x, codes = columns(ds)
+        design = np.column_stack([np.ones(y.size), a, x, a * x])
+        z = (codes[:, None] == np.unique(codes)[None, :]).astype(float)
+        w_inv = np.linalg.inv(np.eye(y.size) + ratio * z @ z.T)
+        expected = fit.residual_variance * np.linalg.inv(design.T @ w_inv @ design)
+        np.testing.assert_allclose(fit.coef_covariance, expected, atol=1e-10)
+
+
+def rank_deficient_dataset():
+    # x == a everywhere, so the interaction column duplicates x
+    return ClusteredDataset.from_columns(
+        "continuous", list("aabbcc"), [1.0, 2.0, 3.0, 1.0, 2.0, 0.0], [1, 0, 1, 0, 1, 0],
+        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+    )
+
+
+def test_one_rank_deficient_study_fails_the_batch_and_drops_the_replicate(monkeypatch):
+    studies = batch_studies()[:3]
+    with pytest.raises(SingularDesignError):
+        fit_lmm_batch([studies[0], rank_deficient_dataset(), studies[1]])
+    per_x = simulation._run_constants(SMALL_META)
+    assert simulation._replicate(SMALL_META, per_x, 0) is not None
+    monkeypatch.setattr(
+        simulation, "generate", lambda *_: [studies[0], rank_deficient_dataset(), studies[2]]
+    )
+    assert simulation._replicate(SMALL_META, per_x, 0) is None
+
+
+def test_empty_batch_is_rejected():
+    with pytest.raises(ValidationError):
+        fit_lmm_batch([])
+
+
+def identical_clusters(alpha=0.0):
+    """Five clusters holding the same six rows, plus alpha times a cluster effect.
+
+    At alpha 0 the OLS residuals sum to 0 in every cluster, so the profile
+    falls from ratio 0 onward.
+    """
+    rng = np.random.default_rng(8)
+    a = np.tile([0.0, 1.0, 0.0, 1.0, 1.0, 0.0], 5)
+    x = np.tile([0.0, 0.0, 1.0, 1.0, 0.5, 2.0], 5)
+    y = np.tile(rng.normal(size=6), 5) + alpha * np.repeat(rng.normal(size=5), 6)
+    return y, a, x, np.repeat(np.arange(5), 6)
+
+
+def ratio_score_at_zero(y, a, x, codes):
+    """d loglik / d ratio at ratio 0: (dof B / rss - N + tr((X'X)^-1 S'S)) / 2.
+
+    B sums the squared per-cluster sums of the OLS residuals and S stacks
+    the per-cluster sums of the design rows.
+    """
+    design = np.column_stack([np.ones(y.size), a, x, a * x])
+    resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+    member = (codes[:, None] == np.unique(codes)[None, :]).astype(float)
+    between = float(np.sum((member.T @ resid) ** 2))
+    sums = member.T @ design
+    trace = np.trace(np.linalg.solve(design.T @ design, sums.T @ sums))
+    return 0.5 * ((y.size - 4) * between / float(resid @ resid) - y.size + trace)
+
+
+def near_flat_floor_columns():
+    # the cluster effect that brings the score at ratio 0 up to -1e-5: the
+    # profile falls from the floor, but over the first start-grid points by
+    # less than its rounding, which can rank the second point first
+    lo, hi = 0.0, 10.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ratio_score_at_zero(*identical_clusters(mid)) < -1e-5 else (lo, mid)
+    return identical_clusters(lo)
+
+
+@pytest.mark.parametrize(
+    "columns_at_floor", [identical_clusters, near_flat_floor_columns], ids=["falling", "near-flat"]
+)
+def test_floor_log_ratio_is_reported_as_plain_ols(columns_at_floor):
+    y, a, x, codes = columns_at_floor()
+    assert ratio_score_at_zero(y, a, x, codes) < 0.0
+    ds = dataset_from_arrays(y, a, x, codes)
+    fit = fit_one(ds)
+    assert fit.boundary
+    assert fit.random_intercept_variance == 0.0
+    design = np.column_stack([np.ones(30), a, x, a * x])
+    ols, rss, *_ = np.linalg.lstsq(design, y, rcond=None)
+    np.testing.assert_allclose(fit.coefficients, ols, atol=1e-10)
+    assert fit.residual_variance == pytest.approx(rss[0] / 26, rel=1e-10)
+    assert fit.log_likelihood == pytest.approx(dense_reml(ds, 0.0)[0], abs=1e-9)
+    np.testing.assert_allclose(
+        fit.coef_covariance, fit.residual_variance * np.linalg.inv(design.T @ design), atol=1e-12
+    )
+
+
+def test_ratio_beyond_the_upper_bound_stops_at_it():
+    # within-cluster noise 1e-6 against intercepts of variance 1: the
+    # profile still rises at ratio 1e8, so the search ends on that bound
+    ds = random_dataset(np.random.default_rng(9), n_clusters=12, size_low=3, size_high=6, phi=1e-12)
+    fit = fit_one(ds)
+    assert not fit.boundary
+    ratio = fit.random_intercept_variance / fit.residual_variance
+    assert ratio == pytest.approx(1e8, rel=1e-9)
+
+
+def cluster_randomized(seed, clusters=6, size=30_000):
+    """Balanced clusters whose treatment and covariate are cluster-level."""
+    rng = np.random.default_rng(seed)
+    a = np.repeat(np.arange(clusters) % 2, size).astype(float)
+    x = np.repeat(rng.normal(size=clusters), size)
+    y = 1.0 + a + x + a * x + np.repeat(rng.normal(size=clusters), size)
+    y += rng.normal(size=clusters * size)
+    codes = np.repeat(np.arange(clusters), size)
+    return ClusteredDataset.from_columns("continuous", codes, y, a, x)
+
+
+def test_cluster_level_covariates_in_large_clusters():
+    # At ratio 1e8 X'W^{-1}X is here a difference of terms 1e9 times its
+    # size, whose rounding can make it indefinite; the start grid must
+    # pass over such points. The fit has a closed form: with balanced
+    # clusters and cluster-level covariates beta is OLS on the cluster
+    # means, phi the within-cluster mean square MSW, and nu is
+    # (MSB - MSW) / n with MSB = n * (means' residual sum) / (J - 4). The
+    # weighted cross-products at the optimum are differences of terms
+    # 1 + ratio * n, about 1e4, times their size, so the Gram matrix's
+    # rounding costs about four digits of beta and nu.
+    studies = [cluster_randomized(seed) for seed in (0, 1)]
+    for fit, ds in zip(fit_lmm_batch(studies), studies):
+        codes = ds.cluster_codes
+        n, clusters = ds.outcome.size // ds.cluster_count, ds.cluster_count
+        means = np.bincount(codes, weights=ds.outcome) / n
+        a, x = ds.treatment[::n], ds.covariate_x[::n]
+        design = np.column_stack([np.ones(clusters), a, x, a * x])
+        beta, between, *_ = np.linalg.lstsq(design, means, rcond=None)
+        msw = float(np.sum((ds.outcome - means[codes]) ** 2)) / (ds.outcome.size - clusters)
+        msb = n * between[0] / (clusters - 4)
+        assert msb > msw
+        np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-6)
+        assert fit.residual_variance == pytest.approx(msw, rel=1e-10)
+        assert fit.random_intercept_variance == pytest.approx((msb - msw) / n, rel=1e-6)
+
+
+def test_exact_fit_derivatives_stay_finite():
+    ds = exact_fit_dataset()
+    stats = _reml_statistics([ds])
+    for u in (-20.0, -5.0, 0.0, 5.0, 15.0):
+        slope, curvature = _reml_slope_curvature(stats, np.array([u]))
+        assert np.isfinite(slope[0]) and np.isfinite(curvature[0])
+    assert math.isfinite(fit_one(ds).log_likelihood)
