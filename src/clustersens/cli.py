@@ -105,11 +105,17 @@ def _require_finite(**options):
 
 
 def handle_errors(func):
-    """Translate package exceptions into documented exit codes."""
+    """Translate package exceptions into documented exit codes.
+
+    Every command takes --precision, so a negative one, which no format
+    spec can hold, is rejected here before the command does any work.
+    """
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
+            if kwargs["precision"] < 0:
+                raise ValidationError(f"--precision must be >= 0, got {kwargs['precision']}")
             return func(*args, **kwargs)
         except ConvergenceError as exc:
             click.echo(f"error: {exc}", err=True)
@@ -165,6 +171,8 @@ def cmd_fit(data, scale, quadrature, fmt, precision):
 def _effect_from_triple(estimate, lb, ub, x, level, scale):
     if not lb < ub:
         raise ValidationError("need lb < ub")
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must lie in (0, 1), got {level}")
     z = normal.ppf(0.5 * (1.0 + level))
     implied_se = (ub - lb) / (2.0 * z)
     if not math.isfinite(implied_se):

@@ -6,15 +6,16 @@ which reduces estimation to a one-dimensional search on the log ratio.
 per-cluster-size sums and searches a batch of studies together by a
 safeguarded Newton iteration on the closed-form first and second
 derivatives of the profile, started from a coarse grid. ``fit_lmm`` fits
-one dataset by a bounded Brent search on the profile's value. Brent stops
-where the rounding of the log-likelihood hides its slope (on 30,000 rows
-up to about 2e-6 from the maximum in log ratio), so the two agree to about
-1e-6 relative in nu, not bit for bit. Binary outcomes: maximum marginal
+one dataset and differs only in that search, a bounded Brent search on
+the profile's value; both assemble their fits in ``_reml_fits``. Brent
+stops where the rounding of the log-likelihood hides its slope (on 30,000
+rows up to about 2e-6 from the maximum in log ratio), so the two agree to
+about 1e-6 relative in nu, not bit for bit. Binary outcomes: maximum marginal
 likelihood with adaptive Gauss-Hermite quadrature over the cluster
 intercept, quasi-Newton outer optimization over (beta, log nu) with the
 closed-form score of the adaptive quadrature sum (Liu & Pierce 1994;
 Pinheiro & Bates 1995), and observed information from a central
-difference of that score.
+difference of that score (in closed form at nu = 0).
 
 ``marginal_logit_exact`` integrates the population-averaged logit
 numerically (cluster intercept and unmeasured confounder marginalized
@@ -164,7 +165,6 @@ def _prepare(ds: ClusteredDataset):
     design = np.column_stack([np.ones_like(y), a, x, a * x])
     sizes = np.bincount(codes)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    _check_design_rank(design.T @ design)
     return y, design, codes, sizes, starts
 
 
@@ -195,30 +195,33 @@ _AUGMENTED = _DESIGN_COLUMNS + 1  # [X, y]
 class _RemlStatistics:
     """Sufficient statistics of a stack of K continuous datasets.
 
-    ``gram`` holds [X, y]'[X, y] per study. Clusters are grouped by study
-    and by size, one slot per distinct size n in ``sizes``: ``terms[k, s]``
-    holds the sum of the 5x5 outer products of the [X, y] sums of study
-    k's clusters of size ``sizes[s]`` (25 columns), then count * n and
-    the cluster count (zero where study k has no cluster of that size).
+    y is centred per study on ``y_mean``, which moves only beta_0 and keeps
+    rss from cancelling when y sits far from 0. ``gram`` holds
+    [X, y]'[X, y] per study. Clusters are grouped by study and by size, one
+    slot per distinct size n in ``sizes``: ``terms[k, s]`` holds the sum of
+    the 5x5 outer products of the [X, y] sums of study k's clusters of
+    size ``sizes[s]`` (25 columns), then count * n and the cluster count
+    (zero where study k has no cluster of that size).
     """
 
     gram: np.ndarray  # (K, 5, 5)
     dof: np.ndarray  # (K,) observations minus coefficients
     sizes: np.ndarray  # (S,)
     terms: np.ndarray  # (K, S, 27)
+    y_mean: np.ndarray  # (K,)
 
 
 def _reml_statistics(datasets) -> _RemlStatistics:
     """Validate a stack of continuous datasets and reduce each to sufficient statistics."""
     for ds in datasets:
         if ds.scale != "continuous":
-            raise ValidationError(
-                f"fit_lmm_batch requires continuous-scale datasets, got {ds.scale!r}"
-            )
+            raise ValidationError(f"REML fits require continuous-scale datasets, got {ds.scale!r}")
     rows = np.array([ds.outcome.size for ds in datasets])
     a = np.concatenate([ds.treatment for ds in datasets])
     x = np.concatenate([ds.covariate_x for ds in datasets])
     y = np.concatenate([ds.outcome for ds in datasets])
+    y_mean = np.add.reduceat(y, np.cumsum(rows) - rows) / rows
+    y -= np.repeat(y_mean, rows)
     data = np.column_stack([np.ones_like(y), a, x, a * x, y])
     gram = np.stack([part.T @ part for part in np.split(data, np.cumsum(rows)[:-1])])
     _check_design_rank(gram[:, :_DESIGN_COLUMNS, :_DESIGN_COLUMNS])
@@ -248,6 +251,7 @@ def _reml_statistics(datasets) -> _RemlStatistics:
         dof=(rows - _DESIGN_COLUMNS).astype(float),
         sizes=sizes,
         terms=terms.reshape(len(datasets), sizes.size, -1),
+        y_mean=y_mean,
     )
 
 
@@ -285,6 +289,7 @@ def _reml_values(stats: _RemlStatistics, log_ratio):
     loglik = -0.5 * (
         stats.dof * (np.log(phi) + 1.0 + math.log(2.0 * math.pi)) + sums[..., 1, -1] + logdet_xtwx
     )
+    beta[..., 0] += stats.y_mean
     return np.where(definite, loglik, -np.inf), beta, phi, xtwx
 
 
@@ -392,22 +397,28 @@ def fit_lmm_batch(datasets) -> list[MixedModelFit]:
     sums, so a search step costs the same whatever its cluster count. The
     variance ratio nu/phi is profiled out and each study's log ratio is
     maximized by a safeguarded Newton iteration on the closed-form first
-    and second derivatives, run for all studies at once. The coefficients
-    solve the generalized least-squares equations at the optimized
-    variance components and the covariance is the GLS covariance there. A
-    log ratio at its lower bound is reported as random_intercept_variance 0
-    with the boundary flag set, and the fit is then plain OLS.
+    and second derivatives, run for all studies at once; ``_reml_fits``
+    assembles the fits.
 
-    Raises ValidationError for a non-continuous dataset or one with at most
-    four observations, SingularDesignError if any design is rank
-    deficient or its X'W^{-1}X is not positive definite at the optimum,
-    and ConvergenceError if any search fails: one bad dataset fails the
-    whole batch.
+    Raises ValidationError for an empty batch, a non-continuous dataset or
+    one with at most four observations, SingularDesignError if any design
+    is rank deficient or its X'W^{-1}X is not positive definite at the
+    optimum, and ConvergenceError if any search fails: one bad dataset
+    fails the whole batch.
     """
     if not datasets:
         raise ValidationError("fit_lmm_batch needs at least one dataset")
     stats = _reml_statistics(datasets)
     log_ratio, steps = _maximize_log_ratio(stats)
+    return _reml_fits(stats, datasets, log_ratio, steps)
+
+
+def _reml_fits(stats: _RemlStatistics, datasets, log_ratio, steps) -> list[MixedModelFit]:
+    """GLS fits, with their GLS covariance, at each study's searched log ratio (K,).
+
+    A log ratio within 2e-5 of its lower bound is reported as
+    random_intercept_variance 0 with the boundary flag set: a plain OLS fit.
+    """
     loglik, beta, phi, xtwx = _reml_values(stats, log_ratio)
     if not np.all(np.isfinite(loglik)):
         raise SingularDesignError("weighted design cross-product is singular")
@@ -435,12 +446,7 @@ def fit_lmm_batch(datasets) -> list[MixedModelFit]:
 
 
 def _reml_profile(ratio, sizes, xtx, xty, yty, cluster_x_sums, cluster_y_sums, n):
-    """Profiled REML log-likelihood at a variance ratio nu/phi.
-
-    With W_j = I + ratio * 11', W_j^{-1} = I - c_j 11' for
-    c_j = ratio / (1 + ratio * n_j), so every quantity reduces to
-    cluster sums. Returns (loglik, beta, phi, xtwx).
-    """
+    """Brent's objective: ``_reml_values``'s -loglik from one study's uncentred cluster sums."""
     c = ratio / (1.0 + ratio * sizes)
     xtwx = xtx - (cluster_x_sums.T * c) @ cluster_x_sums
     xtwy = xty - cluster_x_sums.T @ (c * cluster_y_sums)
@@ -453,40 +459,29 @@ def _reml_profile(ratio, sizes, xtx, xty, yty, cluster_x_sums, cluster_y_sums, n
     dof = n - _DESIGN_COLUMNS
     phi = rss / dof
     logdet_w = float(np.sum(np.log1p(ratio * sizes)))
-    loglik = -0.5 * (dof * (math.log(phi) + 1.0 + math.log(2.0 * math.pi)) + logdet_w + float(logdet_xtwx))
-    return loglik, beta, phi, xtwx
+    return 0.5 * (dof * (math.log(phi) + 1.0 + math.log(2.0 * math.pi)) + logdet_w + float(logdet_xtwx))
 
 
 def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
     """REML fit of a random-intercept model with mean [1, A, X, A*X] @ beta.
 
-    The log ratio nu/phi maximizes the profiled log-likelihood by a bounded
-    Brent search on its value; ``fit_lmm_batch`` fits the same model by
-    Newton steps on its derivatives and agrees to about 1e-6 relative in
-    nu. The coefficient vector solves the generalized least-squares
-    equations at the optimized variance components and the covariance is
-    the GLS covariance at those components. A ratio pinned at the lower
-    bound is reported as random_intercept_variance 0 with the boundary flag
-    set.
+    Differs from ``fit_lmm_batch([ds])[0]`` only in the search for the log
+    ratio nu/phi: a bounded Brent search on the profile's value, which the
+    benchmark's recorded figures come from (it stops within the value's
+    rounding, about 1e-6 relative in nu from the batch's optimum).
     """
-    if ds.scale != "continuous":
-        raise ValidationError(f"fit_lmm requires a continuous-scale dataset, got {ds.scale!r}")
-    y, design, codes, sizes, starts = _prepare(ds)
-    n = y.size
-    if n <= _DESIGN_COLUMNS:
-        raise ValidationError("not enough observations to estimate four coefficients")
+    stats = _reml_statistics([ds])
+    y, design, _, sizes, starts = _prepare(ds)
     xtx = design.T @ design
     xty = design.T @ y
     yty = float(np.dot(y, y))
     cluster_x_sums = np.add.reduceat(design, starts, axis=0)  # (J, 4)
     cluster_y_sums = np.add.reduceat(y, starts)  # (J,)
-
-    lower, upper = math.log(_VAR_FLOOR), math.log(1e8)
     result = optimize.minimize_scalar(
-        lambda u: -_reml_profile(
-            math.exp(u), sizes, xtx, xty, yty, cluster_x_sums, cluster_y_sums, n
-        )[0],
-        bounds=(lower, upper),
+        lambda u: _reml_profile(
+            math.exp(u), sizes, xtx, xty, yty, cluster_x_sums, cluster_y_sums, y.size
+        ),
+        bounds=_LOG_RATIO_BOUNDS,
         method="bounded",
         options={"xatol": 1e-9, "maxiter": 200},
     )
@@ -495,29 +490,7 @@ def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
             f"REML search did not converge within 200 iterations: {result.message}",
             best={"log_ratio": float(result.x)},
         )
-    log_ratio = float(result.x)
-    boundary = log_ratio <= lower + 1e-6
-    # at the boundary re-solve with ratio exactly zero so the fit is plain OLS
-    ratio = 0.0 if boundary else math.exp(log_ratio)
-    loglik, beta, phi, xtwx = _reml_profile(
-        ratio, sizes, xtx, xty, yty, cluster_x_sums, cluster_y_sums, n
-    )
-    cov = phi * np.linalg.inv(xtwx)
-    cov = 0.5 * (cov + cov.T)
-    return MixedModelFit(
-        scale="continuous",
-        coefficients=beta,
-        coef_covariance=cov,
-        random_intercept_variance=ratio * phi,
-        residual_variance=phi,
-        log_likelihood=loglik,
-        converged=True,
-        boundary=boundary,
-        n_obs=n,
-        n_clusters=sizes.size,
-        quadrature_points=None,
-        n_iterations=int(result.nfev),
-    )
+    return _reml_fits(stats, [ds], np.array([result.x]), [result.nfev])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +665,16 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     (beta, log nu) is driven by the analytic score of that quadrature sum,
     one value-and-score evaluation per likelihood call. The coefficient
     covariance is the (beta, beta) block of the inverse observed
-    information, the symmetrised central difference of the analytic score
-    (over beta alone when nu sits at the boundary).
+    information, the symmetrised central difference of the analytic score;
+    when nu sits at the boundary it is the plain logistic information over
+    beta alone.
     """
     if ds.scale != "binary":
         raise ValidationError(f"fit_glmm_logit requires a binary-scale dataset, got {ds.scale!r}")
     if quadrature_points < 1:
         raise DomainError(f"quadrature_points must be >= 1, got {quadrature_points}")
     y, design, codes, sizes, starts = _prepare(ds)
+    _check_design_rank(design.T @ design)
     if np.all(y == 0.0) or np.all(y == 1.0):
         raise SeparationError("degenerate outcome: all observations identical")
 
@@ -740,12 +715,10 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         nu = 0.0
 
     if boundary:
-        # information over beta only: the nu direction is flat at the floor
-        def score(b):
-            params_b = np.append(b, math.log(_VAR_FLOOR))
-            return loglik_fn.value_and_score(params_b)[1][:_DESIGN_COLUMNS]
-
-        info = _score_information(score, beta)
+        # at nu = 0 the marginal likelihood is the plain logistic one: its
+        # information over beta alone is X' diag(p (1 - p)) X
+        p = special.expit(design @ beta)
+        info = design.T @ (design * (p * (1.0 - p))[:, None])
     else:
         info = _score_information(lambda p: loglik_fn.value_and_score(p)[1], params)
     try:

@@ -99,7 +99,10 @@ class ScenarioConfig:
     mean cluster count for the meta kind (per-study counts are uniform on
     clusters +/- 50). ``theta`` is the confounder effect; for the meta
     kind it is the mean of a per-study normal effect with variance
-    ``theta_var``.
+    ``theta_var``. ``phi`` is the unit-level noise variance: continuous
+    kinds add N(0, phi) noise to the outcome, and the binary kind adds it
+    to the latent linear predictor before the logistic draw, which
+    attenuates the conditional logit coefficients the GLMM estimates.
     """
 
     kind: str

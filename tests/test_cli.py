@@ -395,14 +395,39 @@ def test_contour_deterministic(runner):
           "--m1x", "0.5", "--m0x", "0.1"], "--theta"),
         (["sensitivity", "--estimate", "0", "--lb", "-1e308", "--ub", "1e308"],
          "implied standard error"),
+        *(
+            (["sensitivity", "--estimate", "1", "--lb", "0.5", "--ub", "1.5", "--level", level],
+             "level must lie in (0, 1)")
+            for level in ("0", "1", "1.5", "-0.5")
+        ),
     ],
     ids=["contour-threshold", "contour-range", "meta-mu", "meta-bias-mean", "sensitivity-theta",
-         "sensitivity-overflowing-interval"],
+         "sensitivity-overflowing-interval", "sensitivity-level-0", "sensitivity-level-1",
+         "sensitivity-level-1.5", "sensitivity-level-negative"],
 )
 def test_non_finite_float_option_exits_1_naming_it(runner, args, named):
     result = invoke(runner, args)
     assert_single_error_line(result)
     assert named in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # missing input files: the precision check comes first, so these
+        # exit 1, not with the I/O error's 3
+        ["fit", "missing.csv", "--scale", "continuous"],
+        ["simulate", "missing.json"],
+        ["sensitivity", "--estimate", "1", "--lb", "0.5", "--ub", "1.5"],
+        ["meta", "--mu", "0.5", "--v", "0.1", "--q", "0.2", "--r", "0.4", "--format", "csv"],
+        ["contour", "--threshold", "1", "--resolution", "3", "--format", "json"],
+    ],
+    ids=["fit", "simulate", "sensitivity", "meta", "contour"],
+)
+def test_negative_precision_exits_1_before_any_work(runner, args):
+    result = invoke(runner, args + ["--precision", "-1"])
+    assert_single_error_line(result)
+    assert "--precision must be >= 0, got -1" in result.stderr
 
 
 # ---------------------------------------------------------------------------

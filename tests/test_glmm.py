@@ -180,9 +180,8 @@ def test_agq_15_vs_64_consistency_on_scenario_replicate():
     assert np.max(np.abs(fit15.coefficients - fit64.coefficients)) < 1e-4
 
 
-def test_tiny_variance_approaches_plain_logistic():
+def no_cluster_effect_dataset():
     rng = np.random.default_rng(5150)
-    # no true cluster effect: the intercept variance should collapse
     rows = []
     for j in range(40):
         for i in range(8):
@@ -191,7 +190,12 @@ def test_tiny_variance_approaches_plain_logistic():
             eta = -0.3 + 0.7 * a + 0.4 * x - 0.2 * a * x
             y = float(rng.random() < special.expit(eta))
             rows.append((f"c{j}", y, a, float(x)))
-    ds = ClusteredDataset.from_columns("binary", *zip(*rows))
+    return ClusteredDataset.from_columns("binary", *zip(*rows))
+
+
+def test_tiny_variance_approaches_plain_logistic():
+    # no true cluster effect: the intercept variance should collapse
+    ds = no_cluster_effect_dataset()
     fit = fit_glmm_logit(ds)
     assert fit.random_intercept_variance < 0.05
     # the variance collapses onto the floor: information over beta alone
@@ -208,6 +212,21 @@ def test_tiny_variance_approaches_plain_logistic():
 
     res = optimize.minimize(nll, np.zeros(4), method="BFGS")
     np.testing.assert_allclose(fit.coefficients, res.x, atol=0.02)
+
+
+def test_boundary_information_matches_the_score_difference():
+    # at nu = 0 the closed-form logistic information over beta against the
+    # central difference of the AGQ score in beta at the variance floor
+    ds = no_cluster_effect_dataset()
+    fit = fit_glmm_logit(ds)
+    assert fit.boundary
+    loglik = _AgqLoglik(*_prepare(ds), quadrature_points=15)
+
+    def score(beta):
+        return loglik.value_and_score(np.append(beta, math.log(1e-10)))[1][:4]
+
+    expected = np.linalg.inv(_score_information(score, fit.coefficients))
+    np.testing.assert_allclose(fit.coef_covariance, expected, rtol=1e-8)
 
 
 def test_relabeling_clusters_preserves_likelihood():

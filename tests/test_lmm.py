@@ -174,25 +174,6 @@ def test_relabeling_clusters_preserves_likelihood():
     np.testing.assert_allclose(fit.coefficients, fit2.coefficients, atol=1e-9)
 
 
-def test_rank_deficient_design_raises():
-    ds = ClusteredDataset.from_columns(
-        "continuous", list("aabbcc"), [1.0, 2.0, 3.0, 1.0, 2.0, 0.0], [1, 0, 1, 0, 1, 0],
-        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
-    )
-    # x == a everywhere, so the interaction column duplicates x
-    with pytest.raises(SingularDesignError):
-        fit_lmm(ds)
-
-
-def test_requires_continuous_scale():
-    ds = ClusteredDataset.from_columns(
-        "binary", list("aabbcc"), [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], [1, 0, 1, 0, 1, 0],
-        [1.0, 0.0, 0.0, 1.0, 1.0, 0.0],
-    )
-    with pytest.raises(ValidationError):
-        fit_lmm(ds)
-
-
 def test_fit_json_round_trip():
     rng = np.random.default_rng(99)
     fit = fit_lmm(random_dataset(rng))
@@ -252,6 +233,9 @@ def assert_same_fit(got, expected):
 
 def fit_one(ds):
     return fit_lmm_batch([ds])[0]
+
+
+FITTERS = pytest.mark.parametrize("fitter", [fit_lmm, fit_one], ids=["brent", "batch"])
 
 
 def test_batch_equals_separate_fits_in_any_order():
@@ -321,6 +305,65 @@ def test_one_rank_deficient_study_fails_the_batch_and_drops_the_replicate(monkey
 def test_empty_batch_is_rejected():
     with pytest.raises(ValidationError):
         fit_lmm_batch([])
+
+
+def four_rows():
+    # a full-rank design with no degree of freedom left for phi
+    return ClusteredDataset.from_columns(
+        "continuous", list("aabb"), [1.0, 2.0, 0.5, 3.0], [0, 1, 0, 1], [0.0, 0.0, 1.0, 1.0]
+    )
+
+
+def binary_rows():
+    return ClusteredDataset.from_columns(
+        "binary", list("aabbcc"), [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], [1, 0, 1, 0, 1, 0],
+        [1.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+    )
+
+
+@FITTERS
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (binary_rows, ValidationError),
+        (rank_deficient_dataset, SingularDesignError),
+        (four_rows, ValidationError),
+    ],
+    ids=["binary-scale", "rank-deficient", "four-rows"],
+)
+def test_fitters_reject_bad_input_alike(fitter, make, error):
+    with pytest.raises(error):
+        fitter(make())
+
+
+def shifted(ds, shift):
+    return ClusteredDataset.from_columns(
+        "continuous", [ds.cluster_ids[c] for c in ds.cluster_codes], ds.outcome + shift,
+        ds.treatment, ds.covariate_x,
+    )
+
+
+@FITTERS
+def test_shifted_outcomes_keep_the_reml_criterion(fitter):
+    # uncentred, y'W^{-1}y - b'beta cancels about ten digits at a shift of
+    # 1e5; the grid-oracle designs, checked at the fit's own ratio
+    for seed in range(1000, 1010):
+        ds = shifted(random_dataset(np.random.default_rng(seed)), 1e5)
+        fit = fitter(ds)
+        ratio = 0.0 if fit.boundary else fit.random_intercept_variance / fit.residual_variance
+        assert abs(dense_reml(ds, ratio)[0] - fit.log_likelihood) <= 1e-8
+
+
+def test_batch_fit_is_equivariant_under_an_outcome_shift():
+    for seed in range(1000, 1010):
+        ds = random_dataset(np.random.default_rng(seed))
+        fit, moved = fit_one(ds), fit_one(shifted(ds, 1e5))
+        assert abs(moved.coefficients[0] - 1e5 - fit.coefficients[0]) <= 1e-9
+        np.testing.assert_allclose(moved.coefficients[1:], fit.coefficients[1:], rtol=1e-9)
+        np.testing.assert_allclose(moved.coef_covariance, fit.coef_covariance, rtol=1e-9)
+        for name in ("random_intercept_variance", "residual_variance", "log_likelihood"):
+            assert getattr(moved, name) == pytest.approx(getattr(fit, name), rel=1e-9)
+        assert moved.boundary == fit.boundary
 
 
 def identical_clusters(alpha=0.0):
