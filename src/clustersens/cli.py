@@ -1,9 +1,11 @@
 """Command-line surface: fit, sensitivity, meta, contour, simulate.
 
 Machine-readable payloads (JSON or CSV) go to stdout; all diagnostics go
-to stderr. Exit codes: 0 success, 1 validation/domain error,
-2 convergence failure, 3 I/O error. Repeating a command with identical
-inputs yields byte-identical stdout.
+to stderr. Exit codes: 0 success, 1 validation/domain error (a usage
+error such as a missing option or an unknown command included),
+2 convergence failure, 3 I/O error; every failure prints one ``error:``
+line. Repeating a command with identical inputs yields byte-identical
+stdout.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import click
 
@@ -53,19 +55,15 @@ EXIT_CONVERGENCE = 2
 EXIT_IO = 3
 
 
-def _round_sig(value, precision):
-    if isinstance(value, bool) or not isinstance(value, float):
-        return value
-    return float(f"{value:.{precision}g}")
-
-
 def _format_payload(obj, precision):
     """Recursively round floats to the output precision."""
     if isinstance(obj, dict):
         return {k: _format_payload(v, precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_format_payload(v, precision) for v in obj]
-    return _round_sig(obj, precision)
+    if isinstance(obj, float):
+        return float(f"{obj:.{precision}g}")
+    return obj
 
 
 def _emit_json(payload, precision):
@@ -82,6 +80,8 @@ def _csv_cell(value, precision):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"result holds a non-finite number, not valid CSV: {value}")
         return f"{value:.{precision}g}"
     return value
 
@@ -95,77 +95,98 @@ def _emit_csv(header, rows, precision):
     click.echo(buf.getvalue(), nl=False)
 
 
-def _require_finite(**options):
-    """Reject nan/inf float options by name: click's float type accepts them."""
-    for name, value in options.items():
-        for v in value if isinstance(value, tuple) else (value,):
-            if v is not None and not math.isfinite(v):
-                option = "--" + name.replace("_", "-")
-                raise ValidationError(f"{option} is non-finite ({v}); give a finite number")
+def _fail(message, code):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
 
 
-def handle_errors(func):
-    """Translate package exceptions into documented exit codes.
+class _Main(click.Group):
+    """A usage error in a command's arguments, or an unknown command, exits
+    1 with one ``error:`` line, like any other invalid input."""
 
-    Every command takes --precision, so a negative one, which no format
-    spec can hold, is rejected here before the command does any work.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            if kwargs["precision"] < 0:
-                raise ValidationError(f"--precision must be >= 0, got {kwargs['precision']}")
-            return func(*args, **kwargs)
-        except ConvergenceError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CONVERGENCE)
-        except ClusterSensError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_IO)
-
-    return wrapper
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(" ".join(exc.format_message().split()), EXIT_VALIDATION)
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv"]), default=None, help="Payload format."
-)
-precision_option = click.option(
-    "--precision", type=int, default=6, show_default=True, help="Significant digits in output."
-)
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Sensitivity analysis for clustered observational data."""
 
 
-@main.command("fit")
+def _check_finite(params, values):
+    """Reject nan/inf float options in declaration order: click's float type accepts them."""
+    for param in params:
+        if isinstance(param.type, click.types.FloatParamType):
+            value = values[param.name]
+            for v in value if isinstance(value, tuple) else (value,):
+                if v is not None and not math.isfinite(v):
+                    raise ValidationError(
+                        f"{param.opts[0]} is non-finite ({v}); give a finite number"
+                    )
+
+
+def command(name, default_format):
+    """Register a command whose body returns ``(payload, (header, rows))``.
+
+    The body takes only its own options. The wrapper adds --format and
+    --precision, rejects a negative precision and any non-finite float
+    option before the body runs, emits the payload as JSON (the rows as
+    objects when the payload is None) or the table as CSV, and maps package
+    errors onto the documented exit codes.
+    """
+
+    def register(func):
+        @functools.wraps(func)
+        def run(fmt, precision, **options):
+            try:
+                if precision < 0:
+                    raise ValidationError(f"--precision must be >= 0, got {precision}")
+                _check_finite(click.get_current_context().command.params, options)
+                payload, (header, rows) = func(**options)
+                if fmt == "csv":
+                    _emit_csv(header, rows, precision)
+                elif payload is None:
+                    _emit_json([dict(zip(header, row)) for row in rows], precision)
+                else:
+                    _emit_json(payload, precision)
+            except ConvergenceError as exc:
+                _fail(exc, EXIT_CONVERGENCE)
+            except ClusterSensError as exc:
+                _fail(exc, EXIT_VALIDATION)
+            except OSError as exc:
+                _fail(exc, EXIT_IO)
+
+        cmd = main.command(name)(run)
+        cmd.params += [
+            click.Option(["--format", "fmt"], type=click.Choice(["json", "csv"]),
+                         default=default_format, help="Payload format."),
+            click.Option(["--precision"], type=int, default=6, show_default=True,
+                         help="Significant digits in output."),
+        ]
+        return cmd
+
+    return register
+
+
+@command("fit", "json")
 @click.argument("data", type=click.Path())
 @click.option("--scale", type=click.Choice(["continuous", "binary"]), required=True)
 @click.option("--quadrature", type=int, default=15, show_default=True,
               help="Gauss-Hermite nodes for the binary-scale fit.")
-@format_option
-@precision_option
-@handle_errors
-def cmd_fit(data, scale, quadrature, fmt, precision):
+def cmd_fit(data, scale, quadrature):
     """Fit the confounded random-intercept model to a CSV file."""
     ds = load_csv(data, scale)
     fit = fit_lmm(ds) if scale == "continuous" else fit_glmm_logit(ds, quadrature)
     click.echo(f"fit converged on {fit.n_obs} observations in {fit.n_clusters} clusters", err=True)
-    if fmt == "csv":
-        header = ["coefficient", "estimate", "std_error"]
-        names = ["intercept", "treatment", "covariate", "interaction"]
-        rows = [
-            [names[i], float(fit.coefficients[i]), float(fit.coef_covariance[i, i]) ** 0.5]
-            for i in range(4)
-        ]
-        _emit_csv(header, rows, precision)
-    else:
-        _emit_json(json.loads(fit_to_json(fit)), precision)
+    names = ["intercept", "treatment", "covariate", "interaction"]
+    rows = [
+        [name, float(fit.coefficients[i]), float(fit.coef_covariance[i, i]) ** 0.5]
+        for i, name in enumerate(names)
+    ]
+    return json.loads(fit_to_json(fit)), (["coefficient", "estimate", "std_error"], rows)
 
 
 def _effect_from_triple(estimate, lb, ub, x, level, scale):
@@ -189,28 +210,30 @@ def _effect_from_triple(estimate, lb, ub, x, level, scale):
     )
 
 
-def _spec_from_flags(theta, m1x, m0x, p1x, p0x, mu1x, mu0x):
-    given = [v is not None for v in (m1x, p1x, mu1x)]
-    if sum(given) == 0:
+# (treated flag, its partner, confounder kind) for each way to state a confounder
+_SPEC_FLAGS = (
+    ("--m1x", "--m0x", CONTINUOUS_OUTCOME),
+    ("--p1x", "--p0x", BINARY_BINARY_U),
+    ("--mu1x", "--mu0x", BINARY_NORMAL_U),
+)
+
+
+def _spec_from_flags(theta, pairs):
+    """The confounder spec from --theta and the (treated, control) pairs in _SPEC_FLAGS order."""
+    given = [(flags, pair) for flags, pair in zip(_SPEC_FLAGS, pairs) if pair[0] is not None]
+    if not given:
         return None
-    if sum(given) > 1:
+    if len(given) > 1:
         raise ValidationError("give exactly one of --m1x, --p1x, --mu1x (with its partner)")
     if theta is None:
         raise ValidationError("--theta is required when sensitivity parameters are given")
-    if m1x is not None:
-        if m0x is None:
-            raise ValidationError("--m1x requires --m0x")
-        return SensitivitySpec(CONTINUOUS_OUTCOME, theta, m1x, m0x)
-    if p1x is not None:
-        if p0x is None:
-            raise ValidationError("--p1x requires --p0x")
-        return SensitivitySpec(BINARY_BINARY_U, theta, p1x, p0x)
-    if mu0x is None:
-        raise ValidationError("--mu1x requires --mu0x")
-    return SensitivitySpec(BINARY_NORMAL_U, theta, mu1x, mu0x)
+    [((flag, partner, kind), (treated_mean, control_mean))] = given
+    if control_mean is None:
+        raise ValidationError(f"{flag} requires {partner}")
+    return SensitivitySpec(kind, theta, treated_mean, control_mean)
 
 
-@main.command("sensitivity")
+@command("sensitivity", "json")
 @click.option("--fit", "fit_path", type=click.Path(), default=None,
               help="Fit document from the fit command.")
 @click.option("--estimate", type=float, default=None)
@@ -229,14 +252,9 @@ def _spec_from_flags(theta, m1x, m0x, p1x, p0x, mu1x, mu0x):
 @click.option("--p0x", type=float, default=None, help="Binary-confounder prevalence among controls (log-RR).")
 @click.option("--mu1x", type=float, default=None, help="Normal-confounder mean among treated (log-RR).")
 @click.option("--mu0x", type=float, default=None, help="Normal-confounder mean among controls (log-RR).")
-@format_option
-@precision_option
-@handle_errors
 def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
-                    m1x, m0x, p1x, p0x, mu1x, mu0x, fmt, precision):
+                    m1x, m0x, p1x, p0x, mu1x, mu0x):
     """Minimal bias factor, and the verdict for a hypothesized confounder."""
-    _require_finite(estimate=estimate, lb=lb, ub=ub, x=x, level=level, theta=theta,
-                    m1x=m1x, m0x=m0x, p1x=p1x, p0x=p0x, mu1x=mu1x, mu0x=mu0x)
     triple = [v is not None for v in (estimate, lb, ub)]
     if fit_path is not None:
         if any(triple):
@@ -264,10 +282,17 @@ def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
         },
         "minimal_bias_factor": {"value": minimal.value, "direction": minimal.direction},
     }
+    rows = [
+        ["estimate", effect.estimate],
+        ["lb", effect.lb],
+        ["ub", effect.ub],
+        ["minimal_bias_factor", minimal.value],
+        ["direction", minimal.direction],
+    ]
     if minimal.direction == "none":
         click.echo("no confounding needed: the interval already includes the null", err=True)
 
-    spec = _spec_from_flags(theta, m1x, m0x, p1x, p0x, mu1x, mu0x)
+    spec = _spec_from_flags(theta, [(m1x, m0x), (p1x, p0x), (mu1x, mu0x)])
     if spec is not None:
         b = bias_factor(spec)
         for note in b.warnings:
@@ -276,30 +301,17 @@ def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
         payload["bias_factor"] = {"value": b.value, "scale": b.scale}
         payload["adjusted"] = {"estimate": adjusted.estimate, "lb": adjusted.lb, "ub": adjusted.ub}
         payload["explains_away"] = explains_away(effect, spec)
-
-    if fmt == "csv":
-        header = ["quantity", "value"]
-        rows = [
-            ["estimate", effect.estimate],
-            ["lb", effect.lb],
-            ["ub", effect.ub],
-            ["minimal_bias_factor", minimal.value],
-            ["direction", minimal.direction],
+        rows += [
+            ["bias_factor", b.value],
+            ["adjusted_estimate", adjusted.estimate],
+            ["adjusted_lb", adjusted.lb],
+            ["adjusted_ub", adjusted.ub],
+            ["explains_away", payload["explains_away"]],
         ]
-        if spec is not None:
-            rows += [
-                ["bias_factor", payload["bias_factor"]["value"]],
-                ["adjusted_estimate", payload["adjusted"]["estimate"]],
-                ["adjusted_lb", payload["adjusted"]["lb"]],
-                ["adjusted_ub", payload["adjusted"]["ub"]],
-                ["explains_away", payload["explains_away"]],
-            ]
-        _emit_csv(header, rows, precision)
-    else:
-        _emit_json(payload, precision)
+    return payload, (["quantity", "value"], rows)
 
 
-@main.command("meta")
+@command("meta", "json")
 @click.option("--studies", "studies_path", type=click.Path(), default=None,
               help="Study-level CSV: study_id, estimate, std_error.")
 @click.option("--mu", type=float, default=None, help="Pooled mean (instead of --studies).")
@@ -310,25 +322,14 @@ def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
               show_default=True)
 @click.option("--bias-mean", type=float, default=None, help="Mean of the per-study bias factor.")
 @click.option("--bias-variance", type=float, default=0.0, show_default=True)
-@format_option
-@precision_option
-@handle_errors
-def cmd_meta(studies_path, mu, v, q, r, direction, bias_mean, bias_variance, fmt, precision):
+def cmd_meta(studies_path, mu, v, q, r, direction, bias_mean, bias_variance):
     """Pooled effect, minimal common bias factor, and p(q)."""
-    _require_finite(mu=mu, v=v, q=q, r=r, bias_mean=bias_mean, bias_variance=bias_variance)
     payload = {}
     if studies_path is not None:
         if mu is not None or v is not None:
             raise ValidationError("give either --studies or the (--mu, --v) pair")
-        studies = load_studies_csv(studies_path)
-        fit = pool(studies)
-        payload["pooled"] = {
-            "mu_hat": fit.mu_hat,
-            "v_hat": fit.v_hat,
-            "se_mu": fit.se_mu,
-            "q_statistic": fit.q_statistic,
-            "k": fit.k,
-        }
+        fit = pool(load_studies_csv(studies_path))
+        payload["pooled"] = asdict(fit)
         click.echo(f"pooled {fit.k} studies", err=True)
     else:
         if mu is None or v is None:
@@ -357,19 +358,16 @@ def cmd_meta(studies_path, mu, v, q, r, direction, bias_mean, bias_variance, fmt
     if not payload:
         raise ValidationError("nothing to compute: give studies, a pooled fit, or q/r")
 
-    if fmt == "csv":
-        rows = []
-        for section, values in payload.items():
-            if isinstance(values, dict):
-                rows += [[f"{section}.{k}", val] for k, val in values.items()]
-            else:
-                rows.append([section, values])
-        _emit_csv(["quantity", "value"], rows, precision)
-    else:
-        _emit_json(payload, precision)
+    rows = []
+    for section, values in payload.items():
+        if isinstance(values, dict):
+            rows += [[f"{section}.{k}", val] for k, val in values.items()]
+        else:
+            rows.append([section, values])
+    return payload, (["quantity", "value"], rows)
 
 
-@main.command("contour")
+@command("contour", "csv")
 @click.option("--delta-range", type=float, nargs=2, default=(0.0, 1.0), show_default=True,
               help="Range of confounder mean differences.")
 @click.option("--theta-range", type=float, nargs=2, default=(0.0, 5.0), show_default=True,
@@ -377,33 +375,17 @@ def cmd_meta(studies_path, mu, v, q, r, direction, bias_mean, bias_variance, fmt
 @click.option("--resolution", type=int, default=100, show_default=True)
 @click.option("--threshold", type=float, required=True,
               help="Bias factor that explains the effect away.")
-@format_option
-@precision_option
-@handle_errors
-def cmd_contour(delta_range, theta_range, resolution, threshold, fmt, precision):
+def cmd_contour(delta_range, theta_range, resolution, threshold):
     """Grid of bias factors over (mean difference, effect) combinations."""
-    _require_finite(delta_range=delta_range, theta_range=theta_range, threshold=threshold)
     rows = contour_grid(delta_range, theta_range, resolution, threshold)
-    if fmt == "json":
-        _emit_json(
-            [
-                {"delta_m": d, "theta": t, "bias_factor": b, "explains": e}
-                for d, t, b, e in rows
-            ],
-            precision,
-        )
-    else:
-        _emit_csv(["delta_m", "theta", "bias_factor", "explains"], [list(r) for r in rows], precision)
+    return None, (["delta_m", "theta", "bias_factor", "explains"], rows)
 
 
-@main.command("simulate")
+@command("simulate", "csv")
 @click.argument("config_path", type=click.Path())
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@format_option
-@precision_option
-@handle_errors
-def cmd_simulate(config_path, workers, seed, fmt, precision):
+def cmd_simulate(config_path, workers, seed):
     """Run a simulation scenario and emit its metrics table."""
     config = load_scenario(config_path)
     if seed is not None:
@@ -419,20 +401,15 @@ def cmd_simulate(config_path, workers, seed, fmt, precision):
     if metrics.replications < 2:
         click.echo("warning: a single replication cannot estimate an SE", err=True)
     header, rows = metrics_rows(metrics)
-    if fmt == "json":
-        _emit_json(
-            {
-                "kind": metrics.kind,
-                "seed": metrics.seed,
-                "replications": metrics.replications,
-                "non_converged": metrics.non_converged,
-                "flagged": metrics.flagged,
-                "rows": [dict(zip(header, row)) for row in rows],
-            },
-            precision,
-        )
-    else:
-        _emit_csv(header, rows, precision)
+    payload = {
+        "kind": metrics.kind,
+        "seed": metrics.seed,
+        "replications": metrics.replications,
+        "non_converged": metrics.non_converged,
+        "flagged": metrics.flagged,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    return payload, (header, rows)
 
 
 if __name__ == "__main__":

@@ -49,6 +49,10 @@ class MetaFit:
     q_statistic: float
     k: int
 
+    def __post_init__(self):
+        if not self.v_hat >= 0.0:  # also rejects nan
+            raise ValidationError(f"between-study variance v_hat must be >= 0, got {self.v_hat}")
+
 
 @dataclass(frozen=True)
 class BiasDistribution:

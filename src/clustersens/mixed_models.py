@@ -41,6 +41,7 @@ LOGISTIC_LATENT_VARIANCE = math.pi**2 / 3.0
 _DESIGN_COLUMNS = 4  # intercept, treatment, covariate, interaction
 _VAR_FLOOR = 1e-10
 _SEPARATION_BOUND = 30.0
+_MAX_QUADRATURE_POINTS = 100  # criterion 6 shows 15 and 64 nodes agree to 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +97,8 @@ def fit_from_json(text: str) -> MixedModelFit:
     """Rebuild a fit from ``fit_to_json`` output.
 
     Raises ValidationError for malformed JSON, a missing key, an unknown
-    scale, a wrong-sized coefficient vector or covariance, and non-finite
-    numbers.
+    scale, a wrong-sized coefficient vector or covariance, non-finite
+    numbers and a negative variance.
     """
     try:
         doc = json.loads(text)
@@ -132,6 +133,9 @@ def fit_from_json(text: str) -> MixedModelFit:
     numbers = [coefficients, cov, nu, loglik] + ([] if residual is None else [residual])
     if not all(np.all(np.isfinite(v)) for v in numbers):
         raise ValidationError("fit document holds a non-finite number")
+    for key, value in (("random_intercept_variance", nu), ("residual_variance", residual)):
+        if value is not None and value < 0.0:
+            raise ValidationError(f"fit document has a negative {key}: {value}")
     return MixedModelFit(
         scale=doc["scale"],
         coefficients=coefficients,
@@ -661,18 +665,24 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
 
     The intercept is integrated out per cluster with Gauss-Hermite nodes
     re-centered at the conditional mode and rescaled by the conditional
-    curvature; quadrature_points=1 is the Laplace approximation. BFGS over
-    (beta, log nu) is driven by the analytic score of that quadrature sum,
-    one value-and-score evaluation per likelihood call. The coefficient
-    covariance is the (beta, beta) block of the inverse observed
-    information, the symmetrised central difference of the analytic score;
-    when nu sits at the boundary it is the plain logistic information over
-    beta alone.
+    curvature; quadrature_points=1 is the Laplace approximation, and at
+    most 100 nodes are accepted. BFGS over (beta, log nu) is driven by the
+    analytic score of that quadrature sum, one value-and-score evaluation
+    per likelihood call. The coefficient covariance is the (beta, beta)
+    block of the inverse observed information, the symmetrised central
+    difference of the analytic score; when nu sits at the boundary it is
+    the plain logistic information over beta alone.
     """
     if ds.scale != "binary":
         raise ValidationError(f"fit_glmm_logit requires a binary-scale dataset, got {ds.scale!r}")
     if quadrature_points < 1:
         raise DomainError(f"quadrature_points must be >= 1, got {quadrature_points}")
+    if quadrature_points > _MAX_QUADRATURE_POINTS:
+        # numpy's Gauss-Hermite weights underflow to zero or overflow from
+        # 371 nodes, and hermgauss builds a dense n x n companion matrix
+        raise DomainError(
+            f"quadrature_points must be <= {_MAX_QUADRATURE_POINTS}, got {quadrature_points}"
+        )
     y, design, codes, sizes, starts = _prepare(ds)
     _check_design_rank(design.T @ design)
     if np.all(y == 0.0) or np.all(y == 1.0):
@@ -704,7 +714,7 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
             best={"coefficients": beta.tolist()},
         )
     grad_norm = float(np.max(np.abs(result.jac)))
-    if not result.success and grad_norm > 1e-3:
+    if not grad_norm <= 1e-3:  # also catches a NaN score
         raise ConvergenceError(
             f"marginal likelihood optimization did not converge: {result.message}",
             best={"coefficients": beta.tolist(), "nu": math.exp(params[-1])},

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -98,6 +101,39 @@ def test_fit_binary_happy_path(tmp_path, runner):
     assert doc["scale"] == "binary"
     assert doc["quadrature_points"] == 9
     assert doc["residual_variance"] is None
+
+
+def test_fit_csv_table_matches_library(tmp_path, runner):
+    config = ScenarioConfig(
+        kind="single_continuous", clusters=40, cluster_size=3, replications=1, seed=5,
+    )
+    ds = generate(config, 0)
+    path = tmp_path / "data.csv"
+    write_csv(ds, path)
+    result = invoke(
+        runner, ["fit", str(path), "--scale", "continuous", "--format", "csv", "--precision", "17"]
+    )
+    assert result.exit_code == 0
+    header, *rows = csv.reader(io.StringIO(result.stdout))
+    assert header == ["coefficient", "estimate", "std_error"]
+    assert [row[0] for row in rows] == ["intercept", "treatment", "covariate", "interaction"]
+    fit = fit_lmm(ds)
+    assert [float(row[1]) for row in rows] == [float(v) for v in fit.coefficients]
+    np.testing.assert_allclose(
+        [float(row[2]) for row in rows], np.sqrt(np.diag(fit.coef_covariance)), rtol=1e-15
+    )
+
+
+def test_fit_quadrature_above_100_exits_1(tmp_path, runner):
+    config = ScenarioConfig(
+        kind="single_binary", clusters=10, cluster_size=4, replications=1, seed=6,
+        true_betas=(-1.5, 0.8, 1.0, -0.4), theta=0.2, sigma_u2=0.25, nu=0.5,
+    )
+    path = tmp_path / "binary.csv"
+    write_csv(generate(config, 0), path)
+    result = invoke(runner, ["fit", str(path), "--scale", "binary", "--quadrature", "101"])
+    assert_single_error_line(result)
+    assert "quadrature_points must be <= 100, got 101" in result.stderr
 
 
 def test_fit_all_zero_binary_exits_2(tmp_path, runner):
@@ -245,11 +281,14 @@ def test_sensitivity_hand_written_fit_document(tmp_path, runner):
         json.dumps({**VALID_FIT_DOC, "coefficients": [1.0, math.nan, 2.0, -0.3]}),
         json.dumps({**VALID_FIT_DOC, "coef_covariance": [math.inf] * 16}),
         json.dumps({**VALID_FIT_DOC, "random_intercept_variance": math.nan}),
+        json.dumps({**VALID_FIT_DOC, "random_intercept_variance": -1}),
+        json.dumps({**VALID_FIT_DOC, "residual_variance": -0.5}),
     ],
     ids=[
         "malformed-json", "not-an-object", "scale-only", "missing-covariance", "unknown-scale",
         "three-coefficients", "string-coefficients", "fifteen-covariance-entries",
-        "nan-coefficient", "inf-covariance", "nan-variance",
+        "nan-coefficient", "inf-covariance", "nan-variance", "negative-intercept-variance",
+        "negative-residual-variance",
     ],
 )
 def test_sensitivity_malformed_fit_document_exits_1(tmp_path, runner, text):
@@ -257,6 +296,41 @@ def test_sensitivity_malformed_fit_document_exits_1(tmp_path, runner, text):
     path.write_text(text)
     result = invoke(runner, ["sensitivity", "--fit", str(path)])
     assert_single_error_line(result)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta", "3", "--m1x", "1", "--p1x", "0.2"],
+         "give exactly one of --m1x, --p1x, --mu1x (with its partner)"),
+        (["--m1x", "1", "--m0x", "0"], "--theta is required when sensitivity parameters are given"),
+        (["--theta", "3", "--m1x", "1"], "--m1x requires --m0x"),
+        (["--theta", "0.4", "--p1x", "0.5"], "--p1x requires --p0x"),
+        (["--theta", "0.4", "--mu1x", "1"], "--mu1x requires --mu0x"),
+    ],
+    ids=["two-kinds", "no-theta", "m1x-alone", "p1x-alone", "mu1x-alone"],
+)
+def test_sensitivity_incomplete_confounder_flags_exit_1(runner, flags, message):
+    result = invoke(
+        runner, ["sensitivity", "--estimate", "5.49", "--lb", "0.75", "--ub", "10.23", *flags]
+    )
+    assert_single_error_line(result)
+    assert result.stderr.endswith(f"error: {message}\n")
+
+
+def test_sensitivity_normal_confounder_spec(runner):
+    result = invoke(
+        runner,
+        ["sensitivity", "--estimate", "0.3", "--lb", "0.1", "--ub", "0.5", "--scale", "log-RR",
+         "--theta", "0.4", "--mu1x", "0.6", "--mu0x", "0.2", "--precision", "17"],
+    )
+    assert result.exit_code == 0
+    doc = json.loads(result.stdout)
+    # a normal confounder shifts the log-RR by theta * (mu1x - mu0x)
+    assert doc["bias_factor"]["scale"] == "log-RR"
+    assert doc["bias_factor"]["value"] == pytest.approx(0.4 * 0.4, rel=1e-12)
+    assert doc["adjusted"]["estimate"] == pytest.approx(0.3 - 0.16, rel=1e-12)
+    assert doc["explains_away"] is True  # the bias 0.16 reaches the lower bound 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +391,15 @@ def test_meta_non_finite_result_never_reaches_stdout(runner):
     assert "non-finite" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "extra", [["--r", "0.2"], ["--bias-mean", "0.1"]], ids=["minimal-bias", "p-of-q"]
+)
+def test_meta_negative_variance_exits_1_naming_it(runner, extra):
+    result = invoke(runner, ["meta", "--mu", "0", "--v", "-1", "--q", "0.1", *extra])
+    assert_single_error_line(result)
+    assert "v_hat must be >= 0, got -1.0" in result.stderr
+
+
 def test_meta_studies_with_threshold_pipeline(tmp_path, runner):
     rng = np.random.default_rng(55)
     lines = ["study_id,estimate,std_error"]
@@ -361,6 +444,20 @@ def test_contour_csv_node(runner):
     assert len(lines) == 26
     target = [ln for ln in lines if ln.startswith("0.25,3,")]
     assert target == ["0.25,3,0.75,true"]
+
+
+def test_contour_json_objects_match_csv_rows(runner):
+    args = ["contour", "--delta-range", "0", "1", "--theta-range", "0", "4",
+            "--resolution", "5", "--threshold", "0.75"]
+    table = invoke(runner, args).stdout.strip().splitlines()
+    result = invoke(runner, args + ["--format", "json"])
+    assert result.exit_code == 0
+    doc = json.loads(result.stdout)
+    assert {"delta_m": 0.25, "theta": 3.0, "bias_factor": 0.75, "explains": True} in doc
+    assert [
+        f"{o['delta_m']:g},{o['theta']:g},{o['bias_factor']:g},{str(o['explains']).lower()}"
+        for o in doc
+    ] == table[1:]
 
 
 def test_contour_bad_resolution_exits_1(runner):
@@ -408,6 +505,60 @@ def test_contour_deterministic(runner):
 def test_non_finite_float_option_exits_1_naming_it(runner, args, named):
     result = invoke(runner, args)
     assert_single_error_line(result)
+    assert named in result.stderr
+
+
+FLOAT_OPTIONS = [
+    (name, param.opts[0], param.nargs)
+    for name, cmd in sorted(main.commands.items())
+    for param in cmd.params
+    if isinstance(param.type, click.types.FloatParamType)
+]
+REQUIRED_ARGS = {"contour": ["--threshold", "1"]}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, option, nargs", FLOAT_OPTIONS, ids=[f"{c}{o}" for c, o, _ in FLOAT_OPTIONS]
+)
+def test_every_float_option_rejects_non_finite(runner, command, option, nargs, value):
+    result = invoke(runner, [command, *REQUIRED_ARGS.get(command, []), option, *[value] * nargs])
+    assert_single_error_line(result)
+    assert f"error: {option} is non-finite ({float(value)}); give a finite number" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["contour", "--threshold", "1", "--resolution", "2",
+         "--delta-range", "0", "1e308", "--theta-range", "0", "1e308"],
+        ["meta", "--mu", "1e308", "--v", "1e308", "--q", "-1e308", "--r", "0.2", "--format", "csv"],
+    ],
+    ids=["contour", "meta"],
+)
+def test_csv_refuses_a_non_finite_result(runner, args):
+    result = invoke(runner, args)
+    assert_single_error_line(result)
+    assert "result holds a non-finite number" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["fit", "data.csv"], "--scale"),
+        (["fit", "data.csv", "--scale", "trinary"], "trinary"),
+        (["contour", "--threshold", "abc"], "abc"),
+        (["meta", "--bogus", "1"], "--bogus"),
+        (["contour", "--threshold", "1", "--format", "xml"], "xml"),
+        (["bogus"], "bogus"),
+    ],
+    ids=["missing-option", "bad-choice", "bad-float", "unknown-option", "bad-format",
+         "unknown-command"],
+)
+def test_usage_error_exits_1_with_one_error_line(runner, args, named):
+    result = invoke(runner, args)
+    assert_single_error_line(result)
+    assert len(result.stderr.splitlines()) == 1
     assert named in result.stderr
 
 

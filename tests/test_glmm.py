@@ -13,7 +13,7 @@ from clustersens import (
     fit_to_json,
     icc_logistic,
 )
-from clustersens.errors import DomainError
+from clustersens.errors import ConvergenceError, DomainError
 from clustersens import mixed_models
 from clustersens.mixed_models import (
     LOGISTIC_LATENT_VARIANCE,
@@ -149,6 +149,16 @@ def test_criterion_4_design_fit_evaluation_budget(monkeypatch):
     assert 0 < len(calls) <= 40
 
 
+def test_nan_score_raises_convergence_error(monkeypatch):
+    class NanLoglik(_AgqLoglik):
+        def value_and_score(self, params):
+            return math.nan, np.full_like(params, math.nan)
+
+    monkeypatch.setattr(mixed_models, "_AgqLoglik", NanLoglik)
+    with pytest.raises(ConvergenceError):
+        fit_glmm_logit(binary_dataset(np.random.default_rng(3), n_clusters=8))
+
+
 def test_laplace_is_single_node():
     rng = np.random.default_rng(218)
     ds = binary_dataset(rng, n_clusters=10)
@@ -247,8 +257,11 @@ def test_relabeling_clusters_preserves_likelihood():
 def test_requires_binary_scale_and_positive_nodes():
     rng = np.random.default_rng(1)
     ds = binary_dataset(rng, n_clusters=6)
-    with pytest.raises(DomainError):
-        fit_glmm_logit(ds, quadrature_points=0)
+    # 0 nodes is no rule; the cap of 100 stays clear of the 371 nodes from
+    # which numpy's Gauss-Hermite weights are no longer finite and positive
+    for nodes in (0, 101):
+        with pytest.raises(DomainError):
+            fit_glmm_logit(ds, quadrature_points=nodes)
     cont = ClusteredDataset.from_columns(
         "continuous", list("aabb"), [0.7, 0.3, 0.9, 0.1], [1, 0, 1, 0], [1.0, 0.0, 0.0, 1.0]
     )

@@ -283,6 +283,12 @@ def test_study_effect_rejects_non_finite_or_non_positive(estimate, variance):
         StudyEffect(study_id="s", estimate=estimate, within_variance=variance)
 
 
+@pytest.mark.parametrize("v_hat", [-1.0, math.nan])
+def test_meta_fit_rejects_negative_or_nan_variance(v_hat):
+    with pytest.raises(ValidationError, match="v_hat"):
+        MetaFit(mu_hat=0.0, v_hat=v_hat, se_mu=0.1, q_statistic=1.0, k=3)
+
+
 @pytest.mark.parametrize(
     "cell, column", [("nan,0.1", "estimate"), ("-inf,0.1", "estimate"),
                      ("0.2,inf", "std_error"), ("0.2,nan", "std_error"),

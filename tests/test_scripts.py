@@ -1,8 +1,9 @@
-"""The Table 2-4 runner, run in-process at a few replications."""
+"""The Table 2-4 runner, run in-process at a few replications, and the worked examples."""
 
 import csv
 import importlib.util
 import io
+import runpy
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,19 @@ def test_first_grid_row_builds_the_published_scenario(table):
 def test_replications_and_seed_override_the_base_file():
     configs = [config for _, config in load_runner().scenarios(4, replications=3, seed=7)]
     assert {(c.replications, c.seed) for c in configs} == {(3, 7)}
+
+
+def test_worked_examples_print_the_published_figures(capsys):
+    runpy.run_path(str(SCRIPTS / "worked_examples.py"), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        "single study: estimate 5.49 (0.75 to 10.23)",
+        "  minimal bias factor: 0.75 (positive direction)",
+        "  confounder with effect 3 and prevalence difference 0.25 -> bias 0.75",
+        "  adjusted effect: 4.74 (0 to 9.48)",
+        "  explains away: True",
+        "",
+        "meta-analysis: pooled log-RR log(1.33), between-study variance 0.08",
+        "  minimal common constant bias factor: 0.1745",
+        "  p(q) at that bias: 0.4 (threshold r = 0.4)",
+        "  explains away at the boundary: True",
+    ]
