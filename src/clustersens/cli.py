@@ -2,7 +2,7 @@
 
 Machine-readable payloads (JSON or CSV) go to stdout; all diagnostics go
 to stderr. Exit codes: 0 success, 1 validation/domain error (a usage
-error such as a missing option or an unknown command included),
+error such as a missing option, an unknown command or no command included),
 2 convergence failure, 3 I/O error; every failure prints one ``error:``
 line. Repeating a command with identical inputs yields byte-identical
 stdout.
@@ -15,10 +15,12 @@ import functools
 import io
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, replace
 
 import click
+import numpy as np
 
 from . import normal
 from .dataset import load_csv
@@ -53,6 +55,7 @@ from .simulation import load_scenario, metrics_rows, run_scenario
 EXIT_VALIDATION = 1
 EXIT_CONVERGENCE = 2
 EXIT_IO = 3
+_CHUNK_ROWS = 1024
 
 
 def _format_payload(obj, precision):
@@ -86,13 +89,68 @@ def _csv_cell(value, precision):
     return value
 
 
+def _column_codes(column, kinds, precision):
+    """A column as ``(texts, codes)``, cell i being ``texts[codes[i]]``, or the
+    row index of its first non-finite float."""
+    if kinds == {float}:
+        values = np.array(column)
+        finite = np.isfinite(values)
+        if not finite.all():
+            return int(np.argmin(finite))
+        keys, codes = np.unique(values.view(np.int64), return_inverse=True)
+        spec = f".{precision}g"
+        texts = [format(v, spec) for v in keys.view(np.float64).tolist()]
+        # the narrowest code type keeps the formatted table small
+        return np.array(texts, dtype=object), codes.astype(np.min_scalar_type(len(keys)))
+    if kinds == {bool}:
+        return np.array(["false", "true"], dtype=object), np.array(column, dtype=np.uint8)
+    texts = []
+    for value in column:
+        try:
+            texts.append(_csv_cell(value, precision))
+        except ValidationError:
+            return len(texts)
+    return np.fromiter(texts, dtype=object, count=len(texts)), np.arange(len(texts))
+
+
 def _emit_csv(header, rows, precision):
+    """Write the header and rows (all of the header's width) as CSV to stdout.
+
+    The table is formatted a column at a time. A column of Python floats
+    formats each distinct value once, keyed on its bit pattern so that -0.0
+    (printed ``-0``) stays apart from 0.0; a bool column maps to
+    ``false``/``true``; any other column goes through ``_csv_cell`` cell by
+    cell. The bytes equal those of writing each row through ``csv.writer``.
+    A non-finite float is refused, before anything is written, with the
+    value that a row-major scan meets first: the first row holding one, then
+    its leftmost such cell.
+    """
+    kinds, columns = [], []
+    for j in range(len(header)):
+        column = list(map(operator.itemgetter(j), rows))
+        kinds.append(set(map(type, column)))
+        columns.append(_column_codes(column, kinds[j], precision))
+    bad = [(c, j) for j, c in enumerate(columns) if isinstance(c, int)]
+    if bad:
+        row, j = min(bad)
+        _csv_cell(rows[row][j], precision)  # raises the non-finite error
+    # float and bool texts never need quoting, so their rows are joined directly
+    plain = all(k <= {float, bool} for k in kinds)
     buf = io.StringIO()
     writer = csv_module.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v, precision) for v in row])
     click.echo(buf.getvalue(), nl=False)
+    # rows go out a bounded chunk at a time, which keeps memory flat
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        cells = zip(*[texts[codes[chunk]].tolist() for texts, codes in columns])
+        if plain:
+            click.echo("\n".join(map(",".join, cells)) + "\n", nl=False)
+        else:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerows(cells)
+            click.echo(buf.getvalue(), nl=False)
 
 
 def _fail(message, code):
@@ -100,15 +158,28 @@ def _fail(message, code):
     sys.exit(code)
 
 
+def _usage_fail(exc):
+    _fail(" ".join(exc.format_message().split()), EXIT_VALIDATION)
+
+
 class _Main(click.Group):
-    """A usage error in a command's arguments, or an unknown command, exits
-    1 with one ``error:`` line, like any other invalid input."""
+    """A usage error, in the group's own arguments or in a command's, an
+    unknown command or no command at all exits 1 with one ``error:`` line,
+    like any other invalid input."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        if not args:
+            _fail(f"no command given; run '{info_name} --help' for the commands", EXIT_VALIDATION)
+        try:
+            return super().make_context(info_name, args, parent, **extra)
+        except click.UsageError as exc:
+            _usage_fail(exc)
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except click.UsageError as exc:
-            _fail(" ".join(exc.format_message().split()), EXIT_VALIDATION)
+            _usage_fail(exc)
 
 
 @click.group(cls=_Main)

@@ -254,10 +254,14 @@ def contour_grid(delta_m_range, theta_range, resolution: int, threshold: float):
     t_lo, t_hi = map(float, theta_range)
     if not (d_lo <= d_hi and t_lo <= t_hi):
         raise DomainError("ranges must be ordered (lo, hi)")
-    deltas, thetas = np.meshgrid(
-        np.linspace(d_lo, d_hi, resolution), np.linspace(t_lo, t_hi, resolution), indexing="ij"
-    )
-    bias = deltas * thetas
+    # a range or product that overflows gives inf or nan here, which the
+    # emitters refuse; numpy's warning would only add lines to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas, thetas = np.meshgrid(
+            np.linspace(d_lo, d_hi, resolution), np.linspace(t_lo, t_hi, resolution),
+            indexing="ij",
+        )
+        bias = deltas * thetas
     return list(
         zip(deltas.ravel().tolist(), thetas.ravel().tolist(), bias.ravel().tolist(),
             (bias >= threshold).ravel().tolist())

@@ -7,9 +7,11 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clustersens import fit_lmm, write_csv
-from clustersens.cli import main
+from clustersens.cli import _emit_csv, main
+from clustersens.errors import ValidationError
 from clustersens.simulation import ScenarioConfig, generate
 
 
@@ -476,6 +478,118 @@ def test_contour_deterministic(runner):
 
 
 # ---------------------------------------------------------------------------
+# CSV emission
+# ---------------------------------------------------------------------------
+
+
+def reference_csv(header, rows, precision):
+    """The per-cell writer the column-at-a-time emitter must match byte for byte."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValidationError(f"result holds a non-finite number, not valid CSV: {value}")
+            return f"{value:.{precision}g}"
+        return value
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue()
+
+
+def emitted_csv(capsys, header, rows, precision):
+    """The emitter's stdout, or its error message."""
+    try:
+        _emit_csv(header, rows, precision)
+    except ValidationError as exc:
+        return f"error: {exc}"
+    return capsys.readouterr().out
+
+
+def reference_or_error(header, rows, precision):
+    try:
+        return reference_csv(header, rows, precision)
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(max_value=1e-307, min_value=-1e-307),  # subnormals and zeros
+    st.sampled_from([0.0, -0.0, 0.1, 1.0 / 3.0, 1e308, 5e-324]),  # repeats
+)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+TEXTS = st.sampled_from(["", "plain", "a,b", 'say "hi"', "two\nlines", " lead"])
+ANY_CELL = st.one_of(
+    FLOATS, st.booleans(), st.integers(), st.none(), TEXTS,
+    FLOATS.map(np.float64), NON_FINITE.map(np.float64),
+)
+COLUMNS = st.sampled_from([
+    FLOATS,
+    st.one_of(FLOATS, NON_FINITE),
+    st.booleans(),
+    ANY_CELL,
+])
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(COLUMNS, min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*kinds), max_size=30))
+    header = draw(st.lists(TEXTS, min_size=len(kinds), max_size=len(kinds)))
+    return header, rows
+
+
+@pytest.mark.parametrize("precision", [0, 6, 12, 17])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=tables())
+def test_emit_csv_matches_per_cell_writer(capsys, precision, table):
+    header, rows = table
+    capsys.readouterr()
+    assert emitted_csv(capsys, header, rows, precision) == reference_or_error(header, rows, precision)
+
+
+def test_emit_csv_refuses_the_first_non_finite_cell_in_row_major_order(capsys):
+    # column 0 holds a nan on row 2, but row 1 is met first, and on row 1
+    # the np.float64 -inf in column 1 comes before the inf in column 2
+    rows = [
+        [0.5, None, 1.0],
+        [2.0, np.float64("-inf"), math.inf],
+        [math.nan, None, 3.0],
+    ]
+    expected = reference_or_error(["a", "b", "c"], rows, 6)
+    assert expected == "error: result holds a non-finite number, not valid CSV: -inf"
+    assert emitted_csv(capsys, ["a", "b", "c"], rows, 6) == expected
+    floats_only = [[1.0, 2.0], [3.0, math.inf], [math.nan, 4.0]]
+    assert emitted_csv(capsys, ["a", "b"], floats_only, 6) == (
+        "error: result holds a non-finite number, not valid CSV: inf"
+    )
+
+
+def test_contour_signed_zeros_keep_their_sign(runner):
+    result = invoke(
+        runner,
+        ["contour", "--delta-range", "-1", "0", "--theta-range", "0", "1",
+         "--resolution", "2", "--threshold", "0"],
+    )
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "delta_m,theta,bias_factor,explains\n"
+        "-1,0,-0,true\n"
+        "-1,1,-1,false\n"
+        "0,0,0,true\n"
+        "0,1,0,true\n"
+    )
+
+
+# ---------------------------------------------------------------------------
 # non-finite float options
 # ---------------------------------------------------------------------------
 
@@ -527,18 +641,24 @@ def test_every_float_option_rejects_non_finite(runner, command, option, nargs, v
     assert f"error: {option} is non-finite ({float(value)}); give a finite number" in result.stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "args",
     [
         ["contour", "--threshold", "1", "--resolution", "2",
          "--delta-range", "0", "1e308", "--theta-range", "0", "1e308"],
+        ["contour", "--threshold", "1", "--resolution", "5",
+         "--delta-range", "-1e308", "1e308", "--theta-range", "0", "4"],
         ["meta", "--mu", "1e308", "--v", "1e308", "--q", "-1e308", "--r", "0.2", "--format", "csv"],
     ],
-    ids=["contour", "meta"],
+    ids=["contour", "contour-range", "meta"],
 )
 def test_csv_refuses_a_non_finite_result(runner, args):
+    # numpy's overflow warnings are errors here: the refusal is the only
+    # line on stderr
     result = invoke(runner, args)
     assert_single_error_line(result)
+    assert len(result.stderr.splitlines()) == 1
     assert "result holds a non-finite number" in result.stderr
 
 
@@ -551,9 +671,11 @@ def test_csv_refuses_a_non_finite_result(runner, args):
         (["meta", "--bogus", "1"], "--bogus"),
         (["contour", "--threshold", "1", "--format", "xml"], "xml"),
         (["bogus"], "bogus"),
+        (["--bogus"], "--bogus"),
+        ([], "--help"),
     ],
     ids=["missing-option", "bad-choice", "bad-float", "unknown-option", "bad-format",
-         "unknown-command"],
+         "unknown-command", "unknown-group-option", "no-command"],
 )
 def test_usage_error_exits_1_with_one_error_line(runner, args, named):
     result = invoke(runner, args)
