@@ -37,15 +37,12 @@ from .meta import (
 )
 from .mixed_models import (
     MixedModelFit,
-    UnmeasuredSpec,
     fit_from_json,
     fit_glmm_logit,
     fit_lmm,
     fit_lmm_batch,
     fit_to_json,
     icc_logistic,
-    marginal_logit_approx,
-    marginal_logit_exact,
 )
 from .sensitivity import (
     AdjustedEffect,
@@ -53,11 +50,14 @@ from .sensitivity import (
     ConfoundedEffect,
     MinimalBiasFactor,
     SensitivitySpec,
+    UnmeasuredSpec,
     adjust,
     bias_factor,
     confounded_effect,
     contour_grid,
     explains_away,
+    marginal_logit_approx,
+    marginal_logit_exact,
     minimal_bias_factor,
 )
 from .simulation import (

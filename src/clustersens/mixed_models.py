@@ -15,12 +15,10 @@ likelihood with adaptive Gauss-Hermite quadrature over the cluster
 intercept, quasi-Newton outer optimization over (beta, log nu) with the
 closed-form score of the adaptive quadrature sum (Liu & Pierce 1994;
 Pinheiro & Bates 1995), and observed information from a central
-difference of that score (in closed form at nu = 0).
-
-``marginal_logit_exact`` integrates the population-averaged logit
-numerically (cluster intercept and unmeasured confounder marginalized
-out) and is the reference against which the closed-form approximations in
-``marginal_logit_approx`` are validated.
+difference of that score (in closed form at nu = 0). The binary
+likelihood is summed once per distinct cluster pattern, weighted by its
+count, and nu = 0 is decided by the closed-form score test at the
+boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -502,15 +500,51 @@ def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
 # ---------------------------------------------------------------------------
 
 
-def _logistic_start(y, design):
-    """Plain logistic regression by IRLS for starting values."""
+def _cluster_patterns(y, design, codes, sizes, starts):
+    """One representative per distinct cluster, and how many clusters it stands for.
+
+    Two clusters of one size whose unit rows (a, x, y) agree as multisets
+    have the same conditional mode, node scale and likelihood term, so the
+    marginal likelihood is a count-weighted sum over the distinct patterns
+    (the frequency-weighted response patterns of Bock & Aitkin 1981). Each
+    cluster's rows are sorted, and the clusters of each size are grouped by
+    ``np.unique`` on their sorted rows laid side by side; grouping by size
+    keeps each key as wide as its own clusters, not as the largest one.
+    Returns the representatives in ``_prepare``'s layout, ordered by size
+    and then by rows, and the counts. Continuous covariates rarely repeat,
+    and those clusters keep a count of 1.
+    """
+    a, x = design[:, 1], design[:, 2]
+    units = np.column_stack([a, x, y])[np.lexsort((y, x, a, codes))]
+    blocks, counts, pattern_sizes = [], [], []
+    for size in np.unique(sizes):
+        first_rows = starts[sizes == size]
+        keys = units[first_rows[:, None] + np.arange(size)].reshape(first_rows.size, -1)
+        patterns, count = np.unique(keys, axis=0, return_counts=True)
+        blocks.append(patterns.reshape(-1, 3))
+        counts.append(count)
+        pattern_sizes.append(np.full(count.size, size))
+    a, x, y = np.concatenate(blocks).T
+    sizes = np.concatenate(pattern_sizes)
+    return (
+        y,
+        np.column_stack([np.ones_like(y), a, x, a * x]),
+        np.repeat(np.arange(sizes.size), sizes),
+        sizes,
+        np.concatenate([[0], np.cumsum(sizes)[:-1]]),
+        np.concatenate(counts).astype(float),
+    )
+
+
+def _logistic_start(y, design, row_counts):
+    """Plain logistic regression by IRLS, each row weighted by its cluster's count."""
     beta = np.zeros(_DESIGN_COLUMNS)
     for _ in range(25):
         eta = design @ beta
         p = special.expit(eta)
         w = np.maximum(p * (1.0 - p), 1e-10)
         z = eta + (y - p) / w
-        wx = design * w[:, None]
+        wx = design * (row_counts * w)[:, None]
         try:
             step_beta = np.linalg.solve(design.T @ wx, wx.T @ z)
         except np.linalg.LinAlgError:
@@ -535,6 +569,30 @@ def _expit_softplus(eta):
     return prob, np.maximum(eta, 0.0) + np.log1p(small)
 
 
+def _logistic_boundary(y, design, starts, counts, beta):
+    """Log-likelihood at nu = 0 and its score in nu there, at coefficients beta.
+
+    At nu = 0 the marginal likelihood is the plain logistic one. With
+    l_j(zeta) the cluster's conditional log-likelihood, expanding
+    E[exp(l_j(zeta))] for zeta ~ N(0, nu) to first order in nu gives
+    d log L_j / d nu = (l_j'(0)^2 + l_j''(0)) / 2 at nu = 0, where
+    l_j' = sum_i (y - p) and l_j'' = -sum_i p (1 - p): the variance-component
+    score test of Lin (1997). Both sums weight each pattern by its count.
+    A score within the rounding of its two sums is returned as 0: with
+    singleton clusters and a design that saturates the (a, x) cells it is
+    exactly 0, and nu is not identified.
+    """
+    eta = design @ beta
+    p, softplus = _expit_softplus(eta)
+    loglik = float(counts @ np.add.reduceat(y * eta - softplus, starts))
+    squares = float(counts @ np.add.reduceat(y - p, starts) ** 2)
+    spread = float(counts @ np.add.reduceat(p * (1.0 - p), starts))
+    score = 0.5 * (squares - spread)
+    if abs(score) <= 8.0 * np.finfo(float).eps * (squares + spread):
+        score = 0.0
+    return loglik, score
+
+
 class _AgqLoglik:
     """Marginal log-likelihood and its score with per-cluster adaptive nodes.
 
@@ -552,16 +610,23 @@ class _AgqLoglik:
     dm/dlog nu = m / (nu h); d log s = -dh / (2h) brings in the logistic
     third derivative p(1-p)(1-2p).
 
+    Each cluster block stands for ``counts[j]`` identical clusters (see
+    ``_cluster_patterns``; 1 each by default): the log-likelihood and the
+    score are count-weighted sums of the per-cluster terms, and the
+    beta-score's per-row part weights each row by its cluster's count.
+
     Keeps the conditional modes between calls so the inner Newton solve
     warm-starts during the outer optimization.
     """
 
-    def __init__(self, y, design, codes, sizes, starts, quadrature_points):
+    def __init__(self, y, design, codes, sizes, starts, quadrature_points, counts=None):
         self.y = y
         self.design = design
         self.codes = codes
         self.sizes = sizes
         self.starts = starts
+        self.counts = np.ones(sizes.size) if counts is None else counts
+        self.row_counts = self.counts[codes]
         nodes, weights = hermgauss(quadrature_points)
         self.nodes = nodes
         self.log_weights = np.log(weights) + nodes**2  # exp-scaled weights
@@ -576,7 +641,7 @@ class _AgqLoglik:
         nu = max(nu_raw, _VAR_FLOOR)
         # d log nu / d log nu-parameter: zero where the floor holds nu fixed
         dlognu = 1.0 if nu_raw >= _VAR_FLOOR else 0.0
-        y, design, codes, starts = self.y, self.design, self.codes, self.starts
+        y, design, codes, starts, counts = self.y, self.design, self.codes, self.starts, self.counts
         eta_fixed = design @ beta
 
         # conditional mode of the intercept per cluster (concave Newton)
@@ -610,8 +675,8 @@ class _AgqLoglik:
         expo = np.exp(rel - shift[:, None])
         total = expo.sum(axis=1)
         loglik = float(
-            np.sum(np.log(total) + shift + np.log(scale))
-            - 0.5 * scale.size * math.log(2.0 * math.pi * nu)
+            counts @ (np.log(total) + shift + np.log(scale))
+            - 0.5 * counts.sum() * math.log(2.0 * math.pi * nu)
         )
 
         post = expo / total[:, None]  # posterior node weights, (J, K)
@@ -629,15 +694,16 @@ class _AgqLoglik:
             + third_sums[:, None] * dmode_beta
         )
         score_beta = (
-            design.T @ np.sum(post[codes, :] * resid, axis=1)
-            + dmode_beta.T @ slope_mean
-            - 0.5 * (dhess_beta / hess[:, None]).T @ spread
+            design.T @ (self.row_counts * np.sum(post[codes, :] * resid, axis=1))
+            + dmode_beta.T @ (counts * slope_mean)
+            - 0.5 * (dhess_beta / hess[:, None]).T @ (counts * spread)
         )
 
         dmode_nu = zeta / (nu * hess)
         dhess_nu = third_sums * dmode_nu - 1.0 / nu
         score_nu = dlognu * float(
-            np.sum(
+            counts
+            @ (
                 np.sum(post * z_nodes**2, axis=1) / (2.0 * nu)
                 + slope_mean * dmode_nu
                 - 0.5 * spread * dhess_nu / hess
@@ -660,18 +726,51 @@ def _score_information(score, params, rel_step=1e-4):
     return 0.5 * (info + info.T)
 
 
+# BFGS stops once max |g| falls to what the log-likelihood can still
+# resolve. Near the optimum a quasi-Newton step from gradient g gains about
+# |g|^2 / lambda in l, lambda the curvature along g, and l is known only to
+# its rounding, about eps |l|: one ULP of |l| ~ 330 (a criterion-4 design of
+# 800 rows) is 5.7e-14. Below |g| = 4 sqrt(eps |l|), 1.1e-6 there, a step at
+# curvature 1 gains less than 16 eps |l|, so the line search compares values
+# that differ by rounding and ends in scipy's "precision loss" after tens of
+# wasted calls. |l| is taken at the plain logistic fit, so the stop grows
+# with the data as the rounding does.
+_GTOL_PER_ROOT_ULP = 4.0
+# nu = 0 is reported when the interior fit gains at most this much
+# log-likelihood over it. When the score test finds nu = 0 a maximum, an
+# interior fit can beat it only by rounding (a few eps |l|, 1e-13 at
+# |l| ~ 330) or by stopping short, which costs at most gtol^2 / lambda
+# (about 1e-12), both far below 1e-6. A gain of 1e-6 is also a
+# likelihood-ratio statistic of 2e-6, against 2.71 for the 5% point of the
+# 50:50 chi-square mixture that tests a variance at its boundary, so
+# ignoring it changes no inference.
+_BOUNDARY_GAIN = 1e-6
+_BOUNDARY_NU = 1e-8  # BFGS driving nu this low also means the boundary
+
+
 def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedModelFit:
     """Maximum marginal likelihood logistic fit with a cluster random intercept.
 
     The intercept is integrated out per cluster with Gauss-Hermite nodes
     re-centered at the conditional mode and rescaled by the conditional
     curvature; quadrature_points=1 is the Laplace approximation, and at
-    most 100 nodes are accepted. BFGS over (beta, log nu) is driven by the
-    analytic score of that quadrature sum, one value-and-score evaluation
-    per likelihood call. The coefficient covariance is the (beta, beta)
-    block of the inverse observed information, the symmetrised central
-    difference of the analytic score; when nu sits at the boundary it is
-    the plain logistic information over beta alone.
+    most 100 nodes are accepted. The likelihood is evaluated once per
+    distinct cluster pattern (size and sorted unit rows), weighted by the
+    number of clusters that share it. BFGS over (beta, log nu) is driven by
+    the analytic score of that quadrature sum, one value-and-score
+    evaluation per likelihood call, and stops where the log-likelihood's
+    rounding can no longer resolve a step (``_GTOL_PER_ROOT_ULP``).
+
+    nu = 0 is decided by the closed-form score in nu at nu = 0 at the plain
+    logistic fit (Lin 1997; within rounding of 0 it counts as 0): when it is
+    <= 0, or BFGS itself ran nu down to 1e-8, and the interior fit gains at
+    most 1e-6 log-likelihood over the logistic one, the fit is the logistic
+    fit with ``boundary`` set and its covariance is the inverse logistic
+    information X' diag(p (1 - p)) X. Otherwise the covariance is the
+    (beta, beta) block of the inverse observed information, the
+    symmetrised central difference of the analytic score. A coefficient of
+    BFGS's or of the reported fit at or past 30 raises SeparationError.
+    ``n_obs`` and ``n_clusters`` count the data, not the patterns.
     """
     if ds.scale != "binary":
         raise ValidationError(f"fit_glmm_logit requires a binary-scale dataset, got {ds.scale!r}")
@@ -688,27 +787,44 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     if np.all(y == 0.0) or np.all(y == 1.0):
         raise SeparationError("degenerate outcome: all observations identical")
 
-    loglik_fn = _AgqLoglik(y, design, codes, sizes, starts, quadrature_points)
+    n_obs, n_clusters = y.size, sizes.size
+    y, design, codes, sizes, starts, counts = _cluster_patterns(y, design, codes, sizes, starts)
+    row_counts = counts[codes]
+    loglik_fn = _AgqLoglik(y, design, codes, sizes, starts, quadrature_points, counts)
+
+    def penalty(params):
+        excess_beta = np.maximum(np.abs(params[:_DESIGN_COLUMNS]) - _SEPARATION_BOUND, 0.0)
+        excess_nu = max(params[_DESIGN_COLUMNS] - 9.0, 0.0)
+        value = 1e4 * float(np.sum(excess_beta**2)) + 1e4 * excess_nu**2
+        grad = 2e4 * np.append(excess_beta * np.sign(params[:_DESIGN_COLUMNS]), excess_nu)
+        return value, grad
 
     def penalized_nll(params):
         loglik, score = loglik_fn.value_and_score(params)
-        excess_beta = np.maximum(np.abs(params[:_DESIGN_COLUMNS]) - _SEPARATION_BOUND, 0.0)
-        excess_nu = max(params[_DESIGN_COLUMNS] - 9.0, 0.0)
-        penalty = 1e4 * float(np.sum(excess_beta**2)) + 1e4 * excess_nu**2
-        penalty_grad = 2e4 * np.append(excess_beta * np.sign(params[:_DESIGN_COLUMNS]), excess_nu)
-        return -loglik + penalty, penalty_grad - score
+        value, grad = penalty(params)
+        return -loglik + value, grad - score
 
-    start = np.append(_logistic_start(y, design), math.log(0.5))
+    logistic_beta = _logistic_start(y, design, row_counts)
+    logistic_loglik, nu_score = _logistic_boundary(y, design, starts, counts, logistic_beta)
+    gtol = _GTOL_PER_ROOT_ULP * math.sqrt(np.finfo(float).eps * max(abs(logistic_loglik), 1.0))
     result = optimize.minimize(
         penalized_nll,
-        start,
+        np.append(logistic_beta, math.log(0.5)),
         jac=True,
         method="BFGS",
-        options={"gtol": 1e-8, "maxiter": 500},
+        options={"gtol": gtol, "maxiter": 500},
     )
     params = result.x
-    beta = params[:_DESIGN_COLUMNS]
-    if np.max(np.abs(beta)) >= _SEPARATION_BOUND:
+    nu = math.exp(params[_DESIGN_COLUMNS])
+    # BFGS already evaluated -loglik + penalty at result.x
+    loglik = penalty(params)[0] - float(result.fun)
+    boundary = loglik - logistic_loglik <= _BOUNDARY_GAIN and (
+        nu_score <= 0.0 or nu <= _BOUNDARY_NU
+    )
+    beta = logistic_beta if boundary else params[:_DESIGN_COLUMNS]
+    # the penalty holds BFGS's coefficients near 30 under separation, while
+    # the unpenalized logistic fit reported at the boundary runs past it
+    if max(np.max(np.abs(params[:_DESIGN_COLUMNS])), np.max(np.abs(beta))) >= _SEPARATION_BOUND:
         raise SeparationError(
             "coefficient diverged beyond 30 on the logit scale (separation suspected)",
             best={"coefficients": beta.tolist()},
@@ -717,18 +833,15 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     if not grad_norm <= 1e-3:  # also catches a NaN score
         raise ConvergenceError(
             f"marginal likelihood optimization did not converge: {result.message}",
-            best={"coefficients": beta.tolist(), "nu": math.exp(params[-1])},
+            best={"coefficients": beta.tolist(), "nu": nu},
         )
-    nu = math.exp(params[_DESIGN_COLUMNS])
-    boundary = nu <= 1e-8
-    if boundary:
-        nu = 0.0
 
     if boundary:
         # at nu = 0 the marginal likelihood is the plain logistic one: its
         # information over beta alone is X' diag(p (1 - p)) X
+        nu, loglik = 0.0, logistic_loglik
         p = special.expit(design @ beta)
-        info = design.T @ (design * (p * (1.0 - p))[:, None])
+        info = design.T @ (design * (row_counts * p * (1.0 - p))[:, None])
     else:
         info = _score_information(lambda p: loglik_fn.value_and_score(p)[1], params)
     try:
@@ -752,11 +865,11 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         coef_covariance=cov,
         random_intercept_variance=nu,
         residual_variance=None,
-        log_likelihood=loglik_fn(params),
+        log_likelihood=loglik,
         converged=True,
         boundary=boundary,
-        n_obs=y.size,
-        n_clusters=sizes.size,
+        n_obs=n_obs,
+        n_clusters=n_clusters,
         quadrature_points=quadrature_points,
         n_iterations=int(result.nit),
     )
@@ -771,95 +884,3 @@ def icc_logistic(nu: float) -> float:
     if nu < 0:
         raise DomainError(f"random-intercept variance must be >= 0, got {nu}")
     return nu / (nu + LOGISTIC_LATENT_VARIANCE)
-
-
-# ---------------------------------------------------------------------------
-# Exact marginal logit and its closed-form approximations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnmeasuredSpec:
-    """Distribution of the unmeasured confounder within (treatment, covariate) cells.
-
-    kind "binary": cell_means[(a, x)] = P(U=1 | A=a, X=x).
-    kind "normal": cell_means[(a, x)] = E(U | A=a, X=x) with common
-    conditional variance sigma_u (a variance, not a standard deviation).
-    theta is the effect of U on the outcome's linear predictor.
-    """
-
-    kind: str
-    theta: float
-    cell_means: Mapping[tuple[int, float], float]
-    sigma_u: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in ("binary", "normal"):
-            raise ValidationError(f"unknown confounder kind {self.kind!r}")
-        if self.kind == "binary":
-            for key, value in self.cell_means.items():
-                if not 0.0 <= value <= 1.0:
-                    raise ValidationError(f"P(U=1|{key}) = {value} outside [0, 1]")
-        else:
-            if self.sigma_u is None or self.sigma_u <= 0.0:
-                raise ValidationError(f"normal confounder needs sigma_u > 0, got {self.sigma_u}")
-
-    def cell(self, a: int, x: float) -> float:
-        key = (int(a), float(x))
-        if key not in self.cell_means:
-            raise DomainError(f"no confounder cell value for (a, x) = {key}")
-        return float(self.cell_means[key])
-
-
-_EXACT_NODES, _EXACT_WEIGHTS = hermgauss(128)
-
-
-def _gauss_hermite_expit(mean, variance):
-    """E[expit(mean + Z)] with Z ~ N(0, variance), to ~1e-14 relative."""
-    if variance == 0.0:
-        return float(special.expit(mean))
-    shifted = mean + math.sqrt(2.0 * variance) * _EXACT_NODES
-    return float(np.dot(_EXACT_WEIGHTS, special.expit(shifted))) / math.sqrt(math.pi)
-
-
-def marginal_logit_exact(beta, u_spec: UnmeasuredSpec, nu: float, a: int, x: float) -> float:
-    """logit P(Y=1 | A=a, X=x) under the full model, by numeric integration.
-
-    The cluster intercept (variance nu) and the unmeasured confounder are
-    marginalized out: exact two-point sum for a binary U, Gauss-Hermite
-    for a normal U. Quadrature error is far below 1e-8 on the probability
-    scale for the variance ranges this package targets.
-    """
-    if nu < 0:
-        raise DomainError(f"random-intercept variance must be >= 0, got {nu}")
-    beta = np.asarray(beta, dtype=float)
-    delta = float(beta[0] + beta[1] * a + beta[2] * x + beta[3] * a * x)
-    theta = u_spec.theta
-    if u_spec.kind == "binary":
-        if theta == 0.0 and nu == 0.0:
-            return delta
-        p_cell = u_spec.cell(a, x)
-        prob = p_cell * _gauss_hermite_expit(delta + theta, nu) + (1.0 - p_cell) * _gauss_hermite_expit(delta, nu)
-    else:
-        mu_cell = u_spec.cell(a, x)
-        variance = theta**2 * u_spec.sigma_u + nu
-        if variance == 0.0:
-            return delta + theta * mu_cell
-        prob = _gauss_hermite_expit(delta + theta * mu_cell, variance)
-    return math.log(prob) - math.log1p(-prob)
-
-
-def marginal_logit_approx(beta, u_spec: UnmeasuredSpec, nu: float, a: int, x: float) -> float:
-    """Closed-form small-(theta, nu, sigma_u) approximation to the marginal logit."""
-    if nu < 0:
-        raise DomainError(f"random-intercept variance must be >= 0, got {nu}")
-    beta = np.asarray(beta, dtype=float)
-    delta = float(beta[0] + beta[1] * a + beta[2] * x + beta[3] * a * x)
-    theta = u_spec.theta
-    if u_spec.kind == "binary":
-        p_cell = u_spec.cell(a, x)
-        return delta + math.log(
-            p_cell * math.exp(theta + nu / 2.0) + (1.0 - p_cell) * math.exp(nu / 2.0)
-        )
-    mu_cell = u_spec.cell(a, x)
-    return delta + theta * mu_cell + (theta**2 * u_spec.sigma_u + nu) / 2.0

@@ -18,7 +18,10 @@ from clustersens import mixed_models
 from clustersens.mixed_models import (
     LOGISTIC_LATENT_VARIANCE,
     _AgqLoglik,
+    _cluster_patterns,
     _expit_softplus,
+    _logistic_boundary,
+    _logistic_start,
     _prepare,
     _score_information,
 )
@@ -55,6 +58,125 @@ def brute_force_loglik(ds, beta, nu):
                                 epsabs=1e-13, epsrel=1e-12, limit=200)
         total += math.log(val)
     return total
+
+
+class PerClusterAgq:
+    """Oracle: the AGQ log-likelihood and score summed cluster by cluster.
+
+    Every cluster gets its own mode, nodes and terms, with no grouping into
+    weighted patterns, and the node terms come from scipy's expit and
+    numpy's logaddexp rather than ``_expit_softplus``.
+    """
+
+    def __init__(self, y, design, codes, sizes, starts, quadrature_points):
+        self.y, self.design, self.codes, self.starts = y, design, codes, starts
+        nodes, weights = np.polynomial.hermite.hermgauss(quadrature_points)
+        self.nodes = nodes
+        self.log_weights = np.log(weights) + nodes**2
+        self.modes = np.zeros(sizes.size)
+
+    def __call__(self, params):
+        return self.value_and_score(params)[0]
+
+    def value_and_score(self, params):
+        beta = params[:4]
+        nu_raw = math.exp(params[4])
+        nu = max(nu_raw, 1e-10)
+        dlognu = 1.0 if nu_raw >= 1e-10 else 0.0
+        y, design, codes, starts = self.y, self.design, self.codes, self.starts
+        eta_fixed = design @ beta
+        zeta = self.modes.copy()
+        for _ in range(60):
+            p = special.expit(eta_fixed + zeta[codes])
+            grad = np.add.reduceat(y - p, starts) - zeta / nu
+            hess = np.add.reduceat(p * (1.0 - p), starts) + 1.0 / nu
+            step = np.clip(grad / hess, -4.0, 4.0)
+            zeta += step
+            if np.max(np.abs(step)) < 1e-11:
+                break
+        self.modes = zeta
+        p = special.expit(eta_fixed + zeta[codes])
+        w = p * (1.0 - p)
+        hess = np.add.reduceat(w, starts) + 1.0 / nu
+        scale = np.sqrt(2.0 / hess)
+        offsets = scale[:, None] * self.nodes[None, :]
+        z_nodes = zeta[:, None] + offsets
+        eta_nodes = eta_fixed[:, None] + z_nodes[codes, :]
+        p_nodes = special.expit(eta_nodes)
+        rel = (
+            np.add.reduceat(y[:, None] * eta_nodes - np.logaddexp(0.0, eta_nodes), starts, axis=0)
+            - z_nodes**2 / (2.0 * nu)
+            + self.log_weights[None, :]
+        )
+        shift = rel.max(axis=1)
+        expo = np.exp(rel - shift[:, None])
+        total = expo.sum(axis=1)
+        loglik = float(
+            np.sum(np.log(total) + shift + np.log(scale))
+            - 0.5 * scale.size * math.log(2.0 * math.pi * nu)
+        )
+        post = expo / total[:, None]
+        resid = y[:, None] - p_nodes
+        slope = np.add.reduceat(resid, starts, axis=0) - z_nodes / nu
+        slope_mean = np.sum(post * slope, axis=1)
+        spread = 1.0 + np.sum(post * slope * offsets, axis=1)
+        third = w * (1.0 - 2.0 * p)
+        third_sums = np.add.reduceat(third, starts)
+        dmode_beta = -np.add.reduceat(design * w[:, None], starts, axis=0) / hess[:, None]
+        dhess_beta = (
+            np.add.reduceat(design * third[:, None], starts, axis=0)
+            + third_sums[:, None] * dmode_beta
+        )
+        score_beta = (
+            design.T @ np.sum(post[codes, :] * resid, axis=1)
+            + dmode_beta.T @ slope_mean
+            - 0.5 * (dhess_beta / hess[:, None]).T @ spread
+        )
+        dmode_nu = zeta / (nu * hess)
+        dhess_nu = third_sums * dmode_nu - 1.0 / nu
+        score_nu = dlognu * float(
+            np.sum(
+                np.sum(post * z_nodes**2, axis=1) / (2.0 * nu)
+                + slope_mean * dmode_nu
+                - 0.5 * spread * dhess_nu / hess
+                - 0.5
+            )
+        )
+        return loglik, np.append(score_beta, score_nu)
+
+
+def weighted_loglik(ds, quadrature_points=15):
+    """The fitter's evaluator: one block per distinct cluster pattern, with counts."""
+    y, design, codes, sizes, starts, counts = _cluster_patterns(*_prepare(ds))
+    return _AgqLoglik(y, design, codes, sizes, starts, quadrature_points, counts), counts
+
+
+def continuous_x_dataset():
+    rng = np.random.default_rng(4242)
+    ids, ys, a_s, xs = [], [], [], []
+    for j in range(30):
+        zeta = rng.normal(0.0, 0.9)
+        for _ in range(5):
+            a, x = int(rng.integers(0, 2)), float(rng.normal())
+            ids.append(f"c{j}")
+            a_s.append(a)
+            xs.append(x)
+            ys.append(float(rng.random() < special.expit(-0.3 + 0.8 * a + 0.5 * x + zeta)))
+    return ClusteredDataset.from_columns("binary", ids, ys, a_s, xs)
+
+
+def mixed_size_dataset():
+    # sizes 1 to 5, with singletons and larger clusters repeated exactly
+    rng = np.random.default_rng(9090)
+    ids, ys, a_s, xs = [], [], [], []
+    for j, size in enumerate(rng.integers(1, 6, 70)):
+        for _ in range(size):
+            a, x = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+            ids.append(f"c{j}")
+            a_s.append(a)
+            xs.append(float(x))
+            ys.append(float(rng.random() < special.expit(-0.2 + 0.7 * a + 0.4 * x + 0.5 * (j % 3))))
+    return ClusteredDataset.from_columns("binary", ids, ys, a_s, xs)
 
 
 def test_marginal_likelihood_matches_quadrature_oracle():
@@ -130,6 +252,15 @@ def test_score_information_matches_value_hessian():
         assert np.max(np.abs(info + hess)) <= 1e-4 * np.max(np.abs(hess))
 
 
+def criterion_4_design(seed=34):
+    config = ScenarioConfig(
+        kind="single_binary", clusters=200, cluster_size=4, replications=1, seed=seed,
+        true_betas=(-4.5, 1.0, 3.0, -0.5), theta=-0.5, sigma_u2=1.0,
+        nu=nu_from_icc(0.25), phi=1.0,
+    )
+    return generate(config, 0)
+
+
 def test_criterion_4_design_fit_evaluation_budget(monkeypatch):
     calls = []
 
@@ -139,14 +270,13 @@ def test_criterion_4_design_fit_evaluation_budget(monkeypatch):
             return super().value_and_score(params)
 
     monkeypatch.setattr(mixed_models, "_AgqLoglik", CountingLoglik)
-    config = ScenarioConfig(
-        kind="single_binary", clusters=200, cluster_size=4, replications=1, seed=34,
-        true_betas=(-4.5, 1.0, 3.0, -0.5), theta=-0.5, sigma_u2=1.0,
-        nu=nu_from_icc(0.25), phi=1.0,
-    )
-    fit = fit_glmm_logit(generate(config, 0))
-    assert not fit.boundary
-    assert 0 < len(calls) <= 40
+    per_fit = []
+    for seed in range(34, 114):
+        calls.clear()
+        fit = fit_glmm_logit(criterion_4_design(seed))
+        assert not fit.boundary
+        per_fit.append(len(calls))
+    assert 0 < max(per_fit) <= 40
 
 
 def test_nan_score_raises_convergence_error(monkeypatch):
@@ -179,12 +309,7 @@ def test_all_zero_outcomes_is_degenerate():
 
 
 def test_agq_15_vs_64_consistency_on_scenario_replicate():
-    config = ScenarioConfig(
-        kind="single_binary", clusters=200, cluster_size=4, replications=1, seed=42,
-        true_betas=(-4.5, 1.0, 3.0, -0.5), theta=-0.5, sigma_u2=1.0,
-        nu=nu_from_icc(0.25), phi=1.0,
-    )
-    ds = generate(config, 0)
+    ds = criterion_4_design(42)
     fit15 = fit_glmm_logit(ds, 15)
     fit64 = fit_glmm_logit(ds, 64)
     assert np.max(np.abs(fit15.coefficients - fit64.coefficients)) < 1e-4
@@ -237,6 +362,155 @@ def test_boundary_information_matches_the_score_difference():
 
     expected = np.linalg.inv(_score_information(score, fit.coefficients))
     np.testing.assert_allclose(fit.coef_covariance, expected, rtol=1e-8)
+
+
+@pytest.mark.parametrize("make", [no_cluster_effect_dataset, criterion_4_design, mixed_size_dataset])
+def test_boundary_score_matches_the_agq_slope_in_nu(make):
+    # the closed-form score in nu at nu = 0, at the plain logistic fit,
+    # against the slope of the per-cluster AGQ log-likelihood near 0:
+    # central differences at nu0 and 2 nu0 extrapolated to 0 (error ~ nu0^2)
+    ds = make()
+    y, design, codes, sizes, starts, counts = _cluster_patterns(*_prepare(ds))
+    beta = _logistic_start(y, design, counts[codes])
+    loglik0, score = _logistic_boundary(y, design, starts, counts, beta)
+    oracle = PerClusterAgq(*_prepare(ds), quadrature_points=15)
+
+    def slope(nu, h=3e-6):
+        up, down = (oracle(np.append(beta, math.log(nu + s * h))) for s in (1, -1))
+        return (up - down) / (2.0 * h)
+
+    assert abs(score - (2.0 * slope(3e-5) - slope(6e-5))) <= 2e-6 * max(1.0, abs(score))
+    # and the value there is the plain logistic log-likelihood
+    full_y, full_design = _prepare(ds)[:2]
+    eta = full_design @ beta
+    assert loglik0 == pytest.approx(float(np.sum(full_y * eta - np.logaddexp(0.0, eta))), rel=1e-13)
+
+
+def test_reported_log_likelihood_is_the_value_at_the_fit():
+    # interior: the AGQ log-likelihood at the fitted parameters (BFGS's own
+    # last value); boundary: the plain logistic log-likelihood
+    for ds in (binary_dataset(np.random.default_rng(77), n_clusters=30), no_cluster_effect_dataset()):
+        fit = fit_glmm_logit(ds)
+        y, design = _prepare(ds)[:2]
+        if fit.boundary:
+            eta = design @ fit.coefficients
+            expected = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+        else:
+            params = np.append(fit.coefficients, math.log(fit.random_intercept_variance))
+            expected = PerClusterAgq(*_prepare(ds), quadrature_points=15)(params)
+        assert abs(fit.log_likelihood - expected) <= 1e-12 * abs(expected)
+
+
+PATTERN_DATASETS = {
+    "criterion_4": criterion_4_design,
+    "continuous_x": continuous_x_dataset,
+    "mixed_sizes": mixed_size_dataset,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_DATASETS))
+def test_pattern_weighted_evaluator_matches_per_cluster_oracle(name):
+    ds = PATTERN_DATASETS[name]()
+    loglik, counts = weighted_loglik(ds)
+    oracle = PerClusterAgq(*_prepare(ds), quadrature_points=15)
+    assert counts.sum() == ds.cluster_count
+    if name == "continuous_x":
+        assert np.all(counts == 1)
+    else:
+        assert counts.size < ds.cluster_count
+    for params in ([-0.5, 0.8, 0.4, -0.3, math.log(0.7)], [-2.0, 0.3, 1.2, 0.5, math.log(2.5)]):
+        value, score = loglik.value_and_score(np.array(params))
+        expected_value, expected_score = oracle.value_and_score(np.array(params))
+        assert abs(value - expected_value) <= 1e-12 * abs(expected_value)
+        assert np.max(np.abs(score - expected_score)) <= 1e-10 * np.max(np.abs(expected_score))
+
+
+def test_duplicated_clusters_report_real_counts_and_the_same_optimum():
+    # three copies of every cluster triple the log-likelihood, so the
+    # optimum stays put and the standard errors shrink by sqrt(3)
+    base = binary_dataset(np.random.default_rng(61), n_clusters=20, cluster_size=4)
+    copies = 3
+    dup = ClusteredDataset.from_columns(
+        "binary",
+        [f"{k}-{base.cluster_ids[c]}" for k in range(copies) for c in base.cluster_codes],
+        np.tile(base.outcome, copies),
+        np.tile(base.treatment, copies),
+        np.tile(base.covariate_x, copies),
+    )
+    fit, base_fit = fit_glmm_logit(dup), fit_glmm_logit(base)
+    assert (fit.n_clusters, fit.n_obs) == (60, 240)
+    assert weighted_loglik(dup)[1].size == weighted_loglik(base)[1].size
+    assert fit.boundary == base_fit.boundary
+    np.testing.assert_allclose(fit.coefficients, base_fit.coefficients, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(
+        np.sqrt(3.0 * np.diag(fit.coef_covariance)), np.sqrt(np.diag(base_fit.coef_covariance)),
+        rtol=1e-4,
+    )
+    assert fit.log_likelihood == pytest.approx(copies * base_fit.log_likelihood, rel=1e-10)
+
+
+def test_fit_matches_a_fit_on_the_per_cluster_oracle(monkeypatch):
+    class ExpandedOracle(PerClusterAgq):
+        """The oracle over the fitter's patterns, each repeated by its count."""
+
+        def __init__(self, y, design, codes, sizes, starts, quadrature_points, counts):
+            pattern = np.repeat(np.arange(sizes.size), counts.astype(int))
+            rows = np.concatenate([np.arange(starts[j], starts[j] + sizes[j]) for j in pattern])
+            sizes = sizes[pattern]
+            super().__init__(
+                y[rows], design[rows], np.repeat(np.arange(sizes.size), sizes), sizes,
+                np.concatenate([[0], np.cumsum(sizes)[:-1]]), quadrature_points,
+            )
+
+    for ds in (criterion_4_design(), mixed_size_dataset(), continuous_x_dataset()):
+        fit = fit_glmm_logit(ds)
+        with monkeypatch.context() as patched:
+            patched.setattr(mixed_models, "_AgqLoglik", ExpandedOracle)
+            expected = fit_glmm_logit(ds)
+        assert fit.boundary == expected.boundary
+        np.testing.assert_allclose(fit.coefficients, expected.coefficients, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(
+            np.sqrt(np.diag(fit.coef_covariance)), np.sqrt(np.diag(expected.coef_covariance)),
+            rtol=1e-4,
+        )
+
+
+def test_singleton_clusters_on_the_cell_design_take_the_boundary():
+    # one unit per cluster and four saturated (a, x) cells: the score in nu
+    # at 0 is exactly 0 and nu is not identified, so the fit is the plain
+    # logistic one, whose coefficients are the cell logits
+    rng = np.random.default_rng(12)
+    a = np.tile([0.0, 0.0, 1.0, 1.0], 12)
+    x = np.tile([0.0, 1.0, 0.0, 1.0], 12)
+    y = (rng.random(48) < 0.2 + 0.15 * a + 0.2 * x).astype(float)
+    ds = ClusteredDataset.from_columns("binary", [f"c{j}" for j in range(48)], y, a, x)
+    y_rep, design, codes, sizes, starts, counts = _cluster_patterns(*_prepare(ds))
+    beta = _logistic_start(y_rep, design, counts[codes])
+    assert _logistic_boundary(y_rep, design, starts, counts, beta)[1] == 0.0
+    fit = fit_glmm_logit(ds)
+    assert fit.boundary
+    assert fit.random_intercept_variance == 0.0
+    cell = {(i, k): special.logit(y[(a == i) & (x == k)].mean()) for i in (0, 1) for k in (0, 1)}
+    expected = [
+        cell[0, 0], cell[1, 0] - cell[0, 0], cell[0, 1] - cell[0, 0],
+        cell[1, 1] - cell[1, 0] - cell[0, 1] + cell[0, 0],
+    ]
+    np.testing.assert_allclose(fit.coefficients, expected, rtol=0, atol=1e-8)
+
+
+def test_separated_cells_at_the_boundary_raise_separation():
+    # cell (a=1, x=0) holds only zeros and cell (1, 1) a single one: the
+    # penalty holds BFGS's coefficients just under 30, but the logistic fit
+    # reported at the boundary runs past it
+    clusters = [
+        [(0, 0, 0), (0, 0, 1)], [(0, 0, 1), (0, 1, 0)], [(1, 1, 1), (1, 0, 0)],
+        [(0, 1, 1), (0, 1, 0)], [(1, 0, 0), (0, 0, 0)], [(1, 0, 0), (0, 1, 0)],
+        [(0, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 0, 0)],
+    ]
+    ids, a, x, y = zip(*[(f"c{j}", *unit) for j, rows in enumerate(clusters) for unit in rows])
+    ds = ClusteredDataset.from_columns("binary", ids, np.array(y, float), a, np.array(x, float))
+    with pytest.raises(SeparationError):
+        fit_glmm_logit(ds)
 
 
 def test_relabeling_clusters_preserves_likelihood():
