@@ -10,15 +10,16 @@ one dataset and differs only in that search, a bounded Brent search on
 the profile's value; both assemble their fits in ``_reml_fits``. Brent
 stops where the rounding of the log-likelihood hides its slope (on 30,000
 rows up to about 2e-6 from the maximum in log ratio), so the two agree to
-about 1e-6 relative in nu, not bit for bit. Binary outcomes: maximum marginal
-likelihood with adaptive Gauss-Hermite quadrature over the cluster
-intercept, quasi-Newton outer optimization over (beta, log nu) with the
-closed-form score of the adaptive quadrature sum (Liu & Pierce 1994;
+about 1e-6 relative in nu, not bit for bit. Binary outcomes: each dataset
+is reduced once, straight from its columns, to its distinct cluster
+patterns and their counts, and both fits work on that reduction. The plain
+logistic fit gives the model at nu = 0: its log-likelihood, its
+closed-form score in nu, which decides nu = 0, and its information. The
+interior fit is maximum marginal likelihood with adaptive Gauss-Hermite
+quadrature over the cluster intercept, quasi-Newton over (beta, log nu)
+with the closed-form score of the quadrature sum (Liu & Pierce 1994;
 Pinheiro & Bates 1995), and observed information from a central
-difference of that score (in closed form at nu = 0). The binary
-likelihood is summed once per distinct cluster pattern, weighted by its
-count, and nu = 0 is decided by the closed-form score test at the
-boundary.
+difference of that score.
 """
 
 from __future__ import annotations
@@ -218,6 +219,9 @@ def _reml_statistics(datasets) -> _RemlStatistics:
     for ds in datasets:
         if ds.scale != "continuous":
             raise ValidationError(f"REML fits require continuous-scale datasets, got {ds.scale!r}")
+        if ds.cluster_count < 2:
+            # one cluster's intercept is confounded with beta_0: nu is not identified
+            raise ValidationError(f"REML fit needs at least 2 clusters, got {ds.cluster_count}")
     rows = np.array([ds.outcome.size for ds in datasets])
     a = np.concatenate([ds.treatment for ds in datasets])
     x = np.concatenate([ds.covariate_x for ds in datasets])
@@ -402,11 +406,11 @@ def fit_lmm_batch(datasets) -> list[MixedModelFit]:
     and second derivatives, run for all studies at once; ``_reml_fits``
     assembles the fits.
 
-    Raises ValidationError for an empty batch, a non-continuous dataset or
-    one with at most four observations, SingularDesignError if any design
-    is rank deficient or its X'W^{-1}X is not positive definite at the
-    optimum, and ConvergenceError if any search fails: one bad dataset
-    fails the whole batch.
+    Raises ValidationError for an empty batch, a non-continuous dataset,
+    one with fewer than 2 clusters or one with at most four observations,
+    SingularDesignError if any design is rank deficient or its X'W^{-1}X
+    is not positive definite at the optimum, and ConvergenceError if any
+    search fails: one bad dataset fails the whole batch.
     """
     if not datasets:
         raise ValidationError("fit_lmm_batch needs at least one dataset")
@@ -500,62 +504,40 @@ def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_patterns(y, design, codes, sizes, starts):
+def _cluster_patterns(ds: ClusteredDataset):
     """One representative per distinct cluster, and how many clusters it stands for.
 
     Two clusters of one size whose unit rows (a, x, y) agree as multisets
     have the same conditional mode, node scale and likelihood term, so the
     marginal likelihood is a count-weighted sum over the distinct patterns
-    (the frequency-weighted response patterns of Bock & Aitkin 1981). Each
-    cluster's rows are sorted, and the clusters of each size are grouped by
-    ``np.unique`` on their sorted rows laid side by side; grouping by size
-    keeps each key as wide as its own clusters, not as the largest one.
-    Returns the representatives in ``_prepare``'s layout, ordered by size
-    and then by rows, and the counts. Continuous covariates rarely repeat,
-    and those clusters keep a count of 1.
+    (the frequency-weighted response patterns of Bock & Aitkin 1981). One
+    lexsort keyed first on the cluster code groups the rows by cluster and
+    sorts each cluster's rows, and the clusters of each size are grouped by
+    ``np.unique`` on their sorted rows laid side by side. Returns y, the
+    design, the sizes and the counts of the patterns, ordered by size and
+    then by rows. Continuous covariates rarely repeat, and those clusters
+    keep a count of 1.
     """
-    a, x = design[:, 1], design[:, 2]
+    y, a, x, codes = ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes
     units = np.column_stack([a, x, y])[np.lexsort((y, x, a, codes))]
-    blocks, counts, pattern_sizes = [], [], []
-    for size in np.unique(sizes):
+    sizes = np.bincount(codes)
+    starts = np.cumsum(sizes) - sizes
+    blocks, counts = [], []
+    distinct_sizes = np.unique(sizes)
+    for size in distinct_sizes:
         first_rows = starts[sizes == size]
         keys = units[first_rows[:, None] + np.arange(size)].reshape(first_rows.size, -1)
         patterns, count = np.unique(keys, axis=0, return_counts=True)
         blocks.append(patterns.reshape(-1, 3))
         counts.append(count)
-        pattern_sizes.append(np.full(count.size, size))
     a, x, y = np.concatenate(blocks).T
-    sizes = np.concatenate(pattern_sizes)
+    pattern_sizes = np.repeat(distinct_sizes, [count.size for count in counts])
     return (
         y,
         np.column_stack([np.ones_like(y), a, x, a * x]),
-        np.repeat(np.arange(sizes.size), sizes),
-        sizes,
-        np.concatenate([[0], np.cumsum(sizes)[:-1]]),
+        pattern_sizes,
         np.concatenate(counts).astype(float),
     )
-
-
-def _logistic_start(y, design, row_counts):
-    """Plain logistic regression by IRLS, each row weighted by its cluster's count."""
-    beta = np.zeros(_DESIGN_COLUMNS)
-    for _ in range(25):
-        eta = design @ beta
-        p = special.expit(eta)
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        z = eta + (y - p) / w
-        wx = design * (row_counts * w)[:, None]
-        try:
-            step_beta = np.linalg.solve(design.T @ wx, wx.T @ z)
-        except np.linalg.LinAlgError:
-            break
-        if np.max(np.abs(step_beta - beta)) < 1e-8:
-            beta = step_beta
-            break
-        beta = step_beta
-        if np.max(np.abs(beta)) > 2 * _SEPARATION_BOUND:
-            break
-    return beta
 
 
 def _expit_softplus(eta):
@@ -569,28 +551,49 @@ def _expit_softplus(eta):
     return prob, np.maximum(eta, 0.0) + np.log1p(small)
 
 
-def _logistic_boundary(y, design, starts, counts, beta):
-    """Log-likelihood at nu = 0 and its score in nu there, at coefficients beta.
+def _logistic_fit(y, design, sizes, counts):
+    """Plain logistic fit, the model at nu = 0, with each pattern weighted by its count.
 
-    At nu = 0 the marginal likelihood is the plain logistic one. With
+    Fits beta by IRLS, then returns, from one p at that beta: beta, the
+    log-likelihood, its score in nu at nu = 0 and the information over
+    beta, X' diag(c p (1 - p)) X with c each row's cluster count. With
     l_j(zeta) the cluster's conditional log-likelihood, expanding
     E[exp(l_j(zeta))] for zeta ~ N(0, nu) to first order in nu gives
     d log L_j / d nu = (l_j'(0)^2 + l_j''(0)) / 2 at nu = 0, where
     l_j' = sum_i (y - p) and l_j'' = -sum_i p (1 - p): the variance-component
-    score test of Lin (1997). Both sums weight each pattern by its count.
-    A score within the rounding of its two sums is returned as 0: with
-    singleton clusters and a design that saturates the (a, x) cells it is
-    exactly 0, and nu is not identified.
+    score test of Lin (1997). A score within the rounding of its two sums
+    is returned as 0: with singleton clusters and a design that saturates
+    the (a, x) cells it is exactly 0, and nu is not identified.
     """
+    starts = np.cumsum(sizes) - sizes
+    row_counts = np.repeat(counts, sizes)
+    beta = np.zeros(_DESIGN_COLUMNS)
+    for _ in range(25):
+        eta = design @ beta
+        p = special.expit(eta)
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        z = eta + (y - p) / w
+        wx = design * (row_counts * w)[:, None]
+        try:
+            step_beta = np.linalg.solve(design.T @ wx, wx.T @ z)
+        except np.linalg.LinAlgError:
+            break
+        converged = np.max(np.abs(step_beta - beta)) < 1e-8
+        beta = step_beta
+        if converged or np.max(np.abs(beta)) > 2 * _SEPARATION_BOUND:
+            break
+    # p from scipy's expit, as in the IRLS steps; the softplus is the AGQ
+    # evaluator's, whose value the boundary gain compares against this one
     eta = design @ beta
-    p, softplus = _expit_softplus(eta)
-    loglik = float(counts @ np.add.reduceat(y * eta - softplus, starts))
+    p = special.expit(eta)
+    loglik = float(counts @ np.add.reduceat(y * eta - _expit_softplus(eta)[1], starts))
     squares = float(counts @ np.add.reduceat(y - p, starts) ** 2)
     spread = float(counts @ np.add.reduceat(p * (1.0 - p), starts))
     score = 0.5 * (squares - spread)
     if abs(score) <= 8.0 * np.finfo(float).eps * (squares + spread):
         score = 0.0
-    return loglik, score
+    info = design.T @ (design * (row_counts * p * (1.0 - p))[:, None])
+    return beta, loglik, score, info
 
 
 class _AgqLoglik:
@@ -610,23 +613,22 @@ class _AgqLoglik:
     dm/dlog nu = m / (nu h); d log s = -dh / (2h) brings in the logistic
     third derivative p(1-p)(1-2p).
 
-    Each cluster block stands for ``counts[j]`` identical clusters (see
-    ``_cluster_patterns``; 1 each by default): the log-likelihood and the
-    score are count-weighted sums of the per-cluster terms, and the
-    beta-score's per-row part weights each row by its cluster's count.
+    Rows come in consecutive blocks of ``sizes``, block j standing for
+    ``counts[j]`` identical clusters (see ``_cluster_patterns``): the
+    log-likelihood and the score are count-weighted sums of the per-cluster
+    terms, and the beta-score's per-row part weights each row by its count.
 
     Keeps the conditional modes between calls so the inner Newton solve
     warm-starts during the outer optimization.
     """
 
-    def __init__(self, y, design, codes, sizes, starts, quadrature_points, counts=None):
+    def __init__(self, y, design, sizes, counts, quadrature_points):
         self.y = y
         self.design = design
-        self.codes = codes
-        self.sizes = sizes
-        self.starts = starts
-        self.counts = np.ones(sizes.size) if counts is None else counts
-        self.row_counts = self.counts[codes]
+        self.codes = np.repeat(np.arange(sizes.size), sizes)
+        self.starts = np.cumsum(sizes) - sizes
+        self.counts = counts
+        self.row_counts = np.repeat(counts, sizes)
         nodes, weights = hermgauss(quadrature_points)
         self.nodes = nodes
         self.log_weights = np.log(weights) + nodes**2  # exp-scaled weights
@@ -771,6 +773,11 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     symmetrised central difference of the analytic score. A coefficient of
     BFGS's or of the reported fit at or past 30 raises SeparationError.
     ``n_obs`` and ``n_clusters`` count the data, not the patterns.
+
+    Raises ValidationError for a non-binary dataset or one with fewer than
+    2 clusters, and ConvergenceError if BFGS fails, a line search tries a
+    variance beyond the float range, or the information is not positive
+    definite.
     """
     if ds.scale != "binary":
         raise ValidationError(f"fit_glmm_logit requires a binary-scale dataset, got {ds.scale!r}")
@@ -782,15 +789,13 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         raise DomainError(
             f"quadrature_points must be <= {_MAX_QUADRATURE_POINTS}, got {quadrature_points}"
         )
-    y, design, codes, sizes, starts = _prepare(ds)
+    if ds.cluster_count < 2:
+        raise ValidationError(f"fit_glmm_logit needs at least 2 clusters, got {ds.cluster_count}")
+    y, design, sizes, counts = _cluster_patterns(ds)
     _check_design_rank(design.T @ design)
     if np.all(y == 0.0) or np.all(y == 1.0):
         raise SeparationError("degenerate outcome: all observations identical")
-
-    n_obs, n_clusters = y.size, sizes.size
-    y, design, codes, sizes, starts, counts = _cluster_patterns(y, design, codes, sizes, starts)
-    row_counts = counts[codes]
-    loglik_fn = _AgqLoglik(y, design, codes, sizes, starts, quadrature_points, counts)
+    loglik_fn = _AgqLoglik(y, design, sizes, counts, quadrature_points)
 
     def penalty(params):
         excess_beta = np.maximum(np.abs(params[:_DESIGN_COLUMNS]) - _SEPARATION_BOUND, 0.0)
@@ -804,16 +809,21 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         value, grad = penalty(params)
         return -loglik + value, grad - score
 
-    logistic_beta = _logistic_start(y, design, row_counts)
-    logistic_loglik, nu_score = _logistic_boundary(y, design, starts, counts, logistic_beta)
+    logistic_beta, logistic_loglik, nu_score, logistic_info = _logistic_fit(y, design, sizes, counts)
     gtol = _GTOL_PER_ROOT_ULP * math.sqrt(np.finfo(float).eps * max(abs(logistic_loglik), 1.0))
-    result = optimize.minimize(
-        penalized_nll,
-        np.append(logistic_beta, math.log(0.5)),
-        jac=True,
-        method="BFGS",
-        options={"gtol": gtol, "maxiter": 500},
-    )
+    try:
+        result = optimize.minimize(
+            penalized_nll,
+            np.append(logistic_beta, math.log(0.5)),
+            jac=True,
+            method="BFGS",
+            options={"gtol": gtol, "maxiter": 500},
+        )
+    except OverflowError as exc:
+        # a line-search trial past log nu = 709, beyond the penalty wall at 9
+        raise ConvergenceError(
+            "marginal likelihood optimization diverged: the random-intercept variance overflowed"
+        ) from exc
     params = result.x
     nu = math.exp(params[_DESIGN_COLUMNS])
     # BFGS already evaluated -loglik + penalty at result.x
@@ -837,11 +847,8 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         )
 
     if boundary:
-        # at nu = 0 the marginal likelihood is the plain logistic one: its
-        # information over beta alone is X' diag(p (1 - p)) X
-        nu, loglik = 0.0, logistic_loglik
-        p = special.expit(design @ beta)
-        info = design.T @ (design * (row_counts * p * (1.0 - p))[:, None])
+        # at nu = 0 the marginal likelihood is the plain logistic one
+        nu, loglik, info = 0.0, logistic_loglik, logistic_info
     else:
         info = _score_information(lambda p: loglik_fn.value_and_score(p)[1], params)
     try:
@@ -868,8 +875,8 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         log_likelihood=loglik,
         converged=True,
         boundary=boundary,
-        n_obs=n_obs,
-        n_clusters=n_clusters,
+        n_obs=ds.outcome.size,
+        n_clusters=ds.cluster_count,
         quadrature_points=quadrature_points,
         n_iterations=int(result.nit),
     )

@@ -40,6 +40,7 @@ META = "meta"
 _KINDS = (SINGLE_CONTINUOUS, SINGLE_BINARY, META)
 
 _NONCONVERGENCE_FLAG_FRACTION = 0.05
+_META_CLUSTER_SPREAD = 50  # meta studies draw their cluster counts on clusters +/- 50
 
 
 def nu_from_icc(icc: float) -> float:
@@ -97,12 +98,13 @@ class ScenarioConfig:
 
     ``clusters`` is the cluster count J for single-study kinds and the
     mean cluster count for the meta kind (per-study counts are uniform on
-    clusters +/- 50). ``theta`` is the confounder effect; for the meta
-    kind it is the mean of a per-study normal effect with variance
-    ``theta_var``. ``phi`` is the unit-level noise variance: continuous
-    kinds add N(0, phi) noise to the outcome, and the binary kind adds it
-    to the latent linear predictor before the logistic draw, which
-    attenuates the conditional logit coefficients the GLMM estimates.
+    clusters +/- 50, so it must be at least 52). ``theta`` is the
+    confounder effect; for the meta kind it is the mean of a per-study
+    normal effect with variance ``theta_var``. ``phi`` is the unit-level
+    noise variance: continuous kinds add N(0, phi) noise to the outcome,
+    and the binary kind adds it to the latent linear predictor before the
+    logistic draw, which attenuates the conditional logit coefficients the
+    GLMM estimates.
     """
 
     kind: str
@@ -134,6 +136,11 @@ class ScenarioConfig:
             raise ValidationError("replications must be >= 1")
         if self.kind == META and self.studies < 2:
             raise ValidationError("meta scenarios need at least 2 studies")
+        if self.kind == META and self.clusters < _META_CLUSTER_SPREAD + 2:
+            raise ValidationError(
+                f"meta scenarios need clusters >= {_META_CLUSTER_SPREAD + 2}: each study draws "
+                f"its cluster count on clusters +/- {_META_CLUSTER_SPREAD}, got {self.clusters}"
+            )
         if len(self.true_betas) != 4:
             raise ValidationError("true_betas must have 4 entries")
 
@@ -244,7 +251,9 @@ def generate(config: ScenarioConfig, replicate_index: int):
         return _generate_single(config, rng)
     # meta: study sizes, per-study effects, then each study's data in order
     k = config.studies
-    sizes = rng.integers(config.clusters - 50, config.clusters + 51, size=k)
+    sizes = rng.integers(
+        config.clusters - _META_CLUSTER_SPREAD, config.clusters + _META_CLUSTER_SPREAD + 1, size=k
+    )
     dist = config.effect_dist
     cov = np.array([[dist.v11, dist.v13], [dist.v13, dist.v33]])
     study_betas = rng.multivariate_normal([dist.mu1, dist.mu3], cov, size=k)
@@ -350,8 +359,7 @@ def _replicate(config: ScenarioConfig, per_x, index: int):
         meta_fit = pool(studies)
         if meta_fit.v_hat <= bias.v_b:
             return None
-        p_hat = p_of_q(meta_fit, bias, q, "positive")
-        out.append((p_hat, *_delta_interval(meta_fit, bias, q, studies)))
+        out.append(_delta_interval(meta_fit, bias, q, studies))
     return out
 
 
@@ -374,11 +382,12 @@ def true_p_of_q(config: ScenarioConfig, x: int) -> float:
 
 
 def _delta_interval(meta_fit: MetaFit, bias: BiasDistribution, q: float, studies):
-    """Delta-method 95% interval for the estimated exceedance probability.
+    """The estimated exceedance probability and its delta-method 95% interval.
 
-    Treats (mu_hat, v_hat) as independent normals: mu_hat with the pooled
-    standard error, v_hat with the large-sample moment variance. The
-    interval is truncated to [0, 1].
+    p_hat is ``p_of_q(meta_fit, bias, q, "positive")``. The interval treats
+    (mu_hat, v_hat) as independent normals: mu_hat with the pooled standard
+    error, v_hat with the large-sample moment variance. It is truncated to
+    [0, 1].
     """
     spread2 = meta_fit.v_hat - bias.v_b
     spread = math.sqrt(spread2)
@@ -390,7 +399,7 @@ def _delta_interval(meta_fit: MetaFit, bias: BiasDistribution, q: float, studies
     var_p = d_mu**2 * meta_fit.se_mu**2 + d_v**2 * var_v
     half = normal.ppf(0.975) * math.sqrt(max(var_p, 0.0))
     p_hat = 1.0 - normal.cdf(z)
-    return max(0.0, p_hat - half), min(1.0, p_hat + half)
+    return p_hat, max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
 def _aggregate(config: ScenarioConfig, results, truths, started) -> SimMetrics:

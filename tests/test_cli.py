@@ -149,6 +149,38 @@ def test_fit_all_zero_binary_exits_2(tmp_path, runner):
     assert "separation" in result.stderr.lower() or "degenerate" in result.stderr.lower()
 
 
+@pytest.mark.parametrize("scale", ["continuous", "binary"])
+def test_fit_one_cluster_exits_1(tmp_path, runner, scale):
+    rows = ["cluster_id,outcome,treatment,covariate_x"]
+    rows += [f"c1,{y},{i % 2},{i // 3}" for i, y in enumerate([1, 0, 0, 1, 1, 0])]
+    path = tmp_path / "one.csv"
+    path.write_text("\n".join(rows) + "\n")
+    result = invoke(runner, ["fit", str(path), "--scale", scale])
+    assert_single_error_line(result)
+    assert "needs at least 2 clusters, got 1" in result.stderr
+
+
+def test_fit_binary_variance_overflow_exits_2(tmp_path, runner):
+    # 21 clusters of 2 with two events: a BFGS line search tries log nu > 709
+    rng = np.random.default_rng(63)
+    a = rng.integers(0, 2, 42)
+    x = rng.integers(0, 2, 42)
+    y = np.zeros(42, dtype=int)
+    y[rng.choice(np.flatnonzero((a == 0) & (x == 0)))] = 1
+    y[rng.choice(np.flatnonzero((a == 1) & (x == 1)))] = 1
+    rows = ["cluster_id,outcome,treatment,covariate_x"]
+    rows += [f"c{j // 2},{y[j]},{a[j]},{x[j]}" for j in range(42)]
+    path = tmp_path / "overflow.csv"
+    path.write_text("\n".join(rows) + "\n")
+    result = invoke(runner, ["fit", str(path), "--scale", "binary"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+        "error: marginal likelihood optimization diverged: "
+        "the random-intercept variance overflowed"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 # ---------------------------------------------------------------------------
@@ -758,11 +790,13 @@ def test_simulate_malformed_config_exits_1(tmp_path, runner):
         ({"replications": 2.5}, "'replications'"),
         ({"seed": True}, "'seed'"),
         ({"quadrature_points": 15.7}, "'quadrature_points'"),
+        ({"kind": "meta", "clusters": 2, "studies": 5, "replications": 3, "seed": 1},
+         "clusters >= 52"),
     ],
     ids=["clusters-string", "true-betas-string", "mechanism-unknown-key",
          "effect-dist-unknown-key", "effect-dist-not-an-object", "probability-above-1",
          "empty-x0-cell", "nan-variance", "clusters-fraction", "replications-fraction",
-         "seed-bool", "quadrature-fraction"],
+         "seed-bool", "quadrature-fraction", "meta-clusters-below-52"],
 )
 def test_simulate_bad_scenario_value_exits_1_naming_it(tmp_path, runner, overrides, named):
     result = invoke(runner, ["simulate", scenario_file(tmp_path, **overrides)])

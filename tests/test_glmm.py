@@ -20,8 +20,7 @@ from clustersens.mixed_models import (
     _AgqLoglik,
     _cluster_patterns,
     _expit_softplus,
-    _logistic_boundary,
-    _logistic_start,
+    _logistic_fit,
     _prepare,
     _score_information,
 )
@@ -147,8 +146,14 @@ class PerClusterAgq:
 
 def weighted_loglik(ds, quadrature_points=15):
     """The fitter's evaluator: one block per distinct cluster pattern, with counts."""
-    y, design, codes, sizes, starts, counts = _cluster_patterns(*_prepare(ds))
-    return _AgqLoglik(y, design, codes, sizes, starts, quadrature_points, counts), counts
+    y, design, sizes, counts = _cluster_patterns(ds)
+    return _AgqLoglik(y, design, sizes, counts, quadrature_points), counts
+
+
+def per_cluster_loglik(ds, quadrature_points):
+    """The fitter's evaluator on every cluster of ``_prepare``'s layout, each with count 1."""
+    y, design, _, sizes, _ = _prepare(ds)
+    return _AgqLoglik(y, design, sizes, np.ones(sizes.size), quadrature_points)
 
 
 def continuous_x_dataset():
@@ -182,8 +187,7 @@ def mixed_size_dataset():
 def test_marginal_likelihood_matches_quadrature_oracle():
     rng = np.random.default_rng(314)
     ds = binary_dataset(rng, n_clusters=8, cluster_size=5)
-    y, design, codes, sizes, starts = _prepare(ds)
-    loglik = _AgqLoglik(y, design, codes, sizes, starts, quadrature_points=25)
+    loglik = per_cluster_loglik(ds, quadrature_points=25)
     beta = np.array([-0.4, 0.8, 0.5, -0.2])
     for nu in (0.05, 0.4, 1.5):
         params = np.append(beta, math.log(nu))
@@ -230,7 +234,7 @@ def test_expit_softplus_matches_scipy_and_numpy():
 def test_analytic_score_matches_central_differences(quadrature_points, nu):
     rng = np.random.default_rng(2024 + quadrature_points)
     ds = binary_dataset(rng, n_clusters=20, cluster_size=6)
-    loglik = _AgqLoglik(*_prepare(ds), quadrature_points=quadrature_points)
+    loglik = per_cluster_loglik(ds, quadrature_points)
     for _ in range(3):
         params = np.append(rng.normal(0.0, 0.6, 4), math.log(nu))
         value, score = loglik.value_and_score(params)
@@ -243,7 +247,7 @@ def test_score_information_matches_value_hessian():
     rng = np.random.default_rng(77)
     ds = binary_dataset(rng, n_clusters=30, cluster_size=6)
     fit = fit_glmm_logit(ds)
-    loglik = _AgqLoglik(*_prepare(ds), quadrature_points=15)
+    loglik = per_cluster_loglik(ds, 15)
     optimum = np.append(fit.coefficients, math.log(fit.random_intercept_variance))
     interior = optimum + rng.normal(0.0, 0.2, 5)
     for params in (optimum, interior):
@@ -355,7 +359,7 @@ def test_boundary_information_matches_the_score_difference():
     ds = no_cluster_effect_dataset()
     fit = fit_glmm_logit(ds)
     assert fit.boundary
-    loglik = _AgqLoglik(*_prepare(ds), quadrature_points=15)
+    loglik = per_cluster_loglik(ds, 15)
 
     def score(beta):
         return loglik.value_and_score(np.append(beta, math.log(1e-10)))[1][:4]
@@ -370,9 +374,7 @@ def test_boundary_score_matches_the_agq_slope_in_nu(make):
     # against the slope of the per-cluster AGQ log-likelihood near 0:
     # central differences at nu0 and 2 nu0 extrapolated to 0 (error ~ nu0^2)
     ds = make()
-    y, design, codes, sizes, starts, counts = _cluster_patterns(*_prepare(ds))
-    beta = _logistic_start(y, design, counts[codes])
-    loglik0, score = _logistic_boundary(y, design, starts, counts, beta)
+    beta, loglik0, score, _ = _logistic_fit(*_cluster_patterns(ds))
     oracle = PerClusterAgq(*_prepare(ds), quadrature_points=15)
 
     def slope(nu, h=3e-6):
@@ -453,7 +455,8 @@ def test_fit_matches_a_fit_on_the_per_cluster_oracle(monkeypatch):
     class ExpandedOracle(PerClusterAgq):
         """The oracle over the fitter's patterns, each repeated by its count."""
 
-        def __init__(self, y, design, codes, sizes, starts, quadrature_points, counts):
+        def __init__(self, y, design, sizes, counts, quadrature_points):
+            starts = np.cumsum(sizes) - sizes
             pattern = np.repeat(np.arange(sizes.size), counts.astype(int))
             rows = np.concatenate([np.arange(starts[j], starts[j] + sizes[j]) for j in pattern])
             sizes = sizes[pattern]
@@ -484,9 +487,7 @@ def test_singleton_clusters_on_the_cell_design_take_the_boundary():
     x = np.tile([0.0, 1.0, 0.0, 1.0], 12)
     y = (rng.random(48) < 0.2 + 0.15 * a + 0.2 * x).astype(float)
     ds = ClusteredDataset.from_columns("binary", [f"c{j}" for j in range(48)], y, a, x)
-    y_rep, design, codes, sizes, starts, counts = _cluster_patterns(*_prepare(ds))
-    beta = _logistic_start(y_rep, design, counts[codes])
-    assert _logistic_boundary(y_rep, design, starts, counts, beta)[1] == 0.0
+    assert _logistic_fit(*_cluster_patterns(ds))[2] == 0.0
     fit = fit_glmm_logit(ds)
     assert fit.boundary
     assert fit.random_intercept_variance == 0.0
@@ -526,6 +527,52 @@ def test_relabeling_clusters_preserves_likelihood():
     fit = fit_glmm_logit(ds)
     fit2 = fit_glmm_logit(relabeled)
     assert abs(fit.log_likelihood - fit2.log_likelihood) < 1e-10
+
+
+@pytest.mark.parametrize("make", [criterion_4_design, mixed_size_dataset, continuous_x_dataset])
+def test_interleaved_rows_fit_exactly_as_grouped_rows(make):
+    # the interleaved copy deals the clusters' rows out in turn (row i in
+    # cluster i mod J at equal sizes); the fit must not depend on row order
+    ds = make()
+    order = np.argsort(ds.cluster_codes, kind="stable")
+    sizes = np.bincount(ds.cluster_codes)
+    rank = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    interleaved = order[np.lexsort((ds.cluster_codes[order], rank))]
+    assert np.all(ds.cluster_codes[interleaved][: sizes.size] == np.arange(sizes.size))
+    grouped, mixed = (
+        fit_glmm_logit(ClusteredDataset.from_columns(
+            "binary", [ds.cluster_ids[c] for c in ds.cluster_codes[rows]], ds.outcome[rows],
+            ds.treatment[rows], ds.covariate_x[rows],
+        ))
+        for rows in (order, interleaved)
+    )
+    for field in ("coefficients", "coef_covariance", "random_intercept_variance",
+                  "log_likelihood", "boundary", "n_iterations"):
+        assert np.array_equal(getattr(grouped, field), getattr(mixed, field)), field
+
+
+def test_one_cluster_is_rejected():
+    ds = ClusteredDataset.from_columns(
+        "binary", ["c"] * 6, [1.0, 0.0, 0.0, 1.0, 1.0, 0.0], [0, 1, 0, 1, 0, 1],
+        [0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+    )
+    with pytest.raises(ValidationError, match="needs at least 2 clusters, got 1"):
+        fit_glmm_logit(ds)
+
+
+def test_variance_overflow_in_the_line_search_is_a_convergence_error():
+    # 21 clusters of 2 with one event at (a, x) = (0, 0) and one at (1, 1):
+    # a BFGS line search tries log nu past 709, where exp overflows
+    rng = np.random.default_rng(63)
+    a = rng.integers(0, 2, 42)
+    x = rng.integers(0, 2, 42)
+    y = np.zeros(42)
+    y[rng.choice(np.flatnonzero((a == 0) & (x == 0)))] = 1
+    y[rng.choice(np.flatnonzero((a == 1) & (x == 1)))] = 1
+    ids = [f"c{j}" for j in np.repeat(np.arange(1, 22), 2)]
+    ds = ClusteredDataset.from_columns("binary", ids, y, a, x.astype(float))
+    with pytest.raises(ConvergenceError, match="variance overflowed"):
+        fit_glmm_logit(ds)
 
 
 def test_requires_binary_scale_and_positive_nodes():

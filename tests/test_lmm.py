@@ -314,6 +314,14 @@ def four_rows():
     )
 
 
+def one_cluster():
+    # nu is not identified from a single cluster
+    return ClusteredDataset.from_columns(
+        "continuous", ["a"] * 6, [1.0, 2.0, 0.5, 3.0, 1.5, 2.5], [0, 1, 0, 1, 0, 1],
+        [0.0, 0.0, 1.0, 1.0, 0.0, 1.0],
+    )
+
+
 def binary_rows():
     return ClusteredDataset.from_columns(
         "binary", list("aabbcc"), [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], [1, 0, 1, 0, 1, 0],
@@ -328,8 +336,9 @@ def binary_rows():
         (binary_rows, ValidationError),
         (rank_deficient_dataset, SingularDesignError),
         (four_rows, ValidationError),
+        (one_cluster, ValidationError),
     ],
-    ids=["binary-scale", "rank-deficient", "four-rows"],
+    ids=["binary-scale", "rank-deficient", "four-rows", "one-cluster"],
 )
 def test_fitters_reject_bad_input_alike(fitter, make, error):
     with pytest.raises(error):

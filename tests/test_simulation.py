@@ -335,7 +335,9 @@ def test_degenerate_meta_truth_is_point_mass():
 
 
 def test_delta_interval_matches_finite_difference_propagation():
-    from clustersens.meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat
+    from clustersens.meta import (
+        BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, p_of_q,
+    )
     from clustersens.simulation import _delta_interval
     from clustersens import normal
 
@@ -343,7 +345,8 @@ def test_delta_interval_matches_finite_difference_propagation():
     fit = MetaFit(mu_hat=0.6, v_hat=0.35, se_mu=0.12, q_statistic=22.0, k=8)
     bias = BiasDistribution(mu_b=0.15, v_b=0.02)
     q = 0.4
-    lo, hi = _delta_interval(fit, bias, q, studies)
+    p_hat, lo, hi = _delta_interval(fit, bias, q, studies)
+    assert p_hat == p_of_q(fit, bias, q, "positive")
 
     def p_at(mu, v):
         return 1.0 - normal.cdf((q + bias.mu_b - mu) / math.sqrt(v - bias.v_b))
@@ -430,5 +433,13 @@ def test_invalid_configs_rejected():
         ScenarioConfig(**{**BASE, "sigma_u2": -1.0})
     with pytest.raises(ValidationError):
         ScenarioConfig(kind="meta", clusters=100, cluster_size=3, studies=1, replications=2, seed=0)
+
+
+def test_meta_clusters_leave_every_study_two():
+    # each study draws its cluster count uniformly on clusters +/- 50
+    meta = dict(kind="meta", cluster_size=3, studies=5, replications=1, seed=0)
+    with pytest.raises(ValidationError, match="clusters >= 52"):
+        ScenarioConfig(clusters=51, **meta)
+    ScenarioConfig(clusters=52, **meta)
     with pytest.raises(ValidationError):
         MetaEffectDistribution(v11=1.0, v33=1.0, v13=1.5)
