@@ -138,25 +138,24 @@ def _parse_column(texts, column: str) -> np.ndarray:
         raise
 
 
-def load_csv(path, scale: str) -> ClusteredDataset:
-    """Read a comma-delimited UTF-8 file with a header row into a dataset.
+def _read_columns(path, required, optional=()) -> dict:
+    """Text columns of a comma-delimited UTF-8 file with a header row.
 
-    Required columns: cluster_id, outcome, treatment, covariate_x.
-    Optional: study_id, truth_u. Row order is preserved and blank lines
-    are skipped; missing values are rejected.
+    Returns the ``required`` columns and those of ``optional`` the header
+    names. Blank lines are skipped and short rows are padded with "", and a
+    missing value is reported at its first row, then first column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
-        for col in REQUIRED_COLUMNS:
+        for col in required:
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
         rows = [row for row in reader if row]
-    # short rows are padded with "", which the missing-value check rejects
     columns = list(itertools.zip_longest(*rows, fillvalue=""))
-    names = REQUIRED_COLUMNS + tuple(c for c in OPTIONAL_COLUMNS if c in header)
+    names = tuple(required) + tuple(c for c in optional if c in header)
     texts = {}
     for name in names:
         i = header.index(name)
@@ -165,6 +164,17 @@ def load_csv(path, scale: str) -> ClusteredDataset:
     if missing:
         row, k = min(missing)
         raise ValidationError(f"missing value for {names[k]!r} at row {row + 1}")
+    return texts
+
+
+def load_csv(path, scale: str) -> ClusteredDataset:
+    """Read a comma-delimited UTF-8 file with a header row into a dataset.
+
+    Required columns: cluster_id, outcome, treatment, covariate_x.
+    Optional: study_id, truth_u. Row order is preserved and blank lines
+    are skipped; missing values are rejected.
+    """
+    texts = _read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
     values = {
         name: _parse_column(texts[name], name)
         for name in ("treatment", "outcome", "covariate_x", "truth_u")

@@ -8,13 +8,13 @@ meaningful effect below a chosen threshold.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import normal
-from .errors import DomainError, SchemaError, ValidationError, VarianceDominationError
+from .dataset import _parse_column, _read_columns
+from .errors import DomainError, ValidationError, VarianceDominationError
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -185,35 +185,20 @@ def explains_away_meta(
 
 
 def load_studies_csv(path) -> list[StudyEffect]:
-    """Study-level CSV with columns study_id, estimate, std_error."""
-    required = ("study_id", "estimate", "std_error")
-    studies = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        for col in required:
-            if col not in reader.fieldnames:
-                raise SchemaError(f"{path}: missing required column {col!r}")
-        for row_num, row in enumerate(reader, start=1):
-            try:
-                estimate = float(row["estimate"])
-                std_error = float(row["std_error"])
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}: unparseable number at row {row_num}") from exc
-            if not math.isfinite(estimate):
-                raise ValidationError(
-                    f"{path}: estimate at row {row_num} must be finite, got {estimate}"
-                )
-            if not (math.isfinite(std_error) and std_error > 0.0):
-                raise ValidationError(
-                    f"{path}: std_error at row {row_num} must be finite and > 0, got {std_error}"
-                )
-            studies.append(
-                StudyEffect(
-                    study_id=row["study_id"],
-                    estimate=estimate,
-                    within_variance=std_error**2,
-                )
+    """Study-level CSV with columns study_id, estimate, std_error, read as by ``load_csv``."""
+    texts = _read_columns(path, ("study_id", "estimate", "std_error"))
+    estimates = _parse_column(texts["estimate"], "estimate").tolist()
+    std_errors = _parse_column(texts["std_error"], "std_error").tolist()
+    for row_num, (estimate, std_error) in enumerate(zip(estimates, std_errors), start=1):
+        if not math.isfinite(estimate):
+            raise ValidationError(
+                f"{path}: estimate at row {row_num} must be finite, got {estimate}"
             )
-    return studies
+        if not (math.isfinite(std_error) and std_error > 0.0):
+            raise ValidationError(
+                f"{path}: std_error at row {row_num} must be finite and > 0, got {std_error}"
+            )
+    return [
+        StudyEffect(study_id=study, estimate=estimate, within_variance=std_error**2)
+        for study, estimate, std_error in zip(texts["study_id"], estimates, std_errors)
+    ]

@@ -39,7 +39,7 @@ from .errors import ConvergenceError, DomainError, SeparationError, SingularDesi
 LOGISTIC_LATENT_VARIANCE = math.pi**2 / 3.0
 _DESIGN_COLUMNS = 4  # intercept, treatment, covariate, interaction
 _VAR_FLOOR = 1e-10
-_SEPARATION_BOUND = 30.0
+_SEPARATION_BOUND = 30.0  # on the logit scale; see _logistic_fit
 _MAX_QUADRATURE_POINTS = 100  # criterion 6 shows 15 and 64 nodes agree to 1e-4
 
 
@@ -554,20 +554,29 @@ def _expit_softplus(eta):
 def _logistic_fit(y, design, sizes, counts):
     """Plain logistic fit, the model at nu = 0, with each pattern weighted by its count.
 
-    Fits beta by IRLS, then returns, from one p at that beta: beta, the
-    log-likelihood, its score in nu at nu = 0 and the information over
-    beta, X' diag(c p (1 - p)) X with c each row's cluster count. With
-    l_j(zeta) the cluster's conditional log-likelihood, expanding
-    E[exp(l_j(zeta))] for zeta ~ N(0, nu) to first order in nu gives
-    d log L_j / d nu = (l_j'(0)^2 + l_j''(0)) / 2 at nu = 0, where
+    Fits beta by IRLS, raising SeparationError unless a step below 1e-8
+    ends it within 25 iterations with every |beta| < 30, then returns, from
+    one p at that beta: beta, the log-likelihood, its score in nu at nu = 0
+    and the information over beta, X' diag(c p (1 - p)) X with c each row's
+    cluster count. With l_j(zeta) the cluster's conditional log-likelihood,
+    expanding E[exp(l_j(zeta))] for zeta ~ N(0, nu) to first order in nu
+    gives d log L_j / d nu = (l_j'(0)^2 + l_j''(0)) / 2 at nu = 0, where
     l_j' = sum_i (y - p) and l_j'' = -sum_i p (1 - p): the variance-component
-    score test of Lin (1997). A score within the rounding of its two sums
-    is returned as 0: with singleton clusters and a design that saturates
-    the (a, x) cells it is exactly 0, and nu is not identified.
+    score test of Lin (1997). A score within the rounding of its two sums is
+    returned as 0: with singleton clusters and a design that saturates the
+    (a, x) cells it is exactly 0, and nu is not identified.
     """
     starts = np.cumsum(sizes) - sizes
     row_counts = np.repeat(counts, sizes)
+    # Separation is decided here alone. Along a direction d with d'x >= 0 on
+    # every event row and <= 0 on every other, strictly on some (an (a, x)
+    # cell of equal outcomes gives one), no row's likelihood given its
+    # cluster intercept falls, nor its integral: at no nu, 0 included, is
+    # there a maximum (Albert & Anderson 1984). Otherwise beta has a finite
+    # maximum at every nu and BFGS needs no wall in beta; at nu = 0 IRLS is
+    # Newton on a strictly concave function: estimable designs take <= 8 steps.
     beta = np.zeros(_DESIGN_COLUMNS)
+    converged = False
     for _ in range(25):
         eta = design @ beta
         p = special.expit(eta)
@@ -582,6 +591,10 @@ def _logistic_fit(y, design, sizes, counts):
         beta = step_beta
         if converged or np.max(np.abs(beta)) > 2 * _SEPARATION_BOUND:
             break
+    if not converged or np.max(np.abs(beta)) >= _SEPARATION_BOUND:
+        raise SeparationError(
+            "logistic fit has no finite maximum (separation)", best={"coefficients": beta.tolist()}
+        )
     # p from scipy's expit, as in the IRLS steps; the softplus is the AGQ
     # evaluator's, whose value the boundary gain compares against this one
     eta = design @ beta
@@ -748,6 +761,7 @@ _GTOL_PER_ROOT_ULP = 4.0
 # ignoring it changes no inference.
 _BOUNDARY_GAIN = 1e-6
 _BOUNDARY_NU = 1e-8  # BFGS driving nu this low also means the boundary
+_LOG_NU_WALL = 9.0  # nu ~ 8100, an ICC of 0.9996: a fit ending past it diverged
 
 
 def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedModelFit:
@@ -755,13 +769,11 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
 
     The intercept is integrated out per cluster with Gauss-Hermite nodes
     re-centered at the conditional mode and rescaled by the conditional
-    curvature; quadrature_points=1 is the Laplace approximation, and at
-    most 100 nodes are accepted. The likelihood is evaluated once per
-    distinct cluster pattern (size and sorted unit rows), weighted by the
-    number of clusters that share it. BFGS over (beta, log nu) is driven by
-    the analytic score of that quadrature sum, one value-and-score
-    evaluation per likelihood call, and stops where the log-likelihood's
-    rounding can no longer resolve a step (``_GTOL_PER_ROOT_ULP``).
+    curvature (quadrature_points=1 is the Laplace approximation; at most
+    100), once per distinct cluster pattern (size and sorted unit rows)
+    weighted by its count. BFGS over (beta, log nu), driven by the analytic
+    score of that quadrature sum, stops where the log-likelihood's rounding
+    can no longer resolve a step (``_GTOL_PER_ROOT_ULP``).
 
     nu = 0 is decided by the closed-form score in nu at nu = 0 at the plain
     logistic fit (Lin 1997; within rounding of 0 it counts as 0): when it is
@@ -770,14 +782,15 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     fit with ``boundary`` set and its covariance is the inverse logistic
     information X' diag(p (1 - p)) X. Otherwise the covariance is the
     (beta, beta) block of the inverse observed information, the
-    symmetrised central difference of the analytic score. A coefficient of
-    BFGS's or of the reported fit at or past 30 raises SeparationError.
-    ``n_obs`` and ``n_clusters`` count the data, not the patterns.
+    symmetrised central difference of the analytic score. ``n_obs`` and
+    ``n_clusters`` count the data, not the patterns.
 
     Raises ValidationError for a non-binary dataset or one with fewer than
-    2 clusters, and ConvergenceError if BFGS fails, a line search tries a
-    variance beyond the float range, or the information is not positive
-    definite.
+    2 clusters, SeparationError before BFGS for all-equal outcomes or where
+    the logistic fit has no finite maximum (``_logistic_fit``), and
+    ConvergenceError if BFGS fails or ends past log nu = 9 (as when every
+    cluster's outcomes are constant), a line search overflows nu, or the
+    information is not positive definite.
     """
     if ds.scale != "binary":
         raise ValidationError(f"fit_glmm_logit requires a binary-scale dataset, got {ds.scale!r}")
@@ -797,17 +810,11 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         raise SeparationError("degenerate outcome: all observations identical")
     loglik_fn = _AgqLoglik(y, design, sizes, counts, quadrature_points)
 
-    def penalty(params):
-        excess_beta = np.maximum(np.abs(params[:_DESIGN_COLUMNS]) - _SEPARATION_BOUND, 0.0)
-        excess_nu = max(params[_DESIGN_COLUMNS] - 9.0, 0.0)
-        value = 1e4 * float(np.sum(excess_beta**2)) + 1e4 * excess_nu**2
-        grad = 2e4 * np.append(excess_beta * np.sign(params[:_DESIGN_COLUMNS]), excess_nu)
-        return value, grad
-
     def penalized_nll(params):
         loglik, score = loglik_fn.value_and_score(params)
-        value, grad = penalty(params)
-        return -loglik + value, grad - score
+        excess = max(params[_DESIGN_COLUMNS] - _LOG_NU_WALL, 0.0)
+        score[_DESIGN_COLUMNS] -= 2e4 * excess
+        return 1e4 * excess**2 - loglik, -score
 
     logistic_beta, logistic_loglik, nu_score, logistic_info = _logistic_fit(y, design, sizes, counts)
     gtol = _GTOL_PER_ROOT_ULP * math.sqrt(np.finfo(float).eps * max(abs(logistic_loglik), 1.0))
@@ -820,27 +827,22 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
             options={"gtol": gtol, "maxiter": 500},
         )
     except OverflowError as exc:
-        # a line-search trial past log nu = 709, beyond the penalty wall at 9
+        # a line-search trial past log nu = 709, far beyond the wall
         raise ConvergenceError(
             "marginal likelihood optimization diverged: the random-intercept variance overflowed"
         ) from exc
     params = result.x
     nu = math.exp(params[_DESIGN_COLUMNS])
-    # BFGS already evaluated -loglik + penalty at result.x
-    loglik = penalty(params)[0] - float(result.fun)
+    if params[_DESIGN_COLUMNS] > _LOG_NU_WALL:
+        raise ConvergenceError(
+            f"random-intercept variance diverged past {math.exp(_LOG_NU_WALL):.0f} (ICC 0.9996)"
+        )
+    loglik = -float(result.fun)  # BFGS's own value, unpenalized inside the wall
     boundary = loglik - logistic_loglik <= _BOUNDARY_GAIN and (
         nu_score <= 0.0 or nu <= _BOUNDARY_NU
     )
     beta = logistic_beta if boundary else params[:_DESIGN_COLUMNS]
-    # the penalty holds BFGS's coefficients near 30 under separation, while
-    # the unpenalized logistic fit reported at the boundary runs past it
-    if max(np.max(np.abs(params[:_DESIGN_COLUMNS])), np.max(np.abs(beta))) >= _SEPARATION_BOUND:
-        raise SeparationError(
-            "coefficient diverged beyond 30 on the logit scale (separation suspected)",
-            best={"coefficients": beta.tolist()},
-        )
-    grad_norm = float(np.max(np.abs(result.jac)))
-    if not grad_norm <= 1e-3:  # also catches a NaN score
+    if not np.max(np.abs(result.jac)) <= 1e-3:  # also catches a NaN score
         raise ConvergenceError(
             f"marginal likelihood optimization did not converge: {result.message}",
             best={"coefficients": beta.tolist(), "nu": nu},
@@ -852,12 +854,10 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     else:
         info = _score_information(lambda p: loglik_fn.value_and_score(p)[1], params)
     try:
-        cov_full = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        cov_full = None
-    cov = None if cov_full is None else cov_full[:_DESIGN_COLUMNS, :_DESIGN_COLUMNS]
-    if cov is not None:
+        cov = np.linalg.inv(info)[:_DESIGN_COLUMNS, :_DESIGN_COLUMNS]
         cov = 0.5 * (cov + cov.T)
+    except np.linalg.LinAlgError:
+        cov = None
     if cov is None or np.any(np.linalg.eigvalsh(cov) <= 0.0):
         # an interior maximum has positive-definite observed information;
         # anything else means the optimizer stalled on a degenerate surface

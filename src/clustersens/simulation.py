@@ -29,7 +29,7 @@ from scipy import special
 from . import normal
 from .dataset import ClusteredDataset
 from .errors import ConvergenceError, DomainError, SingularDesignError, ValidationError
-from .meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, p_of_q, pool
+from .meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, pool
 from .mixed_models import LOGISTIC_LATENT_VARIANCE, fit_glmm_logit, fit_lmm_batch
 from .rng import replicate_stream
 from .sensitivity import confounded_effect
@@ -150,50 +150,34 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _piecewise_weight(mech: MechanismParams, a: int, x: int):
-    """Breakpoints and per-segment weights of P(X=x|u) * P(A=a|u,x)."""
-    points = sorted({mech.x_threshold, mech.a_threshold - x})
-    edges = [-math.inf, *points, math.inf]
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if math.isfinite(lo) and math.isfinite(hi):
-            probe = (lo + hi) / 2.0
-        elif math.isfinite(hi):
-            probe = hi - 1.0
-        else:
-            probe = lo + 1.0
-        px1 = mech.x_prob_below if probe < mech.x_threshold else mech.x_prob_above
-        pa1 = mech.a_prob_below if probe + x < mech.a_threshold else mech.a_prob_above
-        wx = px1 if x == 1 else 1.0 - px1
-        wa = pa1 if a == 1 else 1.0 - pa1
-        weights.append(wx * wa)
-    return edges, weights
-
-
 def true_conditional_means(config: ScenarioConfig, a: int, x: int) -> float:
-    """E(U | A=a, X=x) under the generating mechanism, by exact integration.
+    """E(U | A=a, X=x) under the generating mechanism, in closed form.
 
-    The conditional probabilities are piecewise constant in U, so the
-    integral reduces to truncated-normal masses and first moments per
-    segment; the absolute error is at machine level, far below 1e-8.
+    w(U) = P(X=x|U) P(A=a|U,X=x) is w0 below lo = min(t_x, t_a), w1 up to
+    hi = max(t_x, t_a) and w2 above, with t_a = a_threshold - x. For
+    U ~ N(0, s^2), E[U 1[U >= t]] = s phi(t/s), so
+    E[U w(U)] = s ((w1 - w0) phi(lo/s) + (w2 - w1) phi(hi/s)), and E[w(U)]
+    weights the masses Phi(lo/s), Phi(hi/s) - Phi(lo/s) and Phi(-hi/s). The
+    middle mass is taken from the tail it lies in, so a cell in a far tail
+    of either side keeps its relative accuracy.
     """
     if a not in (0, 1) or x not in (0, 1):
         raise DomainError(f"conditioning values must be 0/1, got a={a}, x={x}")
     sigma = math.sqrt(config.sigma_u2)
     if sigma == 0.0:
         return 0.0
-    edges, weights = _piecewise_weight(config.mechanism, a, x)
-    numerator = 0.0
-    denominator = 0.0
-    for lo, hi, w in zip(edges[:-1], edges[1:], weights):
-        mass = normal.cdf(hi / sigma if math.isfinite(hi) else math.inf) - normal.cdf(
-            lo / sigma if math.isfinite(lo) else -math.inf
-        )
-        pdf_lo = normal.pdf(lo / sigma) / sigma if math.isfinite(lo) else 0.0
-        pdf_hi = normal.pdf(hi / sigma) / sigma if math.isfinite(hi) else 0.0
-        first_moment = config.sigma_u2 * (pdf_lo - pdf_hi)
-        numerator += w * first_moment
-        denominator += w * mass
+    mech = config.mechanism
+    x_low, x_high = (p if x == 1 else 1.0 - p for p in (mech.x_prob_below, mech.x_prob_above))
+    a_low, a_high = (p if a == 1 else 1.0 - p for p in (mech.a_prob_below, mech.a_prob_above))
+    t_x, t_a = mech.x_threshold, mech.a_threshold - x
+    w1 = x_high * a_low if t_x <= t_a else x_low * a_high
+    w0, w2 = x_low * a_low, x_high * a_high
+    z_lo, z_hi = min(t_x, t_a) / sigma, max(t_x, t_a) / sigma
+    middle = (
+        normal.cdf(z_hi) - normal.cdf(z_lo) if z_lo < 0.0 else normal.cdf(-z_lo) - normal.cdf(-z_hi)
+    )
+    numerator = sigma * ((w1 - w0) * normal.pdf(z_lo) + (w2 - w1) * normal.pdf(z_hi))
+    denominator = w0 * normal.cdf(z_lo) + w1 * middle + w2 * normal.cdf(-z_hi)
     if denominator <= 0.0:
         raise DomainError(f"the mechanism gives the cell A={a}, X={x} zero probability")
     return numerator / denominator

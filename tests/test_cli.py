@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clustersens import fit_lmm, write_csv
+from clustersens import fit_lmm, mixed_models, write_csv
 from clustersens.cli import _emit_csv, main
 from clustersens.errors import ValidationError
 from clustersens.simulation import ScenarioConfig, generate
@@ -160,25 +160,57 @@ def test_fit_one_cluster_exits_1(tmp_path, runner, scale):
     assert "needs at least 2 clusters, got 1" in result.stderr
 
 
-def test_fit_binary_variance_overflow_exits_2(tmp_path, runner):
-    # 21 clusters of 2 with two events: a BFGS line search tries log nu > 709
-    rng = np.random.default_rng(63)
-    a = rng.integers(0, 2, 42)
-    x = rng.integers(0, 2, 42)
-    y = np.zeros(42, dtype=int)
-    y[rng.choice(np.flatnonzero((a == 0) & (x == 0)))] = 1
-    y[rng.choice(np.flatnonzero((a == 1) & (x == 1)))] = 1
+def binary_csv(path, y, a, x, cluster_size):
     rows = ["cluster_id,outcome,treatment,covariate_x"]
-    rows += [f"c{j // 2},{y[j]},{a[j]},{x[j]}" for j in range(42)]
-    path = tmp_path / "overflow.csv"
+    rows += [f"c{j // cluster_size},{y[j]},{a[j]},{x[j]}" for j in range(len(y))]
     path.write_text("\n".join(rows) + "\n")
-    result = invoke(runner, ["fit", str(path), "--scale", "binary"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+    return str(path)
+
+
+def concordant_csv(tmp_path):
+    # 20 clusters of 4 whose outcomes are all j % 2: every cluster is concordant
+    rng = np.random.default_rng(0)
+    a, x = rng.integers(0, 2, 80), rng.integers(0, 2, 80)
+    return binary_csv(tmp_path / "concordant.csv", np.arange(80) // 4 % 2, a, x, 4)
+
+
+def test_fit_binary_variance_overflow_exits_2(tmp_path, runner, monkeypatch):
+    # exp overflows past log nu = 709; this evaluator overflows past 5 instead,
+    # which BFGS passes while running nu up on concordant clusters
+    class OverflowingLoglik(mixed_models._AgqLoglik):
+        def value_and_score(self, params):
+            if params[-1] > 5.0:
+                raise OverflowError("math range error")
+            return super().value_and_score(params)
+
+    monkeypatch.setattr(mixed_models, "_AgqLoglik", OverflowingLoglik)
+    result = invoke(runner, ["fit", concordant_csv(tmp_path), "--scale", "binary"])
+    error = assert_single_error_line(result, exit_code=2)
+    assert error == (
         "error: marginal likelihood optimization diverged: "
         "the random-intercept variance overflowed"
-    ]
+    )
+
+
+def test_fit_binary_concordant_clusters_exit_2(tmp_path, runner):
+    result = invoke(runner, ["fit", concordant_csv(tmp_path), "--scale", "binary"])
+    error = assert_single_error_line(result, exit_code=2)
+    assert error == (
+        "error: random-intercept variance diverged past 8103 (ICC 0.9996)"
+    )
+
+
+def test_fit_binary_one_event_separation_exits_2(tmp_path, runner):
+    # 19 clusters of 2 with a single event: the event-free cells separate
+    rng = np.random.default_rng(1)
+    a, x = rng.integers(0, 2, 38), rng.integers(0, 2, 38)
+    y = np.zeros(38, dtype=int)
+    y[rng.integers(0, 38)] = 1
+    result = invoke(runner, ["fit", binary_csv(tmp_path / "one.csv", y, a, x, 2), "--scale", "binary"])
+    error = assert_single_error_line(result, exit_code=2)
+    assert error == (
+        "error: logistic fit has no finite maximum (separation)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +306,13 @@ def test_sensitivity_binary_fit_pipeline(tmp_path, runner):
     assert isinstance(doc["explains_away"], bool)
 
 
-def assert_single_error_line(result):
-    assert result.exit_code == 1
+def assert_single_error_line(result, exit_code=1):
+    assert result.exit_code == exit_code
     assert result.stdout == ""
     errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert "Traceback" not in result.stderr
+    return errors[0]
 
 
 VALID_FIT_DOC = {
@@ -417,6 +450,20 @@ def test_meta_studies_non_finite_or_non_positive_row_exits_1(tmp_path, runner, r
     result = invoke(runner, ["meta", "--studies", str(path), "--q", "0.1", "--r", "0.3"])
     assert_single_error_line(result)
     assert "row 2" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [(",1.0,0.1\ns2,2.0,0.1\n", "missing value for 'study_id' at row 1"),
+     ("s1,1.0,0.1\ns2,1.0\n", "missing value for 'std_error' at row 2")],
+    ids=["empty-study-id", "short-row"],
+)
+def test_meta_studies_missing_value_exits_1(tmp_path, runner, body, message):
+    path = tmp_path / "studies.csv"
+    path.write_text("study_id,estimate,std_error\n" + body)
+    result = invoke(runner, ["meta", "--studies", str(path), "--q", "0.1", "--r", "0.3"])
+    error = assert_single_error_line(result)
+    assert error == f"error: {message}"
 
 
 def test_meta_non_finite_result_never_reaches_stdout(runner):

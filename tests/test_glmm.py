@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -499,10 +500,100 @@ def test_singleton_clusters_on_the_cell_design_take_the_boundary():
     np.testing.assert_allclose(fit.coefficients, expected, rtol=0, atol=1e-8)
 
 
+def one_event_design(seed):
+    # 19 clusters of 2 with a single event: every event-free (a, x) cell
+    # separates the data
+    rng = np.random.default_rng(seed)
+    a, x = rng.integers(0, 2, 38), rng.integers(0, 2, 38)
+    y = np.zeros(38)
+    y[rng.integers(0, 38)] = 1
+    ids = [f"c{j}" for j in np.repeat(np.arange(19), 2)]
+    return ClusteredDataset.from_columns("binary", ids, y, a, x.astype(float))
+
+
+def zero_cells_design():
+    # 21 clusters of 2 with one event at (a, x) = (0, 0) and one at (1, 1):
+    # cells (0, 1) and (1, 0) hold only zeros
+    rng = np.random.default_rng(63)
+    a = rng.integers(0, 2, 42)
+    x = rng.integers(0, 2, 42)
+    y = np.zeros(42)
+    y[rng.choice(np.flatnonzero((a == 0) & (x == 0)))] = 1
+    y[rng.choice(np.flatnonzero((a == 1) & (x == 1)))] = 1
+    ids = [f"c{j}" for j in np.repeat(np.arange(1, 22), 2)]
+    return ClusteredDataset.from_columns("binary", ids, y, a, x.astype(float))
+
+
+def threshold_design():
+    # continuous x with an event exactly where x > 0.2: no (a, x) cell is
+    # all-equal, but beta_0 = -0.2 t, beta_2 = t separates as t grows
+    rng = np.random.default_rng(77)
+    x = rng.normal(size=120)
+    ids = [f"c{j}" for j in np.repeat(np.arange(30), 4)]
+    return ClusteredDataset.from_columns(
+        "binary", ids, (x > 0.2).astype(float), rng.integers(0, 2, 120), x
+    )
+
+
+def concordant_design(seed):
+    # 20 clusters of 4 whose outcomes are all j % 2: the cells are mixed, but
+    # every cluster is concordant and the likelihood rises with nu without end
+    rng = np.random.default_rng(seed)
+    a, x = rng.integers(0, 2, 80), rng.integers(0, 2, 80)
+    codes = np.repeat(np.arange(20), 4)
+    return ClusteredDataset.from_columns(
+        "binary", [f"c{j}" for j in codes], (codes % 2).astype(float), a, x.astype(float)
+    )
+
+
+class OverflowingLoglik(_AgqLoglik):
+    """Overflows past log nu = 5 as exp does past 709, so a test need not go there."""
+
+    def value_and_score(self, params):
+        if params[-1] > 5.0:
+            raise OverflowError("math range error")
+        return super().value_and_score(params)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(partial(one_event_design, seed) for seed in range(1, 5)), zero_cells_design, threshold_design],
+    ids=["one-event-1", "one-event-2", "one-event-3", "one-event-4", "zero-cells", "threshold"],
+)
+def test_separated_data_raise_separation_before_bfgs(make, monkeypatch):
+    class NoBfgs(_AgqLoglik):
+        def value_and_score(self, params):
+            raise AssertionError("separated data reached BFGS")
+
+    ds = make()
+    monkeypatch.setattr(mixed_models, "_AgqLoglik", NoBfgs)
+    with pytest.raises(SeparationError, match="no finite maximum"):
+        fit_glmm_logit(ds)
+
+
+def test_one_event_in_a_40_row_cell_still_fits():
+    # 40 clusters each hold one row of every (a, x) cell; cell (0, 0) has a
+    # single event, which is rare, not separated
+    j = np.repeat(np.arange(40), 4)
+    a, x = np.tile([0, 1, 0, 1], 40), np.tile([0.0, 0.0, 1.0, 1.0], 40)
+    y = np.select([(a == 0) & (x == 0), a == 1, x == 1], [j == 0, j % 2 == 0, j % 3 == 0], j % 4 > 0)
+    ds = ClusteredDataset.from_columns("binary", [f"c{k}" for k in j], y.astype(float), a, x)
+    assert _logistic_fit(*_cluster_patterns(ds))[0][0] == pytest.approx(special.logit(1 / 40))
+    fit = fit_glmm_logit(ds)
+    assert np.all(np.isfinite(fit.coefficients)) and np.max(np.abs(fit.coefficients)) < 30.0
+    assert np.all(np.linalg.eigvalsh(fit.coef_covariance) > 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_concordant_clusters_diverge_past_the_variance_wall(seed):
+    with pytest.raises(ConvergenceError, match="random-intercept variance diverged") as caught:
+        fit_glmm_logit(concordant_design(seed))
+    assert not isinstance(caught.value, SeparationError)
+
+
 def test_separated_cells_at_the_boundary_raise_separation():
     # cell (a=1, x=0) holds only zeros and cell (1, 1) a single one: the
-    # penalty holds BFGS's coefficients just under 30, but the logistic fit
-    # reported at the boundary runs past it
+    # plain logistic fit runs off along beta_1, so no fit is reported
     clusters = [
         [(0, 0, 0), (0, 0, 1)], [(0, 0, 1), (0, 1, 0)], [(1, 1, 1), (1, 0, 0)],
         [(0, 1, 1), (0, 1, 0)], [(1, 0, 0), (0, 0, 0)], [(1, 0, 0), (0, 1, 0)],
@@ -560,19 +651,11 @@ def test_one_cluster_is_rejected():
         fit_glmm_logit(ds)
 
 
-def test_variance_overflow_in_the_line_search_is_a_convergence_error():
-    # 21 clusters of 2 with one event at (a, x) = (0, 0) and one at (1, 1):
-    # a BFGS line search tries log nu past 709, where exp overflows
-    rng = np.random.default_rng(63)
-    a = rng.integers(0, 2, 42)
-    x = rng.integers(0, 2, 42)
-    y = np.zeros(42)
-    y[rng.choice(np.flatnonzero((a == 0) & (x == 0)))] = 1
-    y[rng.choice(np.flatnonzero((a == 1) & (x == 1)))] = 1
-    ids = [f"c{j}" for j in np.repeat(np.arange(1, 22), 2)]
-    ds = ClusteredDataset.from_columns("binary", ids, y, a, x.astype(float))
+def test_variance_overflow_in_the_line_search_is_a_convergence_error(monkeypatch):
+    # BFGS runs nu up on concordant clusters, and its line search overflows
+    monkeypatch.setattr(mixed_models, "_AgqLoglik", OverflowingLoglik)
     with pytest.raises(ConvergenceError, match="variance overflowed"):
-        fit_glmm_logit(ds)
+        fit_glmm_logit(concordant_design(0))
 
 
 def test_requires_binary_scale_and_positive_nodes():

@@ -275,6 +275,34 @@ def test_load_studies_csv_schema_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "body, message",
+    [
+        (",1.0,0.1\ns2,2.0,0.1\n", "missing value for 'study_id' at row 1"),
+        ("s1,1.0,0.1\ns2,1.0\n", "missing value for 'std_error' at row 2"),
+        ("s1,1.0,0.1\ns2,x,0.1\n", "cannot parse estimate='x' as a number at row 2"),
+        # a missing value anywhere is reported before any unparseable number
+        ("s1,1.0,y\ns2,,0.1\n", "missing value for 'estimate' at row 2"),
+    ],
+    ids=["empty-study-id", "short-row", "unparseable", "missing-first"],
+)
+def test_load_studies_csv_reads_as_load_csv_does(tmp_path, body, message):
+    path = tmp_path / "studies.csv"
+    path.write_text("study_id,estimate,std_error\n" + body)
+    with pytest.raises(ValidationError) as caught:
+        load_studies_csv(path)
+    assert str(caught.value) == message
+
+
+def test_load_studies_csv_skips_blank_lines_and_extra_columns(tmp_path):
+    path = tmp_path / "studies.csv"
+    path.write_text("note,study_id,estimate,std_error\nx,s1,1.0,0.5\n\ny,s2,2.0,0.25\n")
+    studies = load_studies_csv(path)
+    assert [(s.study_id, s.estimate, s.within_variance) for s in studies] == [
+        ("s1", 1.0, 0.25), ("s2", 2.0, 0.0625)
+    ]
+
+
+@pytest.mark.parametrize(
     "estimate, variance",
     [(math.nan, 0.1), (math.inf, 0.1), (0.3, math.nan), (0.3, math.inf), (0.3, 0.0), (0.3, -0.1)],
 )
