@@ -4,9 +4,11 @@ A dataset holds validated, read-only numpy columns: ``outcome``,
 ``treatment`` and ``covariate_x`` as float64, and ``cluster_codes``
 (int64, in first-appearance order) indexing the ``cluster_ids`` labels.
 ``ClusteredDataset.from_columns`` is the one constructor and checks every
-row once. ``study_id`` and ``truth_u`` are optional per-row columns;
-``truth_u`` is a simulation-only column carrying the generated unmeasured
-confounder and is never placed in a fitting design matrix.
+row once. A dataset is one study: every fitter fits it as one
+random-intercept model, and studies meet only through their study-level
+estimates (``meta``). ``truth_u`` is an optional simulation-only column
+carrying the generated unmeasured confounder and is never placed in a
+fitting design matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +37,7 @@ def _float_column(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClusteredDataset:
-    """Validated columns of one long-format dataset; build with ``from_columns``."""
+    """Validated columns of one study's long-format data; build with ``from_columns``."""
 
     scale: str
     outcome: np.ndarray
@@ -42,7 +45,6 @@ class ClusteredDataset:
     covariate_x: np.ndarray
     cluster_codes: np.ndarray
     cluster_ids: tuple[str, ...]
-    study_id: Optional[tuple[str, ...]] = None
     truth_u: Optional[np.ndarray] = None
 
     @staticmethod
@@ -52,7 +54,6 @@ class ClusteredDataset:
         outcome,
         treatment,
         covariate_x,
-        study_id=None,
         truth_u=None,
     ) -> "ClusteredDataset":
         """Validate per-row columns once and build a dataset.
@@ -73,10 +74,7 @@ class ClusteredDataset:
         a = _float_column(treatment)
         x = _float_column(covariate_x)
         u = None if truth_u is None else _float_column(truth_u)
-        studies = None if study_id is None else tuple(study_id)
         shapes = [("outcome", y.shape), ("treatment", a.shape), ("covariate_x", x.shape)]
-        if studies is not None:
-            shapes.append(("study_id", (len(studies),)))
         if u is not None:
             shapes.append(("truth_u", u.shape))
         for name, shape in shapes:
@@ -111,17 +109,12 @@ class ClusteredDataset:
             covariate_x=x,
             cluster_codes=codes,
             cluster_ids=tuple(map(str, index)),
-            study_id=studies,
             truth_u=u,
         )
 
     @property
     def cluster_count(self) -> int:
         return len(self.cluster_ids)
-
-    @property
-    def study_count(self) -> int:
-        return 1 if self.study_id is None else len(set(self.study_id))
 
 
 def _parse_column(texts, column: str) -> np.ndarray:
@@ -138,6 +131,15 @@ def _parse_column(texts, column: str) -> np.ndarray:
         raise
 
 
+@contextmanager
+def _path_prefixed(path):
+    """Start the message of any ``ValidationError`` raised inside with ``<path>: ``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _read_columns(path, required, optional=()) -> dict:
     """Text columns of a comma-delimited UTF-8 file with a header row.
 
@@ -149,10 +151,10 @@ def _read_columns(path, required, optional=()) -> dict:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise SchemaError(f"{path}: empty file, header row required")
+            raise SchemaError("empty file, header row required")
         for col in required:
             if col not in header:
-                raise SchemaError(f"{path}: missing required column {col!r}")
+                raise SchemaError(f"missing required column {col!r}")
         rows = [row for row in reader if row]
     columns = list(itertools.zip_longest(*rows, fillvalue=""))
     names = tuple(required) + tuple(c for c in optional if c in header)
@@ -172,23 +174,32 @@ def load_csv(path, scale: str) -> ClusteredDataset:
 
     Required columns: cluster_id, outcome, treatment, covariate_x.
     Optional: study_id, truth_u. Row order is preserved and blank lines
-    are skipped; missing values are rejected.
+    are skipped; missing values are rejected. A file is one study: more
+    than one distinct study_id is refused (fitting would merge the studies'
+    clusters that share a label), and the column is then dropped.
     """
-    texts = _read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
-    values = {
-        name: _parse_column(texts[name], name)
-        for name in ("treatment", "outcome", "covariate_x", "truth_u")
-        if name in texts
-    }
-    return ClusteredDataset.from_columns(
-        scale,
-        texts["cluster_id"],
-        values["outcome"],
-        values["treatment"],
-        values["covariate_x"],
-        study_id=texts.get("study_id"),
-        truth_u=values.get("truth_u"),
-    )
+    with _path_prefixed(path):
+        texts = _read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
+        studies = list(dict.fromkeys(texts.pop("study_id", ())))
+        if len(studies) > 1:
+            raise ValidationError(
+                f"study_id holds {len(studies)} studies, first {studies[0]!r} and "
+                f"{studies[1]!r}, but a dataset is one study: split the file by study, or drop "
+                "the study_id column to fit the rows as one study"
+            )
+        values = {
+            name: _parse_column(texts[name], name)
+            for name in ("treatment", "outcome", "covariate_x", "truth_u")
+            if name in texts
+        }
+        return ClusteredDataset.from_columns(
+            scale,
+            texts["cluster_id"],
+            values["outcome"],
+            values["treatment"],
+            values["covariate_x"],
+            truth_u=values.get("truth_u"),
+        )
 
 
 def write_csv(ds: ClusteredDataset, path) -> None:
@@ -200,9 +211,6 @@ def write_csv(ds: ClusteredDataset, path) -> None:
         ds.treatment.astype(np.int64).tolist(),
         ds.covariate_x.tolist(),
     ]
-    if ds.study_id is not None:
-        header.append("study_id")
-        columns.append(ds.study_id)
     if ds.truth_u is not None:
         header.append("truth_u")
         columns.append(ds.truth_u.tolist())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import normal
-from .dataset import _parse_column, _read_columns
+from .dataset import _parse_column, _path_prefixed, _read_columns
 from .errors import DomainError, ValidationError, VarianceDominationError
 
 POSITIVE = "positive"
@@ -186,19 +186,18 @@ def explains_away_meta(
 
 def load_studies_csv(path) -> list[StudyEffect]:
     """Study-level CSV with columns study_id, estimate, std_error, read as by ``load_csv``."""
-    texts = _read_columns(path, ("study_id", "estimate", "std_error"))
-    estimates = _parse_column(texts["estimate"], "estimate").tolist()
-    std_errors = _parse_column(texts["std_error"], "std_error").tolist()
-    for row_num, (estimate, std_error) in enumerate(zip(estimates, std_errors), start=1):
-        if not math.isfinite(estimate):
-            raise ValidationError(
-                f"{path}: estimate at row {row_num} must be finite, got {estimate}"
-            )
-        if not (math.isfinite(std_error) and std_error > 0.0):
-            raise ValidationError(
-                f"{path}: std_error at row {row_num} must be finite and > 0, got {std_error}"
-            )
-    return [
-        StudyEffect(study_id=study, estimate=estimate, within_variance=std_error**2)
-        for study, estimate, std_error in zip(texts["study_id"], estimates, std_errors)
-    ]
+    with _path_prefixed(path):
+        texts = _read_columns(path, ("study_id", "estimate", "std_error"))
+        estimates = _parse_column(texts["estimate"], "estimate").tolist()
+        std_errors = _parse_column(texts["std_error"], "std_error").tolist()
+        for row_num, (estimate, std_error) in enumerate(zip(estimates, std_errors), start=1):
+            if not math.isfinite(estimate):
+                raise ValidationError(f"estimate at row {row_num} must be finite, got {estimate}")
+            if not (math.isfinite(std_error) and std_error > 0.0):
+                raise ValidationError(
+                    f"std_error at row {row_num} must be finite and > 0, got {std_error}"
+                )
+        return [
+            StudyEffect(study_id=study, estimate=estimate, within_variance=std_error**2)
+            for study, estimate, std_error in zip(texts["study_id"], estimates, std_errors)
+        ]

@@ -28,8 +28,10 @@ from scipy import special
 
 from . import normal
 from .dataset import ClusteredDataset
-from .errors import ConvergenceError, DomainError, SingularDesignError, ValidationError
-from .meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, pool
+from .errors import (
+    ConvergenceError, DomainError, SingularDesignError, ValidationError, VarianceDominationError
+)
+from .meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, p_of_q, pool
 from .mixed_models import LOGISTIC_LATENT_VARIANCE, fit_glmm_logit, fit_lmm_batch
 from .rng import replicate_stream
 from .sensitivity import confounded_effect
@@ -200,15 +202,13 @@ def _draw_mechanism(rng, n, mech: MechanismParams, sigma_u2: float):
     return u, x, a
 
 
-def _generate_single(config: ScenarioConfig, rng, study_id=None, clusters=None, betas=None, theta=None):
-    j = config.clusters if clusters is None else clusters
-    b0, b1, b2, b3 = config.true_betas if betas is None else betas
-    th = config.theta if theta is None else theta
+def _generate_single(config: ScenarioConfig, rng, j, betas, theta):
+    b0, b1, b2, b3 = betas
     n = j * config.cluster_size
     zeta = rng.normal(0.0, math.sqrt(config.nu), j) if config.nu > 0 else np.zeros(j)
     u, x, a = _draw_mechanism(rng, n, config.mechanism, config.sigma_u2)
     eps = rng.normal(0.0, math.sqrt(config.phi), n) if config.phi > 0 else np.zeros(n)
-    linear = b0 + b1 * a + b2 * x + b3 * a * x + th * u + np.repeat(zeta, config.cluster_size) + eps
+    linear = b0 + b1 * a + b2 * x + b3 * a * x + theta * u + np.repeat(zeta, config.cluster_size) + eps
     if config.kind == SINGLE_BINARY:
         y = (rng.random(n) < special.expit(linear)).astype(float)
         scale = "binary"
@@ -223,7 +223,6 @@ def _generate_single(config: ScenarioConfig, rng, study_id=None, clusters=None, 
         y,
         a,
         x,
-        study_id=None if study_id is None else (study_id,) * n,
         truth_u=u,
     )
 
@@ -232,7 +231,7 @@ def generate(config: ScenarioConfig, replicate_index: int):
     """Deterministic data for one replicate: a dataset, or a list for meta."""
     rng = replicate_stream(config.seed, replicate_index)
     if config.kind in (SINGLE_CONTINUOUS, SINGLE_BINARY):
-        return _generate_single(config, rng)
+        return _generate_single(config, rng, config.clusters, config.true_betas, config.theta)
     # meta: study sizes, per-study effects, then each study's data in order
     k = config.studies
     sizes = rng.integers(
@@ -246,16 +245,7 @@ def generate(config: ScenarioConfig, replicate_index: int):
     datasets = []
     for s in range(k):
         betas = (b0, study_betas[s, 0], b2, study_betas[s, 1])
-        datasets.append(
-            _generate_single(
-                config,
-                rng,
-                study_id=str(s + 1),
-                clusters=int(sizes[s]),
-                betas=betas,
-                theta=float(thetas[s]),
-            )
-        )
+        datasets.append(_generate_single(config, rng, int(sizes[s]), betas, float(thetas[s])))
     return datasets
 
 
@@ -321,29 +311,26 @@ def _replicate(config: ScenarioConfig, per_x, index: int):
     """
     data = generate(config, index)
     datasets = data if config.kind == META else [data]
+    out = []
     try:
         if config.kind == SINGLE_BINARY:
             fits = [fit_glmm_logit(data, config.quadrature_points)]
         else:
             fits = fit_lmm_batch(datasets)
-    except (ConvergenceError, SingularDesignError):
+        for x, constants in zip((0, 1), per_x):
+            effects = [confounded_effect(fit, x) for fit in fits]
+            if config.kind != META:
+                (eff,) = effects
+                out.append((eff.estimate - constants, eff.lb - constants, eff.ub - constants))
+                continue
+            bias, q = constants
+            studies = [
+                StudyEffect(str(k + 1), eff.estimate, eff.std_error**2)
+                for k, eff in enumerate(effects)
+            ]
+            out.append(_delta_interval(pool(studies), bias, q, studies))
+    except (ConvergenceError, SingularDesignError, VarianceDominationError):
         return None
-    out = []
-    for x, constants in zip((0, 1), per_x):
-        effects = [confounded_effect(fit, x) for fit in fits]
-        if config.kind != META:
-            (eff,) = effects
-            out.append((eff.estimate - constants, eff.lb - constants, eff.ub - constants))
-            continue
-        bias, q = constants
-        studies = [
-            StudyEffect(ds.study_id[0], eff.estimate, eff.std_error**2)
-            for ds, eff in zip(datasets, effects)
-        ]
-        meta_fit = pool(studies)
-        if meta_fit.v_hat <= bias.v_b:
-            return None
-        out.append(_delta_interval(meta_fit, bias, q, studies))
     return out
 
 
@@ -368,11 +355,13 @@ def true_p_of_q(config: ScenarioConfig, x: int) -> float:
 def _delta_interval(meta_fit: MetaFit, bias: BiasDistribution, q: float, studies):
     """The estimated exceedance probability and its delta-method 95% interval.
 
-    p_hat is ``p_of_q(meta_fit, bias, q, "positive")``. The interval treats
-    (mu_hat, v_hat) as independent normals: mu_hat with the pooled standard
-    error, v_hat with the large-sample moment variance. It is truncated to
-    [0, 1].
+    p_hat is ``p_of_q(meta_fit, bias, q)``, which raises
+    ``VarianceDominationError`` unless v_hat exceeds the bias variance. The
+    interval treats (mu_hat, v_hat) as independent normals: mu_hat with the
+    pooled standard error, v_hat with the large-sample moment variance. It
+    is truncated to [0, 1].
     """
+    p_hat = p_of_q(meta_fit, bias, q)
     spread2 = meta_fit.v_hat - bias.v_b
     spread = math.sqrt(spread2)
     z = (q + bias.mu_b - meta_fit.mu_hat) / spread
@@ -382,7 +371,6 @@ def _delta_interval(meta_fit: MetaFit, bias: BiasDistribution, q: float, studies
     var_v = dl_variance_of_v_hat(studies, meta_fit.v_hat)
     var_p = d_mu**2 * meta_fit.se_mu**2 + d_v**2 * var_v
     half = normal.ppf(0.975) * math.sqrt(max(var_p, 0.0))
-    p_hat = 1.0 - normal.cdf(z)
     return p_hat, max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 

@@ -213,6 +213,65 @@ def test_fit_binary_one_event_separation_exits_2(tmp_path, runner):
     )
 
 
+def two_study_csv(path):
+    # two studies of 40 clusters labelled 1-40 each, drawn with nu = 4
+    rng = np.random.default_rng(5)
+    rows = ["cluster_id,outcome,treatment,covariate_x,study_id"]
+    for study in ("s1", "s2"):
+        for cluster in range(1, 41):
+            z = rng.normal(0, 2)
+            for _ in range(3):
+                a, x = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+                y = 1 - a + 3 * x + a * x + z + rng.normal()
+                rows.append(f"{cluster},{y!r},{a},{x},{study}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_fit_two_studies_in_one_file_exits_1(tmp_path, runner):
+    # fitting the file would merge the 80 clusters into 40
+    path = two_study_csv(tmp_path / "two.csv")
+    result = invoke(runner, ["fit", path, "--scale", "continuous"])
+    error = assert_single_error_line(result)
+    assert error == (
+        f"error: {path}: study_id holds 2 studies, first 's1' and 's2', but a dataset is one "
+        "study: split the file by study, or drop the study_id column to fit the rows as one study"
+    )
+
+
+def test_fit_one_study_id_column_is_dropped(tmp_path, runner):
+    config = ScenarioConfig(
+        kind="single_continuous", clusters=40, cluster_size=3, replications=1, seed=9,
+    )
+    plain = tmp_path / "plain.csv"
+    write_csv(generate(config, 0), plain)
+    lines = plain.read_text().splitlines()
+    labelled = tmp_path / "labelled.csv"
+    labelled.write_text("\n".join([lines[0] + ",study_id"] + [f"{l},s1" for l in lines[1:]]) + "\n")
+    args = ["--scale", "continuous", "--precision", "17"]
+    expected = invoke(runner, ["fit", str(plain), *args])
+    result = invoke(runner, ["fit", str(labelled), *args])
+    assert result.exit_code == expected.exit_code == 0
+    assert result.stdout == expected.stdout
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("c1,1.0,1,0\nc1,x,0,1\n", "cannot parse outcome='x' as a number at row 2"),
+        ("c1,1.0,2,0\nc1,2.0,0,1\n", "treatment must be 0 or 1, got 2.0 at row 1"),
+        ("c1,1.0,1,0\nc1,,0,1\n", "missing value for 'outcome' at row 2"),
+    ],
+    ids=["unparseable", "row-check", "missing-value"],
+)
+def test_fit_reader_errors_name_the_file(tmp_path, runner, body, message):
+    path = tmp_path / "data.csv"
+    path.write_text("cluster_id,outcome,treatment,covariate_x\n" + body)
+    result = invoke(runner, ["fit", str(path), "--scale", "continuous"])
+    error = assert_single_error_line(result)
+    assert error == f"error: {path}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 # ---------------------------------------------------------------------------
@@ -304,6 +363,40 @@ def test_sensitivity_binary_fit_pipeline(tmp_path, runner):
     assert doc["effect"]["scale"] == "log-RR"
     assert doc["bias_factor"]["scale"] == "log-RR"
     assert isinstance(doc["explains_away"], bool)
+
+
+def test_sensitivity_high_icc_fit_warns_on_stderr(tmp_path, runner):
+    # nu = 2 is a logistic ICC of 0.378; nu does not enter the effect, so the
+    # payload equals that of the same fit at nu = 0.1, which does not warn
+    doc = {**VALID_FIT_DOC, "scale": "binary", "residual_variance": None}
+    outputs = []
+    for nu in (0.1, 2.0):
+        path = tmp_path / f"fit-{nu}.json"
+        path.write_text(json.dumps({**doc, "random_intercept_variance": nu}))
+        outputs.append(invoke(runner, ["sensitivity", "--fit", str(path)]))
+    quiet, warned = outputs
+    assert quiet.exit_code == warned.exit_code == 0
+    assert warned.stdout == quiet.stdout
+    assert "warning" not in quiet.stderr
+    assert [line for line in warned.stderr.splitlines() if "warning" in line] == [
+        "warning: fitted ICC 0.378 exceeds 0.35; log-RR bias factors are only reliable "
+        "for small intraclass correlation"
+    ]
+
+
+def test_sensitivity_large_log_rr_theta_warns_on_stderr(runner):
+    args = ["sensitivity", "--estimate", "0.5", "--lb", "0.1", "--ub", "0.9",
+            "--scale", "log-RR", "--p1x", "0.5", "--p0x", "0.2"]
+    quiet = invoke(runner, [*args, "--theta", "0.5"])
+    warned = invoke(runner, [*args, "--theta", "2"])
+    assert quiet.exit_code == warned.exit_code == 0
+    assert "warning" not in quiet.stderr
+    assert warned.stderr.splitlines() == [
+        "warning: |theta| = 2 exceeds 1.0; the log-RR closed form assumes a small confounder effect"
+    ]
+    # the payload alone reaches stdout: log((0.5 e^2 + 0.5) / (0.2 e^2 + 0.8))
+    ratio = (0.5 * math.exp(2) + 0.5) / (0.2 * math.exp(2) + 0.8)
+    assert json.loads(warned.stdout)["bias_factor"]["value"] == pytest.approx(math.log(ratio), rel=1e-5)
 
 
 def assert_single_error_line(result, exit_code=1):
@@ -463,7 +556,7 @@ def test_meta_studies_missing_value_exits_1(tmp_path, runner, body, message):
     path.write_text("study_id,estimate,std_error\n" + body)
     result = invoke(runner, ["meta", "--studies", str(path), "--q", "0.1", "--r", "0.3"])
     error = assert_single_error_line(result)
-    assert error == f"error: {message}"
+    assert error == f"error: {path}: {message}"
 
 
 def test_meta_non_finite_result_never_reaches_stdout(runner):
@@ -506,6 +599,22 @@ def test_meta_p_of_q_flags(runner):
     assert result.exit_code == 0
     doc = json.loads(result.stdout)
     assert doc["p_of_q"] == pytest.approx(0.7181485691746135, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--studies", "studies.csv", "--mu", "0.3"], "give either --studies or the (--mu, --v) pair"),
+        (["--mu", "0.3", "--q", "0.1", "--r", "0.3"], "need --studies or both --mu and --v"),
+        (["--mu", "0.3", "--v", "0.04", "--bias-mean", "0.1"], "--bias-mean needs --q"),
+        (["--mu", "0.3", "--v", "0.04"], "nothing to compute: give studies, a pooled fit, or q/r"),
+    ],
+    ids=["studies-and-pair", "half-pair", "bias-mean-without-q", "nothing-to-compute"],
+)
+def test_meta_usage_errors_exit_1(runner, args, message):
+    result = invoke(runner, ["meta", *args])
+    error = assert_single_error_line(result)
+    assert error == f"error: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +848,15 @@ def test_csv_refuses_a_non_finite_result(runner, args):
     assert_single_error_line(result)
     assert len(result.stderr.splitlines()) == 1
     assert "result holds a non-finite number" in result.stderr
+
+
+def test_json_refuses_a_non_finite_result(runner):
+    result = invoke(runner, ["meta", "--mu", "1e308", "--v", "1e300", "--q", "-1e308", "--r", "0.4"])
+    error = assert_single_error_line(result)
+    assert error == (
+        "error: result holds a non-finite number, not valid JSON: "
+        "Out of range float values are not JSON compliant: inf"
+    )
 
 
 @pytest.mark.parametrize(

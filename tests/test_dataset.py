@@ -17,12 +17,10 @@ from clustersens.mixed_models import _prepare
 from clustersens.simulation import ScenarioConfig, generate
 
 
-def make_dataset(rows, scale="continuous", study_id=None, truth_u=None):
+def make_dataset(rows, scale="continuous", truth_u=None):
     """Dataset from (cluster, outcome, treatment, covariate_x) rows."""
     cluster, outcome, treatment, x = zip(*rows)
-    return ClusteredDataset.from_columns(
-        scale, cluster, outcome, treatment, x, study_id=study_id, truth_u=truth_u
-    )
+    return ClusteredDataset.from_columns(scale, cluster, outcome, treatment, x, truth_u=truth_u)
 
 
 def assert_same_columns(got, expected):
@@ -30,7 +28,6 @@ def assert_same_columns(got, expected):
     for name in ("outcome", "treatment", "covariate_x", "cluster_codes"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
     assert got.cluster_ids == expected.cluster_ids
-    assert got.study_id == expected.study_id
     if expected.truth_u is None:
         assert got.truth_u is None
     else:
@@ -51,7 +48,6 @@ def test_load_four_rows_two_clusters(tmp_path):
     assert ds.outcome[0] == 1.5
     assert ds.cluster_ids[ds.cluster_codes[2]] == "c2"
     assert ds.cluster_codes.tolist() == [0, 0, 1, 1]
-    assert ds.study_count == 1
 
 
 def test_bad_treatment_cites_row(tmp_path):
@@ -81,13 +77,47 @@ def test_missing_value_rejected(tmp_path):
 def test_optional_columns_parsed(tmp_path):
     path = small_csv(
         tmp_path,
-        ["c1,1.5,1,0,s1,0.77", "c2,2.5,0,1,s2,-0.3"],
+        ["c1,1.5,1,0,s1,0.77", "c2,2.5,0,1,s1,-0.3"],
         header="cluster_id,outcome,treatment,covariate_x,study_id,truth_u",
     )
     ds = load_csv(path, "continuous")
-    assert ds.study_count == 2
-    assert ds.truth_u[0] == 0.77
-    assert ds.study_id[1] == "s2"
+    assert ds.truth_u.tolist() == [0.77, -0.3]
+    assert ds.cluster_ids == ("c1", "c2")
+
+
+def test_two_studies_in_one_file_refused(tmp_path):
+    # the same cluster labels in two studies would merge into one cluster
+    path = small_csv(
+        tmp_path,
+        ["1,1.5,1,0,s1", "1,2.5,0,1,s2", "2,0.5,1,1,s1", "2,-0.5,0,0,s3"],
+        header="cluster_id,outcome,treatment,covariate_x,study_id",
+    )
+    with pytest.raises(ValidationError) as caught:
+        load_csv(path, "continuous")
+    assert str(caught.value) == (
+        f"{path}: study_id holds 3 studies, first 's1' and 's2', but a dataset is one study: "
+        "split the file by study, or drop the study_id column to fit the rows as one study"
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a missing study_id is a missing value, reported before the study count
+        (["1,1.5,1,0,s1", "1,2.5,0,1,"], "missing value for 'study_id' at row 2"),
+        # the study count comes before number parsing and the row checks
+        (["1,x,1,0,s1", "1,2.5,7,1,s2"], "study_id holds 2 studies"),
+        (["1,x,7,0,s1", "1,2.5,0,1,s1"], "cannot parse outcome='x' as a number at row 1"),
+        (["1,1.5,7,0,s1", "1,2.5,0,1,s1"], "treatment must be 0 or 1, got 7.0 at row 1"),
+    ],
+    ids=["missing-study-id", "studies-before-parsing", "parsing", "row-check"],
+)
+def test_load_csv_errors_name_the_file_in_order(tmp_path, rows, message):
+    path = small_csv(tmp_path, rows, header="cluster_id,outcome,treatment,covariate_x,study_id")
+    with pytest.raises(ValidationError) as caught:
+        load_csv(path, "continuous")
+    assert str(caught.value).startswith(f"{path}: {message}")
+    assert str(caught.value).count(str(path)) == 1
 
 
 def test_truth_u_never_in_arrays():
@@ -105,7 +135,6 @@ def test_truth_u_never_in_arrays():
 def test_round_trip_identity(tmp_path):
     ds = make_dataset(
         [("a", 1.5e-7, 1, 0.0), ("a", -2.25, 0, 1.0), ("b", 3.0, 1, 1.0)],
-        study_id=["s", "s", "t"],
         truth_u=[0.123456789012345, -1.5, 2.0],
     )
     path = tmp_path / "round.csv"
@@ -113,7 +142,6 @@ def test_round_trip_identity(tmp_path):
     ds2 = load_csv(path, "continuous")
     assert_same_columns(ds2, ds)
     assert ds2.cluster_count == ds.cluster_count
-    assert ds2.study_count == ds.study_count == 2
 
 
 record_values = st.tuples(
@@ -214,15 +242,13 @@ GOOD_COLUMNS = dict(
          "column treatment has 3 values for 4 cluster_id rows: row 4 is incomplete"),
         ("continuous", {"truth_u": [0.1] * 5},
          "column truth_u has 5 values for 4 cluster_id rows: row 5 is incomplete"),
-        ("continuous", {"study_id": ["s1"]},
-         "column study_id has 1 values for 4 cluster_id rows: row 2 is incomplete"),
         # the first offending row is reported, whichever check it fails
         ("continuous", {"treatment": [1, 0, 1, 7], "covariate_x": [0.0, 1.0, math.nan, 0.0]},
          "non-finite covariate_x at row 3"),
     ],
     ids=[
         "bad-treatment", "nan-treatment", "non-finite-outcome", "non-binary-outcome",
-        "non-finite-covariate", "short-column", "long-column", "short-study-id", "first-row-wins",
+        "non-finite-covariate", "short-column", "long-column", "first-row-wins",
     ],
 )
 def test_from_columns_rejection_names_row(scale, change, message):

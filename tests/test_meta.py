@@ -290,7 +290,7 @@ def test_load_studies_csv_reads_as_load_csv_does(tmp_path, body, message):
     path.write_text("study_id,estimate,std_error\n" + body)
     with pytest.raises(ValidationError) as caught:
         load_studies_csv(path)
-    assert str(caught.value) == message
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_load_studies_csv_skips_blank_lines_and_extra_columns(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from clustersens import ValidationError
 from clustersens.errors import DomainError
 from clustersens import simulation
+from clustersens.mixed_models import fit_lmm_batch
 from clustersens.simulation import (
     MechanismParams,
     MetaEffectDistribution,
@@ -132,10 +133,9 @@ def test_meta_generation_sizes_and_studies():
     )
     datasets = generate(config, 0)
     assert len(datasets) == 15
-    for k, ds in enumerate(datasets):
+    for ds in datasets:
         assert 50 <= ds.cluster_count <= 150
         assert ds.outcome.size == ds.cluster_count * 3
-        assert ds.study_id == (str(k + 1),) * ds.outcome.size
 
 
 def test_generation_deterministic():
@@ -143,13 +143,15 @@ def test_generation_deterministic():
     assert columns_key(generate(config, 2)) == columns_key(generate(config, 2))
 
 
-def _columns_digest(datasets):
+def _columns_digest(out):
     h = hashlib.sha256()
-    for ds in datasets:
+    meta = isinstance(out, list)
+    for k, ds in enumerate(out if meta else [out]):
         for column in (ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes, ds.truth_u):
             h.update(np.ascontiguousarray(column).tobytes())
         h.update("\x1f".join(ds.cluster_ids).encode())
-        h.update("\x1f".join(ds.study_id or ("",) * ds.outcome.size).encode())
+        # each row's study label: a meta study's 1-based position, else ""
+        h.update("\x1f".join((str(k + 1) if meta else "",) * ds.outcome.size).encode())
     return h.hexdigest()
 
 
@@ -177,8 +179,7 @@ PINNED_DIGESTS = [
     "fields, digest", PINNED_DIGESTS, ids=[fields["kind"] for fields, _ in PINNED_DIGESTS]
 )
 def test_generated_columns_match_pinned_digest(fields, digest):
-    out = generate(ScenarioConfig(replications=1, **fields), 7)
-    assert _columns_digest(out if isinstance(out, list) else [out]) == digest
+    assert _columns_digest(generate(ScenarioConfig(replications=1, **fields), 7)) == digest
 
 
 def test_stream_independence():
@@ -321,6 +322,22 @@ def test_meta_run_smoke():
         assert row.truth == pytest.approx(truth)
         assert abs(row.bias) < 0.2
         assert row.replications_used == 10
+
+
+def test_meta_replicate_dropped_for_variance_domination():
+    # a confounder effect of variance 1e6 gives a bias variance that no
+    # pooled between-study variance exceeds, so p(q) is undefined and every
+    # replicate is dropped and counted, though every study fit converges
+    config = ScenarioConfig(
+        kind="meta", clusters=52, cluster_size=2, studies=3, replications=3, seed=5,
+        true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=1e6,
+    )
+    for index in range(config.replications):
+        assert all(fit.converged for fit in fit_lmm_batch(generate(config, index)))
+    metrics = run_scenario(config)
+    assert metrics.non_converged == 3
+    assert metrics.flagged
+    assert [row.replications_used for row in metrics.rows] == [0, 0]
 
 
 def test_degenerate_meta_truth_is_point_mass():
