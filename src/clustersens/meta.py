@@ -185,9 +185,22 @@ def explains_away_meta(
 
 
 def load_studies_csv(path) -> list[StudyEffect]:
-    """Study-level CSV with columns study_id, estimate, std_error, read as by ``load_csv``."""
+    """Study-level CSV with columns study_id, estimate, std_error, read as by ``load_csv``.
+
+    Each row is one study: a study_id that repeats (as from a duplicated row,
+    which would double that study's weight in the pool) is refused, after the
+    header and missing-value checks and before number parsing.
+    """
     with _path_prefixed(path):
         texts = _read_columns(path, ("study_id", "estimate", "std_error"))
+        first_row = {}
+        for row_num, study in enumerate(texts["study_id"], start=1):
+            if study in first_row:
+                raise ValidationError(
+                    f"study_id {study!r} repeats at rows {first_row[study]} and {row_num}: "
+                    "each row must be a distinct study"
+                )
+            first_row[study] = row_num
         estimates = _parse_column(texts["estimate"], "estimate").tolist()
         std_errors = _parse_column(texts["std_error"], "std_error").tolist()
         for row_num, (estimate, std_error) in enumerate(zip(estimates, std_errors), start=1):

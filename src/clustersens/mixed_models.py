@@ -18,8 +18,8 @@ closed-form score in nu, which decides nu = 0, and its information. The
 interior fit is maximum marginal likelihood with adaptive Gauss-Hermite
 quadrature over the cluster intercept, quasi-Newton over (beta, log nu)
 with the closed-form score of the quadrature sum (Liu & Pierce 1994;
-Pinheiro & Bates 1995), and observed information from a central
-difference of that score.
+Pinheiro & Bates 1995), and the closed-form observed information of the
+same sum (Louis 1982, with the adaptive nodes moving).
 """
 
 from __future__ import annotations
@@ -609,8 +609,35 @@ def _logistic_fit(y, design, sizes, counts):
     return beta, loglik, score, info
 
 
+@dataclass(frozen=True)
+class _AgqTerms:
+    """Per-cluster quadrature terms at one parameter point (J clusters, K nodes, n rows)."""
+
+    nu: float
+    dlognu: float  # d log nu / d log nu-parameter: 0 where the floor holds nu fixed
+    modes: np.ndarray  # (J,) conditional modes m
+    w: np.ndarray  # (n,) p (1 - p) at the mode
+    hess: np.ndarray  # (J,) curvature h = sum p (1 - p) + 1/nu
+    offsets: np.ndarray  # (J, K) node offsets z_k - m = s t_k
+    z_nodes: np.ndarray  # (J, K)
+    p_nodes: np.ndarray  # (n, K)
+    log_terms: np.ndarray  # (J,) L_j + log(2 pi nu) / 2
+    post: np.ndarray  # (J, K) posterior node weights
+    resid: np.ndarray  # (n, K) y - p at the nodes
+    slope: np.ndarray  # (J, K) dg/dz at the nodes
+    slope_mean: np.ndarray  # (J,)
+    spread: np.ndarray  # (J,) 1 + E_w[dg/dz (z_k - m)]
+    third: np.ndarray  # (n,) p (1 - p) (1 - 2p) at the mode
+    third_sums: np.ndarray  # (J,)
+    third_x: np.ndarray  # (J, 4) sum of third * x
+    dmode_beta: np.ndarray  # (J, 4)
+    dhess_beta: np.ndarray  # (J, 4)
+    dmode_nu: np.ndarray  # (J,) dm / d log nu
+    dhess_nu: np.ndarray  # (J,)
+
+
 class _AgqLoglik:
-    """Marginal log-likelihood and its score with per-cluster adaptive nodes.
+    """Marginal log-likelihood, score and observed information with per-cluster adaptive nodes.
 
     ``value_and_score`` returns the log-likelihood and its exact gradient in
     (beta, log nu): the derivative of the quadrature sum as computed, with
@@ -624,12 +651,14 @@ class _AgqLoglik:
     and dz_k = dm + (z_k - m) d log s. The implicit-function theorem on the
     mode equation gives dm/dbeta = -sum p(1-p) x / h and
     dm/dlog nu = m / (nu h); d log s = -dh / (2h) brings in the logistic
-    third derivative p(1-p)(1-2p).
+    third derivative p(1-p)(1-2p). ``information`` returns minus the exact
+    Hessian of the same sum (see there).
 
     Rows come in consecutive blocks of ``sizes``, block j standing for
     ``counts[j]`` identical clusters (see ``_cluster_patterns``): the
-    log-likelihood and the score are count-weighted sums of the per-cluster
-    terms, and the beta-score's per-row part weights each row by its count.
+    log-likelihood, the score and the information are count-weighted sums of
+    the per-cluster terms, and their per-row parts weight each row by its
+    count.
 
     Keeps the conditional modes between calls so the inner Newton solve
     warm-starts during the outer optimization.
@@ -650,13 +679,12 @@ class _AgqLoglik:
     def __call__(self, params):
         return self.value_and_score(params)[0]
 
-    def value_and_score(self, params):
+    def _terms(self, params) -> _AgqTerms:
+        """Modes, curvatures, nodes, posterior weights and dm, dh at params."""
         beta = params[:_DESIGN_COLUMNS]
         nu_raw = math.exp(params[_DESIGN_COLUMNS])
         nu = max(nu_raw, _VAR_FLOOR)
-        # d log nu / d log nu-parameter: zero where the floor holds nu fixed
-        dlognu = 1.0 if nu_raw >= _VAR_FLOOR else 0.0
-        y, design, codes, starts, counts = self.y, self.design, self.codes, self.starts, self.counts
+        y, design, codes, starts = self.y, self.design, self.codes, self.starts
         eta_fixed = design @ beta
 
         # conditional mode of the intercept per cluster (concave Newton)
@@ -689,56 +717,137 @@ class _AgqLoglik:
         shift = rel.max(axis=1)
         expo = np.exp(rel - shift[:, None])
         total = expo.sum(axis=1)
-        loglik = float(
-            counts @ (np.log(total) + shift + np.log(scale))
-            - 0.5 * counts.sum() * math.log(2.0 * math.pi * nu)
-        )
 
         post = expo / total[:, None]  # posterior node weights, (J, K)
         resid = y[:, None] - p_nodes  # (n, K)
         slope = np.add.reduceat(resid, starts, axis=0) - z_nodes / nu  # dg/dz at the nodes
-        slope_mean = np.sum(post * slope, axis=1)
-        # d log s enters through the node offsets (z_k - m) and through log s itself
-        spread = 1.0 + np.sum(post * slope * offsets, axis=1)
         third = w * (1.0 - 2.0 * p)
         third_sums = np.add.reduceat(third, starts)
-
         dmode_beta = -np.add.reduceat(design * w[:, None], starts, axis=0) / hess[:, None]
-        dhess_beta = (
-            np.add.reduceat(design * third[:, None], starts, axis=0)
-            + third_sums[:, None] * dmode_beta
-        )
-        score_beta = (
-            design.T @ (self.row_counts * np.sum(post[codes, :] * resid, axis=1))
-            + dmode_beta.T @ (counts * slope_mean)
-            - 0.5 * (dhess_beta / hess[:, None]).T @ (counts * spread)
+        third_x = np.add.reduceat(design * third[:, None], starts, axis=0)
+        dmode_nu = zeta / (nu * hess)
+        return _AgqTerms(
+            nu=nu,
+            dlognu=1.0 if nu_raw >= _VAR_FLOOR else 0.0,
+            modes=zeta,
+            w=w,
+            hess=hess,
+            offsets=offsets,
+            z_nodes=z_nodes,
+            p_nodes=p_nodes,
+            log_terms=np.log(total) + shift + np.log(scale),
+            post=post,
+            resid=resid,
+            slope=slope,
+            slope_mean=np.sum(post * slope, axis=1),
+            # d log s enters through the node offsets (z_k - m) and through log s itself
+            spread=1.0 + np.sum(post * slope * offsets, axis=1),
+            third=third,
+            third_sums=third_sums,
+            third_x=third_x,
+            dmode_beta=dmode_beta,
+            dhess_beta=third_x + third_sums[:, None] * dmode_beta,
+            dmode_nu=dmode_nu,
+            dhess_nu=third_sums * dmode_nu - 1.0 / nu,
         )
 
-        dmode_nu = zeta / (nu * hess)
-        dhess_nu = third_sums * dmode_nu - 1.0 / nu
-        score_nu = dlognu * float(
+    def value_and_score(self, params):
+        t = self._terms(params)
+        counts, hess = self.counts, t.hess
+        loglik = float(counts @ t.log_terms - 0.5 * counts.sum() * math.log(2.0 * math.pi * t.nu))
+        score_beta = (
+            self.design.T @ (self.row_counts * np.sum(t.post[self.codes, :] * t.resid, axis=1))
+            + t.dmode_beta.T @ (counts * t.slope_mean)
+            - 0.5 * (t.dhess_beta / hess[:, None]).T @ (counts * t.spread)
+        )
+        score_nu = t.dlognu * float(
             counts
             @ (
-                np.sum(post * z_nodes**2, axis=1) / (2.0 * nu)
-                + slope_mean * dmode_nu
-                - 0.5 * spread * dhess_nu / hess
+                np.sum(t.post * t.z_nodes**2, axis=1) / (2.0 * t.nu)
+                + t.slope_mean * t.dmode_nu
+                - 0.5 * t.spread * t.dhess_nu / hess
                 - 0.5
             )
         )
         return loglik, np.append(score_beta, score_nu)
 
+    def information(self, params):
+        """Observed information: minus the exact Hessian of the quadrature sum in (beta, log nu).
 
-def _score_information(score, params, rel_step=1e-4):
-    """Observed information as the symmetrised central difference of a score."""
-    steps = rel_step * np.maximum(1.0, np.abs(params))
-    info = np.empty((params.size, params.size))
-    for i, h in enumerate(steps):
-        up = params.copy()
-        down = params.copy()
-        up[i] += h
-        down[i] -= h
-        info[i] = (score(down) - score(up)) / (2.0 * h)
-    return 0.5 * (info + info.T)
+        With G_k = g(z_k) as a function of theta = (beta, log nu) through
+        both its arguments, d2L_j = E_w[d2G_k] + Cov_w(dG_k) + d2 log s
+        (the form of Louis 1982, plus the adaptive nodes' motion), where
+        dG_k = dg + g_z dz_k and
+
+            d2G_k = d2g + dg_z dz_k' + dz_k dg_z' + g_zz dz_k dz_k' + g_z d2z_k,
+            d2z_k = d2m + (z_k - m) (d2 log s + d log s d log s').
+
+        Differentiating the mode equation g_z(m) = 0 twice gives
+        h d2m = -(g3 dm dm' + a3 dm' + dm a3' + q3), and differentiating
+        h = -g_zz(m) gives d2h = g4 dm dm' + a4 dm' + dm a4' + g3 d2m + q4,
+        with g3 = sum p(1-p)(1-2p), g4 = sum p(1-p)(1-6p(1-p)), a3, a4 minus
+        the partials of g_zz and g_zzz, and q3, q4 minus the second partials
+        of g_z and g_zz; d2 log s = -d2h / (2h) + 2 d log s d log s'. Only
+        count-weighted sums of d2m and d2 log s enter, so they are contracted
+        over the clusters before any 5 x 5 product is formed. Costs a little
+        over two score calls, and is exactly symmetric.
+        """
+        t = self._terms(params)
+        design, codes, starts, counts = self.design, self.codes, self.starts, self.counts
+        nu, hess = t.nu, t.hess
+        size = _DESIGN_COLUMNS + 1
+        dmode = np.column_stack([t.dmode_beta, t.dmode_nu])
+        dlog_scale = -np.column_stack([t.dhess_beta, t.dhess_nu]) / (2.0 * hess[:, None])
+
+        # node terms, flattened to (J K, 5): dz_k and dG_k centred on its posterior mean
+        dz = dmode[:, None, :] + t.offsets[:, :, None] * dlog_scale[:, None, :]
+        dgk = np.empty_like(dz)
+        dgk[..., :-1] = np.add.reduceat(
+            design[:, :, None] * t.resid[:, None, :], starts, axis=0
+        ).transpose(0, 2, 1)
+        dgk[..., -1] = t.z_nodes**2 / (2.0 * nu)
+        dgk += t.slope[..., None] * dz
+        dgk -= t.post[:, None, :] @ dgk
+        weights = (counts[:, None] * t.post).reshape(-1, 1)
+        dz, dgk = dz.reshape(-1, size), dgk.reshape(-1, size)
+        w_nodes = t.p_nodes * (1.0 - t.p_nodes)
+        gzz = -np.add.reduceat(w_nodes, starts, axis=0) - 1.0 / nu
+        hessian = (weights * dgk).T @ dgk + (weights * gzz.reshape(-1, 1) * dz).T @ dz
+
+        # E_w[dg_z dz_k'] with dg_z = (-sum p(1-p) x, z_k / nu): the beta rows
+        # per unit row, through sum_k w_k p(1-p) dz_k = r0 dm + r1 d log s
+        node_w = t.post[codes, :] * w_nodes  # (n, K)
+        r0 = self.row_counts * np.sum(node_w, axis=1)
+        r1 = self.row_counts * np.sum(node_w * t.offsets[codes, :], axis=1)
+        mixed = np.empty((size, size))
+        mixed[:-1] = -design.T @ (r0[:, None] * dmode[codes] + r1[:, None] * dlog_scale[codes])
+        mixed[-1] = (weights[:, 0] * t.z_nodes.ravel()) @ dz / nu
+        hessian += mixed + mixed.T
+
+        # sum_j c_j (E_w[g_z] d2m + E_w[g_z (z_k - m)] d log s d log s'
+        #            + (1 + E_w[g_z (z_k - m)]) d2 log s), contracted over j
+        gamma = counts * t.spread / (2.0 * hess)  # weight of -d2h
+        delta = (counts * t.slope_mean - gamma * t.third_sums) / hess  # weight of -h d2m
+        fourth = t.w * (1.0 - 6.0 * t.w)
+        fourth_x = np.add.reduceat(design * fourth[:, None], starts, axis=0)
+        cross = np.column_stack(
+            [delta[:, None] * t.third_x + gamma[:, None] * fourth_x, -delta / nu]
+        )
+        cross = cross.T @ dmode
+        scaled = dmode * (delta * t.third_sums + gamma * np.add.reduceat(fourth, starts))[:, None]
+        hessian -= scaled.T @ dmode + cross + cross.T
+        hessian += (dlog_scale * (counts * (3.0 * t.spread - 1.0))[:, None]).T @ dlog_scale
+
+        # E_w[d2g] with the q3, q4 terms: sum over rows of x x', and the nu entry
+        row_weights = r0 + delta[codes] * t.third + gamma[codes] * fourth
+        hessian[:-1, :-1] -= design.T @ (design * row_weights[:, None])
+        hessian[-1, -1] -= (
+            counts @ np.sum(t.post * t.z_nodes**2, axis=1) / (2.0 * nu)
+            + (delta @ t.modes + gamma.sum()) / nu
+        )
+        hessian[-1, :] *= t.dlognu
+        hessian[:, -1] *= t.dlognu
+        return -0.5 * (hessian + hessian.T)
 
 
 # BFGS stops once max |g| falls to what the log-likelihood can still
@@ -781,8 +890,10 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     most 1e-6 log-likelihood over the logistic one, the fit is the logistic
     fit with ``boundary`` set and its covariance is the inverse logistic
     information X' diag(p (1 - p)) X. Otherwise the covariance is the
-    (beta, beta) block of the inverse observed information, the
-    symmetrised central difference of the analytic score. ``n_obs`` and
+    (beta, beta) block of the inverse observed information, the exact
+    Hessian of the quadrature sum in closed form
+    (``_AgqLoglik.information``), which calls no score; the tests check it
+    against a central difference of the analytic score. ``n_obs`` and
     ``n_clusters`` count the data, not the patterns.
 
     Raises ValidationError for a non-binary dataset or one with fewer than
@@ -852,7 +963,7 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         # at nu = 0 the marginal likelihood is the plain logistic one
         nu, loglik, info = 0.0, logistic_loglik, logistic_info
     else:
-        info = _score_information(lambda p: loglik_fn.value_and_score(p)[1], params)
+        info = loglik_fn.information(params)
     try:
         cov = np.linalg.inv(info)[:_DESIGN_COLUMNS, :_DESIGN_COLUMNS]
         cov = 0.5 * (cov + cov.T)

@@ -23,7 +23,6 @@ from clustersens.mixed_models import (
     _expit_softplus,
     _logistic_fit,
     _prepare,
-    _score_information,
 )
 from clustersens.simulation import ScenarioConfig, generate, nu_from_icc
 
@@ -60,6 +59,19 @@ def brute_force_loglik(ds, beta, nu):
     return total
 
 
+def score_information(score, params, rel_step=1e-4):
+    """Observed information as the symmetrised central difference of a score."""
+    steps = rel_step * np.maximum(1.0, np.abs(params))
+    info = np.empty((params.size, params.size))
+    for i, h in enumerate(steps):
+        up = params.copy()
+        down = params.copy()
+        up[i] += h
+        down[i] -= h
+        info[i] = (score(down) - score(up)) / (2.0 * h)
+    return 0.5 * (info + info.T)
+
+
 class PerClusterAgq:
     """Oracle: the AGQ log-likelihood and score summed cluster by cluster.
 
@@ -77,6 +89,9 @@ class PerClusterAgq:
 
     def __call__(self, params):
         return self.value_and_score(params)[0]
+
+    def information(self, params):
+        return score_information(lambda p: self.value_and_score(p)[1], params)
 
     def value_and_score(self, params):
         beta = params[:4]
@@ -252,7 +267,7 @@ def test_score_information_matches_value_hessian():
     optimum = np.append(fit.coefficients, math.log(fit.random_intercept_variance))
     interior = optimum + rng.normal(0.0, 0.2, 5)
     for params in (optimum, interior):
-        info = _score_information(lambda p: loglik.value_and_score(p)[1], params)
+        info = score_information(lambda p: loglik.value_and_score(p)[1], params)
         hess = central_difference_hessian(loglik, params)
         assert np.max(np.abs(info + hess)) <= 1e-4 * np.max(np.abs(hess))
 
@@ -266,6 +281,36 @@ def criterion_4_design(seed=34):
     return generate(config, 0)
 
 
+def assert_information_matches_score_difference(loglik, params):
+    closed = loglik.information(params)
+    numeric = score_information(lambda p: loglik.value_and_score(p)[1], params)
+    assert np.array_equal(closed, closed.T)
+    assert np.max(np.abs(closed - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+
+
+@pytest.mark.parametrize("quadrature_points", [1, 15, 25])
+@pytest.mark.parametrize("nu", [0.05, 0.4, 1.5])
+def test_closed_form_information_matches_the_score_difference(quadrature_points, nu):
+    rng = np.random.default_rng(2024 + quadrature_points)
+    ds = binary_dataset(rng, n_clusters=20, cluster_size=6)
+    loglik = per_cluster_loglik(ds, quadrature_points)
+    for _ in range(3):
+        assert_information_matches_score_difference(
+            loglik, np.append(rng.normal(0.0, 0.6, 4), math.log(nu))
+        )
+
+
+@pytest.mark.parametrize("seed", range(34, 42))
+def test_closed_form_information_matches_the_score_difference_at_the_optimum(seed):
+    ds = criterion_4_design(seed)
+    fit = fit_glmm_logit(ds)
+    assert not fit.boundary
+    loglik = weighted_loglik(ds)[0]
+    assert_information_matches_score_difference(
+        loglik, np.append(fit.coefficients, math.log(fit.random_intercept_variance))
+    )
+
+
 def test_criterion_4_design_fit_evaluation_budget(monkeypatch):
     calls = []
 
@@ -274,12 +319,24 @@ def test_criterion_4_design_fit_evaluation_budget(monkeypatch):
             calls.append(1)
             return super().value_and_score(params)
 
+    bfgs_evaluations = []
+    minimize = optimize.minimize
+
+    def counting_minimize(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        bfgs_evaluations.append(result.nfev)
+        return result
+
     monkeypatch.setattr(mixed_models, "_AgqLoglik", CountingLoglik)
+    monkeypatch.setattr(mixed_models.optimize, "minimize", counting_minimize)
     per_fit = []
     for seed in range(34, 114):
         calls.clear()
+        bfgs_evaluations.clear()
         fit = fit_glmm_logit(criterion_4_design(seed))
         assert not fit.boundary
+        # the observed information costs no score calls
+        assert [len(calls)] == bfgs_evaluations
         per_fit.append(len(calls))
     assert 0 < max(per_fit) <= 40
 
@@ -365,7 +422,7 @@ def test_boundary_information_matches_the_score_difference():
     def score(beta):
         return loglik.value_and_score(np.append(beta, math.log(1e-10)))[1][:4]
 
-    expected = np.linalg.inv(_score_information(score, fit.coefficients))
+    expected = np.linalg.inv(score_information(score, fit.coefficients))
     np.testing.assert_allclose(fit.coef_covariance, expected, rtol=1e-8)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 from clustersens import (
@@ -17,6 +18,7 @@ from clustersens import (
     p_of_q,
     pool,
 )
+from clustersens.cli import main
 from clustersens.errors import DomainError
 from clustersens.meta import dl_variance_of_v_hat
 
@@ -291,6 +293,31 @@ def test_load_studies_csv_reads_as_load_csv_does(tmp_path, body, message):
     with pytest.raises(ValidationError) as caught:
         load_studies_csv(path)
     assert str(caught.value) == f"{path}: {message}"
+
+
+DUPLICATED_STUDY = "study_id,estimate,std_error\ns1,1.0,0.2\ns2,2.0,0.2\ns2,2.0,0.2\n"
+
+
+def test_load_studies_csv_refuses_a_repeated_study(tmp_path):
+    # a duplicated row would pool s2 twice: 3 studies and mu 1.667, not 1.5
+    path = tmp_path / "studies.csv"
+    path.write_text(DUPLICATED_STUDY)
+    with pytest.raises(ValidationError) as caught:
+        load_studies_csv(path)
+    assert str(caught.value) == (
+        f"{path}: study_id 's2' repeats at rows 2 and 3: each row must be a distinct study"
+    )
+
+
+def test_meta_studies_with_a_repeated_study_exits_1(tmp_path):
+    path = tmp_path / "studies.csv"
+    path.write_text(DUPLICATED_STUDY)
+    result = CliRunner().invoke(main, ["meta", "--studies", str(path)], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {path}: study_id 's2' repeats at rows 2 and 3: each row must be a distinct study"
+    ]
 
 
 def test_load_studies_csv_skips_blank_lines_and_extra_columns(tmp_path):
