@@ -81,17 +81,29 @@ class PqSpec:
 
 
 def pool(studies: Sequence[StudyEffect]) -> MetaFit:
-    """DerSimonian-Laird random-effects pooling of study estimates."""
+    """DerSimonian-Laird random-effects pooling of study estimates.
+
+    Raises ValidationError for fewer than 2 studies, or where Cochran's Q or
+    the between-study variance overflows the float range.
+    """
     if len(studies) < 2:
         raise ValidationError(f"pooling needs at least 2 studies, got {len(studies)}")
     k = len(studies)
     w = [1.0 / s.within_variance for s in studies]
     s1 = sum(w)
     fixed_mean = sum(wi * s.estimate for wi, s in zip(w, studies)) / s1
-    q_stat = sum(wi * (s.estimate - fixed_mean) ** 2 for wi, s in zip(w, studies))
+    try:
+        q_stat = sum(wi * (s.estimate - fixed_mean) ** 2 for wi, s in zip(w, studies))
+    except OverflowError:  # float ** raises where a deviation past ~1e154 is squared
+        q_stat = math.inf
     s2 = sum(wi * wi for wi in w)
     c = s1 - s2 / s1
     v_hat = max(0.0, (q_stat - (k - 1)) / c) if c > 0 else 0.0
+    if not (math.isfinite(q_stat) and math.isfinite(v_hat)):
+        raise ValidationError(
+            "Cochran's Q or the between-study variance overflows the float range: "
+            "the study estimates or their weights are too large in magnitude to pool"
+        )
     w_re = [1.0 / (s.within_variance + v_hat) for s in studies]
     total = sum(w_re)
     mu_hat = sum(wi * s.estimate for wi, s in zip(w_re, studies)) / total
@@ -206,9 +218,10 @@ def load_studies_csv(path) -> list[StudyEffect]:
         for row_num, (estimate, std_error) in enumerate(zip(estimates, std_errors), start=1):
             if not math.isfinite(estimate):
                 raise ValidationError(f"estimate at row {row_num} must be finite, got {estimate}")
-            if not (math.isfinite(std_error) and std_error > 0.0):
+            if not (math.isfinite(std_error * std_error) and std_error > 0.0):
                 raise ValidationError(
-                    f"std_error at row {row_num} must be finite and > 0, got {std_error}"
+                    f"std_error at row {row_num} must be > 0 with a square, the "
+                    f"within-study variance, inside the float range, got {std_error}"
                 )
         return [
             StudyEffect(study_id=study, estimate=estimate, within_variance=std_error**2)

@@ -16,10 +16,10 @@ patterns and their counts, and both fits work on that reduction. The plain
 logistic fit gives the model at nu = 0: its log-likelihood, its
 closed-form score in nu, which decides nu = 0, and its information. The
 interior fit is maximum marginal likelihood with adaptive Gauss-Hermite
-quadrature over the cluster intercept, quasi-Newton over (beta, log nu)
-with the closed-form score of the quadrature sum (Liu & Pierce 1994;
-Pinheiro & Bates 1995), and the closed-form observed information of the
-same sum (Louis 1982, with the adaptive nodes moving).
+quadrature over the cluster intercept (Liu & Pierce 1994; Pinheiro &
+Bates 1995): a Newton iteration over (beta, log nu) on the closed-form
+score and observed information of the quadrature sum (Louis 1982, with
+the adaptive nodes moving), both from one pass per trial point.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class MixedModelFit:
     n_clusters: int = 0
     quadrature_points: Optional[int] = None
     # fit_lmm: Brent's profile evaluations (nfev); fit_lmm_batch: Newton or
-    # bisection steps after the start grid; fit_glmm_logit: BFGS nit
+    # bisection steps after the start grid; fit_glmm_logit: Newton steps
     n_iterations: int = 0
 
 
@@ -171,12 +171,25 @@ def _prepare(ds: ClusteredDataset):
     return y, design, codes, sizes, starts
 
 
-def _check_design_rank(design_gram):
-    """Raise SingularDesignError unless every (..., 4, 4) design Gram matrix has full rank."""
-    if np.any(np.linalg.matrix_rank(design_gram) < _DESIGN_COLUMNS):
+def _design_grams(blocks):
+    """Stacked Gram matrices B'B of row blocks whose first four columns are the design.
+
+    Raises ValidationError where a cross-product overflows (before the rank
+    check meets an infinity), SingularDesignError unless every design block
+    has full rank.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = np.stack([block.T @ block for block in blocks])
+    if not np.all(np.isfinite(grams)):
+        raise ValidationError(
+            "cross-products of the data overflow the float range: "
+            "a covariate_x or outcome value is too large in magnitude"
+        )
+    if np.any(np.linalg.matrix_rank(grams[:, :_DESIGN_COLUMNS, :_DESIGN_COLUMNS]) < _DESIGN_COLUMNS):
         raise SingularDesignError(
             "design matrix [1, treatment, covariate, interaction] is rank deficient"
         )
+    return grams
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +242,7 @@ def _reml_statistics(datasets) -> _RemlStatistics:
     y_mean = np.add.reduceat(y, np.cumsum(rows) - rows) / rows
     y -= np.repeat(y_mean, rows)
     data = np.column_stack([np.ones_like(y), a, x, a * x, y])
-    gram = np.stack([part.T @ part for part in np.split(data, np.cumsum(rows)[:-1])])
-    _check_design_rank(gram[:, :_DESIGN_COLUMNS, :_DESIGN_COLUMNS])
+    gram = _design_grams(np.split(data, np.cumsum(rows)[:-1]))
     if np.any(rows <= _DESIGN_COLUMNS):
         raise ValidationError("not enough observations to estimate four coefficients")
 
@@ -573,8 +585,9 @@ def _logistic_fit(y, design, sizes, counts):
     # cell of equal outcomes gives one), no row's likelihood given its
     # cluster intercept falls, nor its integral: at no nu, 0 included, is
     # there a maximum (Albert & Anderson 1984). Otherwise beta has a finite
-    # maximum at every nu and BFGS needs no wall in beta; at nu = 0 IRLS is
-    # Newton on a strictly concave function: estimable designs take <= 8 steps.
+    # maximum at every nu and the iteration in (beta, log nu) needs no wall in
+    # beta; at nu = 0 IRLS is Newton on a strictly concave function:
+    # estimable designs take <= 8 steps.
     beta = np.zeros(_DESIGN_COLUMNS)
     converged = False
     for _ in range(25):
@@ -609,41 +622,14 @@ def _logistic_fit(y, design, sizes, counts):
     return beta, loglik, score, info
 
 
-@dataclass(frozen=True)
-class _AgqTerms:
-    """Per-cluster quadrature terms at one parameter point (J clusters, K nodes, n rows)."""
-
-    nu: float
-    dlognu: float  # d log nu / d log nu-parameter: 0 where the floor holds nu fixed
-    modes: np.ndarray  # (J,) conditional modes m
-    w: np.ndarray  # (n,) p (1 - p) at the mode
-    hess: np.ndarray  # (J,) curvature h = sum p (1 - p) + 1/nu
-    offsets: np.ndarray  # (J, K) node offsets z_k - m = s t_k
-    z_nodes: np.ndarray  # (J, K)
-    p_nodes: np.ndarray  # (n, K)
-    log_terms: np.ndarray  # (J,) L_j + log(2 pi nu) / 2
-    post: np.ndarray  # (J, K) posterior node weights
-    resid: np.ndarray  # (n, K) y - p at the nodes
-    slope: np.ndarray  # (J, K) dg/dz at the nodes
-    slope_mean: np.ndarray  # (J,)
-    spread: np.ndarray  # (J,) 1 + E_w[dg/dz (z_k - m)]
-    third: np.ndarray  # (n,) p (1 - p) (1 - 2p) at the mode
-    third_sums: np.ndarray  # (J,)
-    third_x: np.ndarray  # (J, 4) sum of third * x
-    dmode_beta: np.ndarray  # (J, 4)
-    dhess_beta: np.ndarray  # (J, 4)
-    dmode_nu: np.ndarray  # (J,) dm / d log nu
-    dhess_nu: np.ndarray  # (J,)
-
-
 class _AgqLoglik:
     """Marginal log-likelihood, score and observed information with per-cluster adaptive nodes.
 
-    ``value_and_score`` returns the log-likelihood and its exact gradient in
-    (beta, log nu): the derivative of the quadrature sum as computed, with
-    the adaptive nodes moving with the parameters. Per cluster j, with
-    conditional mode m, curvature h = sum p(1-p) + 1/nu, node scale
-    s = sqrt(2/h) and nodes z_k = m + s t_k,
+    ``derivatives`` returns all three from one pass over the clusters: the
+    quadrature sum as computed and its exact first and second derivatives
+    in (beta, log nu), with the adaptive nodes moving with the parameters.
+    Per cluster j, with conditional mode m, curvature h = sum p(1-p) + 1/nu,
+    node scale s = sqrt(2/h) and nodes z_k = m + s t_k,
 
         L_j = log sum_k exp(g(z_k) + lw_k) + log s - log(2 pi nu)/2,
 
@@ -651,8 +637,7 @@ class _AgqLoglik:
     and dz_k = dm + (z_k - m) d log s. The implicit-function theorem on the
     mode equation gives dm/dbeta = -sum p(1-p) x / h and
     dm/dlog nu = m / (nu h); d log s = -dh / (2h) brings in the logistic
-    third derivative p(1-p)(1-2p). ``information`` returns minus the exact
-    Hessian of the same sum (see there).
+    third derivative p(1-p)(1-2p).
 
     Rows come in consecutive blocks of ``sizes``, block j standing for
     ``counts[j]`` identical clusters (see ``_cluster_patterns``): the
@@ -661,7 +646,7 @@ class _AgqLoglik:
     count.
 
     Keeps the conditional modes between calls so the inner Newton solve
-    warm-starts during the outer optimization.
+    warm-starts during the outer iteration.
     """
 
     def __init__(self, y, design, sizes, counts, quadrature_points):
@@ -676,15 +661,34 @@ class _AgqLoglik:
         self.log_weights = np.log(weights) + nodes**2  # exp-scaled weights
         self.modes = np.zeros(sizes.size)
 
-    def __call__(self, params):
-        return self.value_and_score(params)[0]
+    def derivatives(self, params):
+        """Log-likelihood, score and observed information at params = (beta, log nu).
 
-    def _terms(self, params) -> _AgqTerms:
-        """Modes, curvatures, nodes, posterior weights and dm, dh at params."""
+        The information is minus the exact Hessian of the quadrature sum.
+        With G_k = g(z_k) as a function of theta = (beta, log nu) through
+        both its arguments, d2L_j = E_w[d2G_k] + Cov_w(dG_k) + d2 log s
+        (the form of Louis 1982, plus the adaptive nodes' motion), where
+        dG_k = dg + g_z dz_k and
+
+            d2G_k = d2g + dg_z dz_k' + dz_k dg_z' + g_zz dz_k dz_k' + g_z d2z_k,
+            d2z_k = d2m + (z_k - m) (d2 log s + d log s d log s').
+
+        Differentiating the mode equation g_z(m) = 0 twice gives
+        h d2m = -(g3 dm dm' + a3 dm' + dm a3' + q3), and differentiating
+        h = -g_zz(m) gives d2h = g4 dm dm' + a4 dm' + dm a4' + g3 d2m + q4,
+        with g3 = sum p(1-p)(1-2p), g4 = sum p(1-p)(1-6p(1-p)), a3, a4 minus
+        the partials of g_zz and g_zzz, and q3, q4 minus the second partials
+        of g_z and g_zz; d2 log s = -d2h / (2h) + 2 d log s d log s'. Only
+        count-weighted sums of d2m and d2 log s enter, so they are contracted
+        over the clusters before any 5 x 5 product is formed. The
+        information is exactly symmetric. Below the variance floor nu is
+        held fixed, and the log nu entries of the score and information are 0.
+        """
         beta = params[:_DESIGN_COLUMNS]
         nu_raw = math.exp(params[_DESIGN_COLUMNS])
         nu = max(nu_raw, _VAR_FLOOR)
-        y, design, codes, starts = self.y, self.design, self.codes, self.starts
+        dlognu = 1.0 if nu_raw >= _VAR_FLOOR else 0.0
+        y, design, codes, starts, counts = self.y, self.design, self.codes, self.starts, self.counts
         eta_fixed = design @ beta
 
         # conditional mode of the intercept per cluster (concave Newton)
@@ -717,148 +721,103 @@ class _AgqLoglik:
         shift = rel.max(axis=1)
         expo = np.exp(rel - shift[:, None])
         total = expo.sum(axis=1)
+        loglik = float(
+            counts @ (np.log(total) + shift + np.log(scale))
+            - 0.5 * counts.sum() * math.log(2.0 * math.pi * nu)
+        )
 
+        # score: dm, dh per cluster, then E_w[dg] + d log s
         post = expo / total[:, None]  # posterior node weights, (J, K)
         resid = y[:, None] - p_nodes  # (n, K)
         slope = np.add.reduceat(resid, starts, axis=0) - z_nodes / nu  # dg/dz at the nodes
+        slope_mean = np.sum(post * slope, axis=1)
+        # d log s enters through the node offsets (z_k - m) and through log s itself
+        spread = 1.0 + np.sum(post * slope * offsets, axis=1)
+        node_squares = np.sum(post * z_nodes**2, axis=1)
         third = w * (1.0 - 2.0 * p)
         third_sums = np.add.reduceat(third, starts)
         dmode_beta = -np.add.reduceat(design * w[:, None], starts, axis=0) / hess[:, None]
         third_x = np.add.reduceat(design * third[:, None], starts, axis=0)
-        dmode_nu = zeta / (nu * hess)
-        return _AgqTerms(
-            nu=nu,
-            dlognu=1.0 if nu_raw >= _VAR_FLOOR else 0.0,
-            modes=zeta,
-            w=w,
-            hess=hess,
-            offsets=offsets,
-            z_nodes=z_nodes,
-            p_nodes=p_nodes,
-            log_terms=np.log(total) + shift + np.log(scale),
-            post=post,
-            resid=resid,
-            slope=slope,
-            slope_mean=np.sum(post * slope, axis=1),
-            # d log s enters through the node offsets (z_k - m) and through log s itself
-            spread=1.0 + np.sum(post * slope * offsets, axis=1),
-            third=third,
-            third_sums=third_sums,
-            third_x=third_x,
-            dmode_beta=dmode_beta,
-            dhess_beta=third_x + third_sums[:, None] * dmode_beta,
-            dmode_nu=dmode_nu,
-            dhess_nu=third_sums * dmode_nu - 1.0 / nu,
-        )
-
-    def value_and_score(self, params):
-        t = self._terms(params)
-        counts, hess = self.counts, t.hess
-        loglik = float(counts @ t.log_terms - 0.5 * counts.sum() * math.log(2.0 * math.pi * t.nu))
+        dhess_beta = third_x + third_sums[:, None] * dmode_beta
+        dmode_nu = zeta / (nu * hess)  # dm / d log nu
+        dhess_nu = third_sums * dmode_nu - 1.0 / nu
         score_beta = (
-            self.design.T @ (self.row_counts * np.sum(t.post[self.codes, :] * t.resid, axis=1))
-            + t.dmode_beta.T @ (counts * t.slope_mean)
-            - 0.5 * (t.dhess_beta / hess[:, None]).T @ (counts * t.spread)
+            design.T @ (self.row_counts * np.sum(post[codes, :] * resid, axis=1))
+            + dmode_beta.T @ (counts * slope_mean)
+            - 0.5 * (dhess_beta / hess[:, None]).T @ (counts * spread)
         )
-        score_nu = t.dlognu * float(
+        score_nu = dlognu * float(
             counts
             @ (
-                np.sum(t.post * t.z_nodes**2, axis=1) / (2.0 * t.nu)
-                + t.slope_mean * t.dmode_nu
-                - 0.5 * t.spread * t.dhess_nu / hess
+                node_squares / (2.0 * nu)
+                + slope_mean * dmode_nu
+                - 0.5 * spread * dhess_nu / hess
                 - 0.5
             )
         )
-        return loglik, np.append(score_beta, score_nu)
 
-    def information(self, params):
-        """Observed information: minus the exact Hessian of the quadrature sum in (beta, log nu).
-
-        With G_k = g(z_k) as a function of theta = (beta, log nu) through
-        both its arguments, d2L_j = E_w[d2G_k] + Cov_w(dG_k) + d2 log s
-        (the form of Louis 1982, plus the adaptive nodes' motion), where
-        dG_k = dg + g_z dz_k and
-
-            d2G_k = d2g + dg_z dz_k' + dz_k dg_z' + g_zz dz_k dz_k' + g_z d2z_k,
-            d2z_k = d2m + (z_k - m) (d2 log s + d log s d log s').
-
-        Differentiating the mode equation g_z(m) = 0 twice gives
-        h d2m = -(g3 dm dm' + a3 dm' + dm a3' + q3), and differentiating
-        h = -g_zz(m) gives d2h = g4 dm dm' + a4 dm' + dm a4' + g3 d2m + q4,
-        with g3 = sum p(1-p)(1-2p), g4 = sum p(1-p)(1-6p(1-p)), a3, a4 minus
-        the partials of g_zz and g_zzz, and q3, q4 minus the second partials
-        of g_z and g_zz; d2 log s = -d2h / (2h) + 2 d log s d log s'. Only
-        count-weighted sums of d2m and d2 log s enter, so they are contracted
-        over the clusters before any 5 x 5 product is formed. Costs a little
-        over two score calls, and is exactly symmetric.
-        """
-        t = self._terms(params)
-        design, codes, starts, counts = self.design, self.codes, self.starts, self.counts
-        nu, hess = t.nu, t.hess
+        # information: node terms, flattened to (J K, 5): dz_k and dG_k
+        # centred on its posterior mean
         size = _DESIGN_COLUMNS + 1
-        dmode = np.column_stack([t.dmode_beta, t.dmode_nu])
-        dlog_scale = -np.column_stack([t.dhess_beta, t.dhess_nu]) / (2.0 * hess[:, None])
-
-        # node terms, flattened to (J K, 5): dz_k and dG_k centred on its posterior mean
-        dz = dmode[:, None, :] + t.offsets[:, :, None] * dlog_scale[:, None, :]
+        dmode = np.column_stack([dmode_beta, dmode_nu])
+        dlog_scale = -np.column_stack([dhess_beta, dhess_nu]) / (2.0 * hess[:, None])
+        dz = dmode[:, None, :] + offsets[:, :, None] * dlog_scale[:, None, :]
         dgk = np.empty_like(dz)
         dgk[..., :-1] = np.add.reduceat(
-            design[:, :, None] * t.resid[:, None, :], starts, axis=0
+            design[:, :, None] * resid[:, None, :], starts, axis=0
         ).transpose(0, 2, 1)
-        dgk[..., -1] = t.z_nodes**2 / (2.0 * nu)
-        dgk += t.slope[..., None] * dz
-        dgk -= t.post[:, None, :] @ dgk
-        weights = (counts[:, None] * t.post).reshape(-1, 1)
+        dgk[..., -1] = z_nodes**2 / (2.0 * nu)
+        dgk += slope[..., None] * dz
+        dgk -= post[:, None, :] @ dgk
+        weights = (counts[:, None] * post).reshape(-1, 1)
         dz, dgk = dz.reshape(-1, size), dgk.reshape(-1, size)
-        w_nodes = t.p_nodes * (1.0 - t.p_nodes)
+        w_nodes = p_nodes * (1.0 - p_nodes)
         gzz = -np.add.reduceat(w_nodes, starts, axis=0) - 1.0 / nu
         hessian = (weights * dgk).T @ dgk + (weights * gzz.reshape(-1, 1) * dz).T @ dz
 
         # E_w[dg_z dz_k'] with dg_z = (-sum p(1-p) x, z_k / nu): the beta rows
         # per unit row, through sum_k w_k p(1-p) dz_k = r0 dm + r1 d log s
-        node_w = t.post[codes, :] * w_nodes  # (n, K)
+        node_w = post[codes, :] * w_nodes  # (n, K)
         r0 = self.row_counts * np.sum(node_w, axis=1)
-        r1 = self.row_counts * np.sum(node_w * t.offsets[codes, :], axis=1)
+        r1 = self.row_counts * np.sum(node_w * offsets[codes, :], axis=1)
         mixed = np.empty((size, size))
         mixed[:-1] = -design.T @ (r0[:, None] * dmode[codes] + r1[:, None] * dlog_scale[codes])
-        mixed[-1] = (weights[:, 0] * t.z_nodes.ravel()) @ dz / nu
+        mixed[-1] = (weights[:, 0] * z_nodes.ravel()) @ dz / nu
         hessian += mixed + mixed.T
 
         # sum_j c_j (E_w[g_z] d2m + E_w[g_z (z_k - m)] d log s d log s'
         #            + (1 + E_w[g_z (z_k - m)]) d2 log s), contracted over j
-        gamma = counts * t.spread / (2.0 * hess)  # weight of -d2h
-        delta = (counts * t.slope_mean - gamma * t.third_sums) / hess  # weight of -h d2m
-        fourth = t.w * (1.0 - 6.0 * t.w)
+        gamma = counts * spread / (2.0 * hess)  # weight of -d2h
+        delta = (counts * slope_mean - gamma * third_sums) / hess  # weight of -h d2m
+        fourth = w * (1.0 - 6.0 * w)
         fourth_x = np.add.reduceat(design * fourth[:, None], starts, axis=0)
         cross = np.column_stack(
-            [delta[:, None] * t.third_x + gamma[:, None] * fourth_x, -delta / nu]
+            [delta[:, None] * third_x + gamma[:, None] * fourth_x, -delta / nu]
         )
         cross = cross.T @ dmode
-        scaled = dmode * (delta * t.third_sums + gamma * np.add.reduceat(fourth, starts))[:, None]
+        scaled = dmode * (delta * third_sums + gamma * np.add.reduceat(fourth, starts))[:, None]
         hessian -= scaled.T @ dmode + cross + cross.T
-        hessian += (dlog_scale * (counts * (3.0 * t.spread - 1.0))[:, None]).T @ dlog_scale
+        hessian += (dlog_scale * (counts * (3.0 * spread - 1.0))[:, None]).T @ dlog_scale
 
         # E_w[d2g] with the q3, q4 terms: sum over rows of x x', and the nu entry
-        row_weights = r0 + delta[codes] * t.third + gamma[codes] * fourth
+        row_weights = r0 + delta[codes] * third + gamma[codes] * fourth
         hessian[:-1, :-1] -= design.T @ (design * row_weights[:, None])
         hessian[-1, -1] -= (
-            counts @ np.sum(t.post * t.z_nodes**2, axis=1) / (2.0 * nu)
-            + (delta @ t.modes + gamma.sum()) / nu
+            counts @ node_squares / (2.0 * nu) + (delta @ zeta + gamma.sum()) / nu
         )
-        hessian[-1, :] *= t.dlognu
-        hessian[:, -1] *= t.dlognu
-        return -0.5 * (hessian + hessian.T)
+        hessian[-1, :] *= dlognu
+        hessian[:, -1] *= dlognu
+        return loglik, np.append(score_beta, score_nu), -0.5 * (hessian + hessian.T)
 
 
-# BFGS stops once max |g| falls to what the log-likelihood can still
-# resolve. Near the optimum a quasi-Newton step from gradient g gains about
+# The Newton iteration stops once max |g| falls to what the log-likelihood
+# can still resolve. Near the optimum a step from gradient g gains about
 # |g|^2 / lambda in l, lambda the curvature along g, and l is known only to
 # its rounding, about eps |l|: one ULP of |l| ~ 330 (a criterion-4 design of
 # 800 rows) is 5.7e-14. Below |g| = 4 sqrt(eps |l|), 1.1e-6 there, a step at
-# curvature 1 gains less than 16 eps |l|, so the line search compares values
-# that differ by rounding and ends in scipy's "precision loss" after tens of
-# wasted calls. |l| is taken at the plain logistic fit, so the stop grows
-# with the data as the rounding does.
+# curvature 1 gains less than 16 eps |l|, so the step halving would compare
+# values that differ by rounding. |l| is taken at the plain logistic fit, so
+# the stop grows with the data as the rounding does.
 _GTOL_PER_ROOT_ULP = 4.0
 # nu = 0 is reported when the interior fit gains at most this much
 # log-likelihood over it. When the score test finds nu = 0 a maximum, an
@@ -869,8 +828,66 @@ _GTOL_PER_ROOT_ULP = 4.0
 # 50:50 chi-square mixture that tests a variance at its boundary, so
 # ignoring it changes no inference.
 _BOUNDARY_GAIN = 1e-6
-_BOUNDARY_NU = 1e-8  # BFGS driving nu this low also means the boundary
-_LOG_NU_WALL = 9.0  # nu ~ 8100, an ICC of 0.9996: a fit ending past it diverged
+_LOG_NU_WALL = 9.0  # nu ~ 8100, an ICC of 0.9996: a fit held there diverged
+_HALVINGS = 40  # down to 1e-12 of the proposed step
+
+
+def _maximize_agq(loglik_fn: _AgqLoglik, params, gtol, nu_score):
+    """Newton iteration in (beta, log nu) on the exact observed information.
+
+    Takes the full Newton step where the information is positive definite,
+    otherwise a step along the score scaled by the information's |diagonal|,
+    shortens it to end at the wall where it would pass log nu = 9, and
+    halves it until the log-likelihood does not fall. Stops once
+    max |score| <= gtol. Near nu = 0 the log-likelihood is about linear in
+    nu, so a Newton step in log nu stays above -1 and would only walk toward
+    the floor; a step below -1/2 means Newton in nu itself would pass 0.
+    With a score test at nu = 0 (``nu_score``) <= 0 and a log-likelihood at
+    the floor (same beta) no lower than at the iterate, nu = 0 is settled.
+
+    Returns (params, log-likelihood, information, steps), params None once
+    nu = 0 is settled. Raises ConvergenceError where an iterate held at the
+    wall still rises in nu, the halving finds no step that does not lower
+    the log-likelihood (as with a NaN score), or the steps run out.
+    """
+    loglik, score, info = loglik_fn.derivatives(params)
+    steps = 0
+    while not np.max(np.abs(score)) <= gtol:  # a NaN score does not stop it
+        if steps == _NEWTON_MAX_STEPS:
+            raise ConvergenceError(
+                f"marginal likelihood optimization did not converge within {steps} steps",
+                best={"coefficients": params[:-1].tolist(), "nu": math.exp(params[-1])},
+            )
+        if params[-1] >= _LOG_NU_WALL and score[-1] > 0.0:
+            raise ConvergenceError(
+                f"random-intercept variance diverged past {math.exp(_LOG_NU_WALL):.0f} (ICC 0.9996)"
+            )
+        try:
+            np.linalg.cholesky(info)
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            diagonal = np.abs(np.diag(info))
+            step = np.divide(score, diagonal, out=np.zeros_like(score), where=diagonal > 0.0)
+        if step[-1] < -0.5 and nu_score <= 0.0:
+            floor = np.append(params[:-1], math.log(_VAR_FLOOR))
+            if loglik_fn.derivatives(floor)[0] >= loglik:
+                return None, None, None, steps + 1
+        if step[-1] > _LOG_NU_WALL - params[-1]:
+            step *= (_LOG_NU_WALL - params[-1]) / step[-1]
+        for _ in range(_HALVINGS):
+            trial = loglik_fn.derivatives(params + step)
+            if trial[0] >= loglik:
+                break
+            step *= 0.5
+        else:
+            raise ConvergenceError(
+                "marginal likelihood optimization found no ascent step",
+                best={"coefficients": params[:-1].tolist(), "nu": math.exp(params[-1])},
+            )
+        params = params + step
+        loglik, score, info = trial
+        steps += 1
+    return params, loglik, info, steps
 
 
 def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedModelFit:
@@ -880,28 +897,26 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     re-centered at the conditional mode and rescaled by the conditional
     curvature (quadrature_points=1 is the Laplace approximation; at most
     100), once per distinct cluster pattern (size and sorted unit rows)
-    weighted by its count. BFGS over (beta, log nu), driven by the analytic
-    score of that quadrature sum, stops where the log-likelihood's rounding
-    can no longer resolve a step (``_GTOL_PER_ROOT_ULP``).
+    weighted by its count. ``_maximize_agq`` maximizes that sum over
+    (beta, log nu) from the plain logistic beta and nu = 0.5, by Newton
+    steps on its exact score and observed information.
 
     nu = 0 is decided by the closed-form score in nu at nu = 0 at the plain
     logistic fit (Lin 1997; within rounding of 0 it counts as 0): when it is
-    <= 0, or BFGS itself ran nu down to 1e-8, and the interior fit gains at
-    most 1e-6 log-likelihood over the logistic one, the fit is the logistic
-    fit with ``boundary`` set and its covariance is the inverse logistic
-    information X' diag(p (1 - p)) X. Otherwise the covariance is the
-    (beta, beta) block of the inverse observed information, the exact
-    Hessian of the quadrature sum in closed form
-    (``_AgqLoglik.information``), which calls no score; the tests check it
-    against a central difference of the analytic score. ``n_obs`` and
-    ``n_clusters`` count the data, not the patterns.
+    <= 0 and either the iteration settles nu = 0 or the interior fit gains
+    at most 1e-6 log-likelihood over the logistic one, the fit is the
+    logistic fit with ``boundary`` set and its covariance is the inverse
+    logistic information X' diag(p (1 - p)) X. Otherwise the covariance is
+    the (beta, beta) block of the inverse observed information at the last
+    iterate; the tests check it against a central difference of the score.
+    ``n_obs`` and ``n_clusters`` count the data, not the patterns.
 
     Raises ValidationError for a non-binary dataset or one with fewer than
-    2 clusters, SeparationError before BFGS for all-equal outcomes or where
-    the logistic fit has no finite maximum (``_logistic_fit``), and
-    ConvergenceError if BFGS fails or ends past log nu = 9 (as when every
-    cluster's outcomes are constant), a line search overflows nu, or the
-    information is not positive definite.
+    2 clusters, SeparationError before the iteration for all-equal outcomes
+    or where the logistic fit has no finite maximum (``_logistic_fit``), and
+    ConvergenceError if the iteration fails or is held at log nu = 9 with
+    the likelihood still rising (as when every cluster's outcomes are
+    constant), or the information is not positive definite.
     """
     if ds.scale != "binary":
         raise ValidationError(f"fit_glmm_logit requires a binary-scale dataset, got {ds.scale!r}")
@@ -916,54 +931,23 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     if ds.cluster_count < 2:
         raise ValidationError(f"fit_glmm_logit needs at least 2 clusters, got {ds.cluster_count}")
     y, design, sizes, counts = _cluster_patterns(ds)
-    _check_design_rank(design.T @ design)
+    _design_grams([design])
     if np.all(y == 0.0) or np.all(y == 1.0):
         raise SeparationError("degenerate outcome: all observations identical")
-    loglik_fn = _AgqLoglik(y, design, sizes, counts, quadrature_points)
-
-    def penalized_nll(params):
-        loglik, score = loglik_fn.value_and_score(params)
-        excess = max(params[_DESIGN_COLUMNS] - _LOG_NU_WALL, 0.0)
-        score[_DESIGN_COLUMNS] -= 2e4 * excess
-        return 1e4 * excess**2 - loglik, -score
-
     logistic_beta, logistic_loglik, nu_score, logistic_info = _logistic_fit(y, design, sizes, counts)
     gtol = _GTOL_PER_ROOT_ULP * math.sqrt(np.finfo(float).eps * max(abs(logistic_loglik), 1.0))
-    try:
-        result = optimize.minimize(
-            penalized_nll,
-            np.append(logistic_beta, math.log(0.5)),
-            jac=True,
-            method="BFGS",
-            options={"gtol": gtol, "maxiter": 500},
-        )
-    except OverflowError as exc:
-        # a line-search trial past log nu = 709, far beyond the wall
-        raise ConvergenceError(
-            "marginal likelihood optimization diverged: the random-intercept variance overflowed"
-        ) from exc
-    params = result.x
-    nu = math.exp(params[_DESIGN_COLUMNS])
-    if params[_DESIGN_COLUMNS] > _LOG_NU_WALL:
-        raise ConvergenceError(
-            f"random-intercept variance diverged past {math.exp(_LOG_NU_WALL):.0f} (ICC 0.9996)"
-        )
-    loglik = -float(result.fun)  # BFGS's own value, unpenalized inside the wall
-    boundary = loglik - logistic_loglik <= _BOUNDARY_GAIN and (
-        nu_score <= 0.0 or nu <= _BOUNDARY_NU
+    params, loglik, info, steps = _maximize_agq(
+        _AgqLoglik(y, design, sizes, counts, quadrature_points),
+        np.append(logistic_beta, math.log(0.5)),
+        gtol,
+        nu_score,
     )
-    beta = logistic_beta if boundary else params[:_DESIGN_COLUMNS]
-    if not np.max(np.abs(result.jac)) <= 1e-3:  # also catches a NaN score
-        raise ConvergenceError(
-            f"marginal likelihood optimization did not converge: {result.message}",
-            best={"coefficients": beta.tolist(), "nu": nu},
-        )
-
+    boundary = params is None or (loglik - logistic_loglik <= _BOUNDARY_GAIN and nu_score <= 0.0)
     if boundary:
         # at nu = 0 the marginal likelihood is the plain logistic one
-        nu, loglik, info = 0.0, logistic_loglik, logistic_info
+        beta, nu, loglik, info = logistic_beta, 0.0, logistic_loglik, logistic_info
     else:
-        info = loglik_fn.information(params)
+        beta, nu = params[:_DESIGN_COLUMNS], math.exp(params[_DESIGN_COLUMNS])
     try:
         cov = np.linalg.inv(info)[:_DESIGN_COLUMNS, :_DESIGN_COLUMNS]
         cov = 0.5 * (cov + cov.T)
@@ -971,7 +955,7 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         cov = None
     if cov is None or np.any(np.linalg.eigvalsh(cov) <= 0.0):
         # an interior maximum has positive-definite observed information;
-        # anything else means the optimizer stalled on a degenerate surface
+        # anything else means the iteration stalled on a degenerate surface
         raise ConvergenceError(
             "observed information is not positive definite at the reported optimum",
             best={"coefficients": beta.tolist(), "nu": nu},
@@ -989,7 +973,7 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
         n_obs=ds.outcome.size,
         n_clusters=ds.cluster_count,
         quadrature_points=quadrature_points,
-        n_iterations=int(result.nit),
+        n_iterations=steps,
     )
 
 

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -9,7 +13,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clustersens import fit_lmm, mixed_models, write_csv
+import clustersens
+from clustersens import fit_lmm, write_csv
 from clustersens.cli import _emit_csv, main
 from clustersens.errors import ValidationError
 from clustersens.simulation import ScenarioConfig, generate
@@ -174,22 +179,27 @@ def concordant_csv(tmp_path):
     return binary_csv(tmp_path / "concordant.csv", np.arange(80) // 4 % 2, a, x, 4)
 
 
-def test_fit_binary_variance_overflow_exits_2(tmp_path, runner, monkeypatch):
-    # exp overflows past log nu = 709; this evaluator overflows past 5 instead,
-    # which BFGS passes while running nu up on concordant clusters
-    class OverflowingLoglik(mixed_models._AgqLoglik):
-        def value_and_score(self, params):
-            if params[-1] > 5.0:
-                raise OverflowError("math range error")
-            return super().value_and_score(params)
-
-    monkeypatch.setattr(mixed_models, "_AgqLoglik", OverflowingLoglik)
-    result = invoke(runner, ["fit", concordant_csv(tmp_path), "--scale", "binary"])
-    error = assert_single_error_line(result, exit_code=2)
-    assert error == (
-        "error: marginal likelihood optimization diverged: "
-        "the random-intercept variance overflowed"
+@pytest.mark.parametrize("scale", ["continuous", "binary"])
+def test_fit_covariate_overflowing_the_cross_products_exits_1(tmp_path, scale):
+    # a covariate_x of 1e308 overflows X'X. LAPACK writes its complaints to
+    # file descriptor 1 and numpy its warnings to stderr, past click's
+    # capture, so the command runs in a process whose streams are read whole
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=60)
+    x[5] = 1e308
+    y = rng.integers(0, 2, 60) if scale == "binary" else rng.normal(size=60)
+    path = binary_csv(tmp_path / "huge_x.csv", y, np.arange(60) % 2, x, 3)
+    src = str(Path(clustersens.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "clustersens.cli", "fit", path, "--scale", scale],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: cross-products of the data overflow the float range: "
+        "a covariate_x or outcome value is too large in magnitude"
+    ]
 
 
 def test_fit_binary_concordant_clusters_exit_2(tmp_path, runner):

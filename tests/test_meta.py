@@ -320,6 +320,55 @@ def test_meta_studies_with_a_repeated_study_exits_1(tmp_path):
     ]
 
 
+OVERFLOWING_Q = (
+    "Cochran's Q or the between-study variance overflows the float range: "
+    "the study estimates or their weights are too large in magnitude to pool"
+)
+
+
+@pytest.mark.parametrize(
+    "estimates, variances",
+    [
+        ([1e308, 2.0], [0.04, 0.04]),  # the weighted sum overflows: Q is nan, mu 0 / 0
+        ([1e160, 2.0], [1e300, 0.04]),  # a deviation of 1e160 squared: float ** raises
+    ],
+    ids=["sum", "square"],
+)
+def test_pool_refuses_an_overflowing_q(estimates, variances):
+    with pytest.raises(ValidationError) as caught:
+        pool(make_studies(estimates, variances))
+    assert str(caught.value) == OVERFLOWING_Q
+
+
+def meta_studies(tmp_path, rows):
+    path = tmp_path / "studies.csv"
+    path.write_text("study_id,estimate,std_error\n" + rows)
+    return path, CliRunner().invoke(main, ["meta", "--studies", str(path)], catch_exceptions=False)
+
+
+def test_meta_studies_with_a_standard_error_overflowing_its_square_exits_1(tmp_path):
+    # float ** raises OverflowError where the square passes the float range
+    path, result = meta_studies(tmp_path, "s1,1.0,1e308\ns2,2.0,0.2\n")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {path}: std_error at row 1 must be > 0 with a square, the "
+        "within-study variance, inside the float range, got 1e+308"
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows", ["s1,1e308,0.2\ns2,2.0,0.2\n", "s1,1e160,1e150\ns2,2.0,0.2\n"], ids=["sum", "square"]
+)
+def test_meta_studies_with_estimates_overflowing_cochrans_q_exits_1(tmp_path, rows):
+    # an overflowing Q leaves every random-effects weight 0 (sum), or float **
+    # raises on a deviation of 1e160 (square)
+    _, result = meta_studies(tmp_path, rows)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {OVERFLOWING_Q}"]
+
+
 def test_load_studies_csv_skips_blank_lines_and_extra_columns(tmp_path):
     path = tmp_path / "studies.csv"
     path.write_text("note,study_id,estimate,std_error\nx,s1,1.0,0.5\n\ny,s2,2.0,0.25\n")
