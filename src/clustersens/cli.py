@@ -15,7 +15,6 @@ import functools
 import io
 import json
 import math
-import operator
 import sys
 from dataclasses import asdict, replace
 
@@ -89,61 +88,74 @@ def _csv_cell(value, precision):
     return value
 
 
-def _column_codes(column, kinds, precision):
-    """A column as ``(texts, codes)``, cell i being ``texts[codes[i]]``, or the
-    row index of its first non-finite float."""
-    if kinds == {float}:
-        values = np.array(column)
-        finite = np.isfinite(values)
-        if not finite.all():
-            return int(np.argmin(finite))
-        keys, codes = np.unique(values.view(np.int64), return_inverse=True)
-        spec = f".{precision}g"
-        texts = [format(v, spec) for v in keys.view(np.float64).tolist()]
-        # the narrowest code type keeps the formatted table small
-        return np.array(texts, dtype=object), codes.astype(np.min_scalar_type(len(keys)))
-    if kinds == {bool}:
-        return np.array(["false", "true"], dtype=object), np.array(column, dtype=np.uint8)
-    texts = []
-    for value in column:
-        try:
-            texts.append(_csv_cell(value, precision))
-        except ValidationError:
-            return len(texts)
-    return np.fromiter(texts, dtype=object, count=len(texts)), np.arange(len(texts))
+_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
 
 
-def _emit_csv(header, rows, precision):
-    """Write the header and rows (all of the header's width) as CSV to stdout.
+def _column_codes(column, precision):
+    """A column as ``(texts, codes, plain)``, cell i being ``texts[codes[i]]``
+    and ``plain`` saying that no text needs CSV quoting, or the row index of
+    its first non-finite float.
 
-    The table is formatted a column at a time. A column of Python floats
-    formats each distinct value once, keyed on its bit pattern so that -0.0
-    (printed ``-0``) stays apart from 0.0; a bool column maps to
-    ``false``/``true``; any other column goes through ``_csv_cell`` cell by
-    cell. The bytes equal those of writing each row through ``csv.writer``.
-    A non-finite float is refused, before anything is written, with the
-    value that a row-major scan meets first: the first row holding one, then
-    its leftmost such cell.
+    An ndarray column is float64 or bool; a list of only Python floats or
+    only bools is coded like one.
     """
-    kinds, columns = [], []
-    for j in range(len(header)):
-        column = list(map(operator.itemgetter(j), rows))
-        kinds.append(set(map(type, column)))
-        columns.append(_column_codes(column, kinds[j], precision))
-    bad = [(c, j) for j, c in enumerate(columns) if isinstance(c, int)]
+    if not isinstance(column, np.ndarray):
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            column = np.array(column)
+        elif kinds == {bool}:
+            column = np.array(column, dtype=bool)
+        else:
+            texts = []
+            for value in column:
+                try:
+                    texts.append(_csv_cell(value, precision))
+                except ValidationError:
+                    return len(texts)
+            texts = np.fromiter(texts, dtype=object, count=len(texts))
+            return texts, np.arange(len(texts)), kinds <= {float, bool}
+    if column.dtype == bool:
+        return _BOOL_TEXTS, column.view(np.uint8), True
+    finite = np.isfinite(column)
+    if not finite.all():
+        return int(np.argmin(finite))
+    keys, codes = np.unique(column.view(np.int64), return_inverse=True)
+    spec = f".{precision}g"
+    texts = [format(v, spec) for v in keys.view(np.float64).tolist()]
+    # the narrowest code type keeps the formatted table small
+    return np.array(texts, dtype=object), codes.astype(np.min_scalar_type(len(keys))), True
+
+
+def _emit_csv(header, columns, precision):
+    """Write the header and the table's columns as CSV to stdout.
+
+    There is one column per header name, all of one length. A column is a
+    float64 or bool ndarray, or a list of cells. The table is formatted a
+    column at a time and no row is built before its chunk is written. A
+    float64 column formats each distinct value once, keyed on its bit
+    pattern so that -0.0 (printed ``-0``) stays apart from 0.0; a bool
+    column maps to ``false``/``true``; a list that is neither all Python
+    floats nor all bools goes through ``_csv_cell`` cell by cell. The bytes
+    equal those of writing each row through ``csv.writer``. A non-finite
+    float is refused, before anything is written, with the value that a
+    row-major scan meets first: the first row holding one, then its
+    leftmost such cell.
+    """
+    coded = [_column_codes(column, precision) for column in columns]
+    bad = [(c, j) for j, c in enumerate(coded) if isinstance(c, int)]
     if bad:
         row, j = min(bad)
-        _csv_cell(rows[row][j], precision)  # raises the non-finite error
+        _csv_cell(columns[j][row], precision)  # raises the non-finite error
     # float and bool texts never need quoting, so their rows are joined directly
-    plain = all(k <= {float, bool} for k in kinds)
+    plain = all(p for _, _, p in coded)
     buf = io.StringIO()
     writer = csv_module.writer(buf, lineterminator="\n")
     writer.writerow(header)
     click.echo(buf.getvalue(), nl=False)
     # rows go out a bounded chunk at a time, which keeps memory flat
-    for start in range(0, len(rows), _CHUNK_ROWS):
+    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
         chunk = slice(start, start + _CHUNK_ROWS)
-        cells = zip(*[texts[codes[chunk]].tolist() for texts, codes in columns])
+        cells = zip(*[texts[codes[chunk]].tolist() for texts, codes, _ in coded])
         if plain:
             click.echo("\n".join(map(",".join, cells)) + "\n", nl=False)
         else:
@@ -200,13 +212,15 @@ def _check_finite(params, values):
 
 
 def command(name, default_format):
-    """Register a command whose body returns ``(payload, (header, rows))``.
+    """Register a command whose body returns ``(payload, (header, columns))``.
 
-    The body takes only its own options. The wrapper adds --format and
-    --precision, rejects a negative precision and any non-finite float
-    option before the body runs, emits the payload as JSON (the rows as
-    objects when the payload is None) or the table as CSV, and maps package
-    errors onto the documented exit codes.
+    The table is held as columns, one per header name, each a list of cells
+    or a float64 or bool ndarray (see ``_emit_csv``). The body takes only
+    its own options. The wrapper adds --format and --precision, rejects a
+    negative precision and any non-finite float option before the body
+    runs, emits the payload as JSON (the table's rows as objects when the
+    payload is None) or the table as CSV, and maps package errors onto the
+    documented exit codes.
     """
 
     def register(func):
@@ -216,11 +230,13 @@ def command(name, default_format):
                 if precision < 0:
                     raise ValidationError(f"--precision must be >= 0, got {precision}")
                 _check_finite(click.get_current_context().command.params, options)
-                payload, (header, rows) = func(**options)
+                payload, (header, columns) = func(**options)
                 if fmt == "csv":
-                    _emit_csv(header, rows, precision)
+                    _emit_csv(header, columns, precision)
                 elif payload is None:
-                    _emit_json([dict(zip(header, row)) for row in rows], precision)
+                    # tolist() gives Python scalars: json cannot encode np.bool_
+                    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+                    _emit_json([dict(zip(header, row)) for row in zip(*cells)], precision)
                 else:
                     _emit_json(payload, precision)
             except ConvergenceError as exc:
@@ -252,12 +268,12 @@ def cmd_fit(data, scale, quadrature):
     ds = load_csv(data, scale)
     fit = fit_lmm(ds) if scale == "continuous" else fit_glmm_logit(ds, quadrature)
     click.echo(f"fit converged on {fit.n_obs} observations in {fit.n_clusters} clusters", err=True)
-    names = ["intercept", "treatment", "covariate", "interaction"]
-    rows = [
-        [name, float(fit.coefficients[i]), float(fit.coef_covariance[i, i]) ** 0.5]
-        for i, name in enumerate(names)
+    columns = [
+        ["intercept", "treatment", "covariate", "interaction"],
+        fit.coefficients.tolist(),
+        [v ** 0.5 for v in np.diag(fit.coef_covariance).tolist()],
     ]
-    return json.loads(fit_to_json(fit)), (["coefficient", "estimate", "std_error"], rows)
+    return json.loads(fit_to_json(fit)), (["coefficient", "estimate", "std_error"], columns)
 
 
 def _effect_from_triple(estimate, lb, ub, x, level, scale):
@@ -353,13 +369,13 @@ def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
         },
         "minimal_bias_factor": {"value": minimal.value, "direction": minimal.direction},
     }
-    rows = [
-        ["estimate", effect.estimate],
-        ["lb", effect.lb],
-        ["ub", effect.ub],
-        ["minimal_bias_factor", minimal.value],
-        ["direction", minimal.direction],
-    ]
+    table = {
+        "estimate": effect.estimate,
+        "lb": effect.lb,
+        "ub": effect.ub,
+        "minimal_bias_factor": minimal.value,
+        "direction": minimal.direction,
+    }
     if minimal.direction == "none":
         click.echo("no confounding needed: the interval already includes the null", err=True)
 
@@ -372,14 +388,14 @@ def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
         payload["bias_factor"] = {"value": b.value, "scale": b.scale}
         payload["adjusted"] = {"estimate": adjusted.estimate, "lb": adjusted.lb, "ub": adjusted.ub}
         payload["explains_away"] = explains_away(effect, spec)
-        rows += [
-            ["bias_factor", b.value],
-            ["adjusted_estimate", adjusted.estimate],
-            ["adjusted_lb", adjusted.lb],
-            ["adjusted_ub", adjusted.ub],
-            ["explains_away", payload["explains_away"]],
-        ]
-    return payload, (["quantity", "value"], rows)
+        table.update(
+            bias_factor=b.value,
+            adjusted_estimate=adjusted.estimate,
+            adjusted_lb=adjusted.lb,
+            adjusted_ub=adjusted.ub,
+            explains_away=payload["explains_away"],
+        )
+    return payload, (["quantity", "value"], [list(table), list(table.values())])
 
 
 @command("meta", "json")
@@ -429,13 +445,13 @@ def cmd_meta(studies_path, mu, v, q, r, direction, bias_mean, bias_variance):
     if not payload:
         raise ValidationError("nothing to compute: give studies, a pooled fit, or q/r")
 
-    rows = []
+    table = {}
     for section, values in payload.items():
         if isinstance(values, dict):
-            rows += [[f"{section}.{k}", val] for k, val in values.items()]
+            table.update((f"{section}.{k}", val) for k, val in values.items())
         else:
-            rows.append([section, values])
-    return payload, (["quantity", "value"], rows)
+            table[section] = values
+    return payload, (["quantity", "value"], [list(table), list(table.values())])
 
 
 @command("contour", "csv")
@@ -448,13 +464,14 @@ def cmd_meta(studies_path, mu, v, q, r, direction, bias_mean, bias_variance):
               help="Bias factor that explains the effect away.")
 def cmd_contour(delta_range, theta_range, resolution, threshold):
     """Grid of bias factors over (mean difference, effect) combinations."""
-    rows = contour_grid(delta_range, theta_range, resolution, threshold)
-    return None, (["delta_m", "theta", "bias_factor", "explains"], rows)
+    columns = contour_grid(delta_range, theta_range, resolution, threshold)
+    return None, (["delta_m", "theta", "bias_factor", "explains"], columns)
 
 
 @command("simulate", "csv")
 @click.argument("config_path", type=click.Path())
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Processes for the replicates, at most one per replication and CPU.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 def cmd_simulate(config_path, workers, seed):
     """Run a simulation scenario and emit its metrics table."""
@@ -480,7 +497,7 @@ def cmd_simulate(config_path, workers, seed):
         "flagged": metrics.flagged,
         "rows": [dict(zip(header, row)) for row in rows],
     }
-    return payload, (header, rows)
+    return payload, (header, [list(column) for column in zip(*rows)])
 
 
 if __name__ == "__main__":

@@ -341,9 +341,11 @@ def explains_away(effect: ConfoundedEffect, spec: Union[SensitivitySpec, Sequenc
 def contour_grid(delta_m_range, theta_range, resolution: int, threshold: float):
     """Bias factors over a grid of (mean difference, confounder effect).
 
-    Returns row-major rows (delta_m, theta, bias_factor, explains) with
-    delta_m varying slowest; explains is bias >= threshold. Deterministic
-    for identical inputs.
+    Returns four flat columns of resolution**2 cells in row-major order,
+    delta_m varying slowest: delta_m, theta and bias_factor as float64
+    arrays and explains (bias_factor >= threshold) as a bool array.
+    Deterministic for identical inputs. A grid too large to allocate is
+    refused with a DomainError naming the resolution and the cell count.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
@@ -351,15 +353,20 @@ def contour_grid(delta_m_range, theta_range, resolution: int, threshold: float):
     t_lo, t_hi = map(float, theta_range)
     if not (d_lo <= d_hi and t_lo <= t_hi):
         raise DomainError("ranges must be ordered (lo, hi)")
+    # the three float columns are allocated first, so a grid past memory is
+    # refused before anything of its size is written
+    try:
+        deltas, thetas, bias = np.empty((3, resolution, resolution))
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(
+            f"resolution {resolution} asks for {resolution * resolution:,} grid cells, "
+            "more than memory holds; give a smaller resolution"
+        ) from exc
     # a range or product that overflows gives inf or nan here, which the
     # emitters refuse; numpy's warning would only add lines to stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        deltas, thetas = np.meshgrid(
-            np.linspace(d_lo, d_hi, resolution), np.linspace(t_lo, t_hi, resolution),
-            indexing="ij",
-        )
-        bias = deltas * thetas
-    return list(
-        zip(deltas.ravel().tolist(), thetas.ravel().tolist(), bias.ravel().tolist(),
-            (bias >= threshold).ravel().tolist())
-    )
+        deltas[...] = np.linspace(d_lo, d_hi, resolution)[:, np.newaxis]
+        thetas[...] = np.linspace(t_lo, t_hi, resolution)
+        np.multiply(deltas, thetas, out=bias)
+        explains = bias >= threshold
+    return deltas.ravel(), thetas.ravel(), bias.ravel(), explains.ravel()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -403,11 +404,15 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
 
     Single-study kinds score the adjusted effect against the true
     coefficients; the meta kind scores the exceedance probability
-    estimator against its closed form.
+    estimator against its closed form. Replicates run in up to ``workers``
+    processes, no more than the replications or the CPUs; the metrics do
+    not depend on the count.
     """
     started = time.perf_counter()
     worker = partial(_replicate, config, _run_constants(config))
     indices = range(config.replications)
+    # the pool starts all its workers at the first submit, so idle ones cost a fork each
+    workers = min(workers, config.replications, os.cpu_count() or 1)
     if workers <= 1:
         results = [worker(i) for i in indices]
     else:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -668,6 +669,15 @@ def test_contour_bad_resolution_exits_1(runner):
     assert result.exit_code == 1
 
 
+def test_contour_unallocatable_grid_exits_1(runner):
+    # 10**14 cells ask for petabytes, so the allocation fails at once
+    result = invoke(runner, ["contour", "--resolution", "10000000", "--threshold", "1"])
+    assert assert_single_error_line(result) == (
+        "error: resolution 10000000 asks for 100,000,000,000,000 grid cells, "
+        "more than memory holds; give a smaller resolution"
+    )
+
+
 def test_contour_deterministic(runner):
     args = ["contour", "--resolution", "20", "--threshold", "0.3"]
     first = invoke(runner, args)
@@ -702,10 +712,15 @@ def reference_csv(header, rows, precision):
     return buf.getvalue()
 
 
-def emitted_csv(capsys, header, rows, precision):
+def rows_of(columns):
+    """The rows of a table held as columns, as the Python values a row writer takes."""
+    return list(zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
+
+
+def emitted_csv(capsys, header, columns, precision):
     """The emitter's stdout, or its error message."""
     try:
-        _emit_csv(header, rows, precision)
+        _emit_csv(header, columns, precision)
     except ValidationError as exc:
         return f"error: {exc}"
     return capsys.readouterr().out
@@ -729,46 +744,121 @@ ANY_CELL = st.one_of(
     FLOATS, st.booleans(), st.integers(), st.none(), TEXTS,
     FLOATS.map(np.float64), NON_FINITE.map(np.float64),
 )
+# (cells, dtype): a list column when dtype is None, else an ndarray of that dtype
 COLUMNS = st.sampled_from([
-    FLOATS,
-    st.one_of(FLOATS, NON_FINITE),
-    st.booleans(),
-    ANY_CELL,
+    (FLOATS, None),
+    (st.one_of(FLOATS, NON_FINITE), None),
+    (st.booleans(), None),
+    (ANY_CELL, None),
+    (FLOATS, np.float64),
+    (st.one_of(FLOATS, NON_FINITE), np.float64),
+    (st.booleans(), np.bool_),
 ])
 
 
 @st.composite
 def tables(draw):
     kinds = draw(st.lists(COLUMNS, min_size=1, max_size=4))
-    rows = draw(st.lists(st.tuples(*kinds), max_size=30))
+    n_rows = draw(st.integers(0, 30))
+    columns = []
+    for cells, dtype in kinds:
+        column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns.append(column if dtype is None else np.array(column, dtype=dtype))
     header = draw(st.lists(TEXTS, min_size=len(kinds), max_size=len(kinds)))
-    return header, rows
+    return header, columns
 
 
 @pytest.mark.parametrize("precision", [0, 6, 12, 17])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=tables())
 def test_emit_csv_matches_per_cell_writer(capsys, precision, table):
-    header, rows = table
+    header, columns = table
     capsys.readouterr()
-    assert emitted_csv(capsys, header, rows, precision) == reference_or_error(header, rows, precision)
+    assert emitted_csv(capsys, header, columns, precision) == reference_or_error(
+        header, rows_of(columns), precision
+    )
 
 
 def test_emit_csv_refuses_the_first_non_finite_cell_in_row_major_order(capsys):
     # column 0 holds a nan on row 2, but row 1 is met first, and on row 1
     # the np.float64 -inf in column 1 comes before the inf in column 2
-    rows = [
-        [0.5, None, 1.0],
-        [2.0, np.float64("-inf"), math.inf],
-        [math.nan, None, 3.0],
+    columns = [
+        [0.5, 2.0, math.nan],
+        [None, np.float64("-inf"), None],
+        [1.0, math.inf, 3.0],
     ]
-    expected = reference_or_error(["a", "b", "c"], rows, 6)
+    expected = reference_or_error(["a", "b", "c"], rows_of(columns), 6)
     assert expected == "error: result holds a non-finite number, not valid CSV: -inf"
-    assert emitted_csv(capsys, ["a", "b", "c"], rows, 6) == expected
-    floats_only = [[1.0, 2.0], [3.0, math.inf], [math.nan, 4.0]]
+    assert emitted_csv(capsys, ["a", "b", "c"], columns, 6) == expected
+    floats_only = [[1.0, 3.0, math.nan], [2.0, math.inf, 4.0]]
     assert emitted_csv(capsys, ["a", "b"], floats_only, 6) == (
         "error: result holds a non-finite number, not valid CSV: inf"
     )
+    # the first bad cell met is the nan of the ndarray in column 1 on row 1,
+    # ahead of the list's inf beside it and the array's -inf on row 2
+    arrays = [
+        np.array([0.5, 1.0, -math.inf]),
+        np.array([1.0, math.nan, 2.0]),
+        [None, math.inf, None],
+    ]
+    expected = reference_or_error(["a", "b", "c"], rows_of(arrays), 6)
+    assert expected == "error: result holds a non-finite number, not valid CSV: nan"
+    assert emitted_csv(capsys, ["a", "b", "c"], arrays, 6) == expected
+
+
+# ---------------------------------------------------------------------------
+# pinned output digests
+# ---------------------------------------------------------------------------
+
+SIGNED_ZERO_GRID = ["contour", "--delta-range", "-1", "-0", "--theta-range", "-0.5", "0.75",
+                    "--threshold", "-0.25"]
+# sha256 of "<exit code>\n<stdout>" per invocation, recorded before the contour
+# table reached the emitter as columns; a changed byte of stdout or a changed
+# exit code changes the digest. {data} is a 40x3 continuous CSV and
+# {scenario} a two-replicate continuous scenario, both written by the test.
+PINNED_OUTPUTS = {
+    "contour-200": (["contour", "--resolution", "200", "--threshold", "0.9"],
+        "4c8285434009ecb50df8dd575060e04ae7a33133f651864c417fcf1333cdc4fb"),
+    "contour-37": (["contour", "--delta-range", "-0.3", "1.7", "--theta-range", "0.1", "5.3",
+                    "--resolution", "37", "--threshold", "0.9"],
+        "ce6ff161c51b638e3cc0ddd08233098de8f28c57407149b2825170dcf5e19345"),
+    "contour-precision-1": ([*SIGNED_ZERO_GRID, "--resolution", "11", "--precision", "1"],
+        "969acf462a7343c2a3fb06f73f77d57a0dba4b26349f8e68c3b896d1b18e5d8a"),
+    "contour-precision-6": ([*SIGNED_ZERO_GRID, "--resolution", "11", "--precision", "6"],
+        "49d58770bc1d08aae0d0e53999081a256de4e92862e107f599172bcd58e62bda"),
+    "contour-precision-17": ([*SIGNED_ZERO_GRID, "--resolution", "11", "--precision", "17"],
+        "71ec6d0c42d6eb4c8256d0fa5a93408e1dbaaabe21c91be624bbee0b5f21735c"),
+    "contour-json": ([*SIGNED_ZERO_GRID, "--resolution", "5", "--format", "json",
+                      "--precision", "17"],
+        "2c6e891b8cdfa51253654f66de851555a5e1abd2adb13a92de3a8e0f243a3ad6"),
+    "contour-overflow": (["contour", "--threshold", "1", "--resolution", "5",
+                          "--delta-range", "-1e308", "1e308", "--theta-range", "0", "4"],
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    "fit-csv": (["fit", "{data}", "--scale", "continuous", "--format", "csv"],
+        "0c8740c8df533e61f970a483850a3b5e32494dc7b03340af69b4d5ec64032ef4"),
+    "fit-json": (["fit", "{data}", "--scale", "continuous"],
+        "225dbcf2ec08d93e97147f0837ce8edb8b172e111cfc6245d601c35e51c667ba"),
+    "sensitivity-csv": (["sensitivity", "--estimate", "5.49", "--lb", "0.75", "--ub", "10.23",
+                         "--theta", "3", "--m1x", "0.25", "--m0x", "0", "--format", "csv"],
+        "8c70c58d149047f48c4d949d80d80fc18bdf2a0c05581f38d9d06c44717b964b"),
+    "meta-csv": (["meta", "--mu", "0.2852", "--v", "0.08", "--q", "0.1823", "--r", "0.4",
+                  "--bias-mean", "0.1", "--bias-variance", "0.01", "--format", "csv"],
+        "b6b5782ad7afa87a5d23a1734b8af661ac7f63c75bc5951f334f8ebf09c9d53b"),
+    "simulate": (["simulate", "{scenario}"],
+        "9d31061a113de375a6ea0acaebd029f9c860c25e8382ac9019132991596f44f0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_output_matches_pinned_digest(tmp_path, runner, case):
+    args, digest = PINNED_OUTPUTS[case]
+    data = tmp_path / "data.csv"
+    write_csv(generate(ScenarioConfig(kind="single_continuous", clusters=40, cluster_size=3,
+                                      replications=1, seed=5), 0), data)
+    paths = {"data": str(data), "scenario": scenario_file(tmp_path, replications=2)}
+    result = invoke(runner, [arg.format(**paths) for arg in args])
+    text = f"{result.exit_code}\n{result.stdout}"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_contour_signed_zeros_keep_their_sign(runner):
@@ -880,9 +970,12 @@ def test_json_refuses_a_non_finite_result(runner):
         (["bogus"], "bogus"),
         (["--bogus"], "--bogus"),
         ([], "--help"),
+        (["simulate", "scenario.json", "--workers", "0"], "--workers"),
+        (["simulate", "scenario.json", "--workers", "-3"], "--workers"),
     ],
     ids=["missing-option", "bad-choice", "bad-float", "unknown-option", "bad-format",
-         "unknown-command", "unknown-group-option", "no-command"],
+         "unknown-command", "unknown-group-option", "no-command", "zero-workers",
+         "negative-workers"],
 )
 def test_usage_error_exits_1_with_one_error_line(runner, args, named):
     result = invoke(runner, args)

@@ -311,23 +311,23 @@ def test_negative_direction_explains_away():
 
 
 def test_contour_node_matches_worked_decomposition():
-    rows = contour_grid((0.0, 1.0), (0.0, 4.0), 5, threshold=0.75)
-    by_node = {(r[0], r[1]): r for r in rows}
-    node = by_node[(0.25, 3.0)]
-    assert node[2] == 0.75
-    assert node[3] is True
+    deltas, thetas, bias, explains = contour_grid((0.0, 1.0), (0.0, 4.0), 5, threshold=0.75)
+    [node] = np.flatnonzero((deltas == 0.25) & (thetas == 3.0))
+    assert bias[node] == 0.75
+    assert explains[node] and explains.dtype == np.bool_
 
 
 def test_contour_zero_mean_difference_never_explains():
-    rows = contour_grid((0.0, 1.0), (0.0, 5.0), 11, threshold=0.1)
-    for r in rows:
-        if r[0] == 0.0:
-            assert r[2] == 0.0 and r[3] is False
+    deltas, _, bias, explains = contour_grid((0.0, 1.0), (0.0, 5.0), 11, threshold=0.1)
+    zero = deltas == 0.0
+    assert zero.sum() == 11
+    assert (bias[zero] == 0.0).all() and not explains[zero].any()
 
 
 def test_contour_exhaustive_flagging():
-    rows = contour_grid((0.0, 1.0), (0.0, 5.0), 100, threshold=0.75)
-    assert len(rows) == 100 * 100
+    columns = contour_grid((0.0, 1.0), (0.0, 5.0), 100, threshold=0.75)
+    assert [len(c) for c in columns] == [100 * 100] * 4
+    delta_m, theta, _, explains = columns
     deltas = np.linspace(0.0, 1.0, 100)
     thetas = np.linspace(0.0, 5.0, 100)
     expected = [
@@ -335,11 +335,11 @@ def test_contour_exhaustive_flagging():
         for d in deltas
         for t in thetas
     ]
-    assert [r[3] for r in rows] == expected
+    assert explains.tolist() == expected
     # row-major: delta_m varies slowest
-    assert rows[0][:2] == (0.0, 0.0)
-    assert rows[1][0] == 0.0 and rows[1][1] == thetas[1]
-    assert rows[100][0] == deltas[1]
+    assert (delta_m[0], theta[0]) == (0.0, 0.0)
+    assert delta_m[1] == 0.0 and theta[1] == thetas[1]
+    assert delta_m[100] == deltas[1]
 
 
 def test_contour_matches_nested_loop_reference():
@@ -350,10 +350,18 @@ def test_contour_matches_nested_loop_reference():
     expected = [
         (float(d), float(t), float(d * t), bool(d * t >= 0.9)) for d in deltas for t in thetas
     ]
-    rows = contour_grid((-0.3, 1.7), (0.1, 5.3), 37, threshold=0.9)
-    assert rows == expected
-    assert all(type(v) is float for r in rows for v in r[:3])
-    assert all(type(r[3]) is bool for r in rows)
+    columns = contour_grid((-0.3, 1.7), (0.1, 5.3), 37, threshold=0.9)
+    assert list(zip(*(c.tolist() for c in columns))) == expected
+    assert [c.dtype for c in columns] == [np.float64, np.float64, np.float64, np.bool_]
+
+
+@pytest.mark.parametrize("resolution", [10**7, 10**10])
+def test_contour_unallocatable_grid_is_refused(resolution):
+    # 10**14 cells ask for petabytes, so the allocation fails at once; 10**20
+    # overflow numpy's size type, which it reports as a ValueError
+    cells = f"resolution {resolution} asks for {resolution**2:,} grid cells"
+    with pytest.raises(DomainError, match=cells):
+        contour_grid((0.0, 1.0), (0.0, 5.0), resolution, threshold=1.0)
 
 
 def test_contour_bad_resolution():

@@ -244,6 +244,36 @@ def test_metrics_deterministic_and_worker_invariant(kind):
     assert serial.rows[0].replications_used > 0
 
 
+def test_worker_pool_is_capped_by_replications_and_cpus(monkeypatch):
+    # the pool forks all its workers at the first submit, so the cap is read
+    # off a stand-in that records its size and runs the replicates in process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+    two = ScenarioConfig(**{**BASE, "replications": 2})
+    assert run_scenario(two, workers=5000).rows == run_scenario(two).rows
+    run_scenario(ScenarioConfig(**BASE), workers=8)
+    assert sizes == [2, 3]
+    # an unknown CPU count counts as one CPU: no pool at all
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: None)
+    run_scenario(ScenarioConfig(**BASE), workers=8)
+    assert sizes == [2, 3]
+
+
 def test_run_constants_computed_once_per_run(monkeypatch):
     calls = []
     original = simulation.true_conditional_means
