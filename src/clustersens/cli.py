@@ -68,9 +68,9 @@ def _format_payload(obj, precision):
     return obj
 
 
-def _emit_json(payload, precision):
+def _emit_json(payload):
     try:
-        text = json.dumps(_format_payload(payload, precision), indent=2, allow_nan=False)
+        text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"result holds a non-finite number, not valid JSON: {exc}") from exc
     click.echo(text)
@@ -89,6 +89,15 @@ def _csv_cell(value, precision):
 
 
 _BOOL_TEXTS = np.array(["false", "true"], dtype=object)
+
+
+def _distinct_floats(column):
+    """The distinct values of a float64 array and each cell's index into them.
+
+    Values are told apart by bit pattern, so -0.0 stays apart from 0.0.
+    """
+    keys, codes = np.unique(column.view(np.int64), return_inverse=True)
+    return keys.view(np.float64).tolist(), codes
 
 
 def _column_codes(column, precision):
@@ -119,11 +128,11 @@ def _column_codes(column, precision):
     finite = np.isfinite(column)
     if not finite.all():
         return int(np.argmin(finite))
-    keys, codes = np.unique(column.view(np.int64), return_inverse=True)
+    values, codes = _distinct_floats(column)
     spec = f".{precision}g"
-    texts = [format(v, spec) for v in keys.view(np.float64).tolist()]
+    texts = [format(v, spec) for v in values]
     # the narrowest code type keeps the formatted table small
-    return np.array(texts, dtype=object), codes.astype(np.min_scalar_type(len(keys))), True
+    return np.array(texts, dtype=object), codes.astype(np.min_scalar_type(len(values))), True
 
 
 def _emit_csv(header, columns, precision):
@@ -163,6 +172,21 @@ def _emit_csv(header, columns, precision):
             buf.truncate()
             writer.writerows(cells)
             click.echo(buf.getvalue(), nl=False)
+
+
+def _json_column(column, precision):
+    """A table column as Python scalars rounded as ``_format_payload`` rounds them.
+
+    A float64 array rounds each distinct value once; tolist() gives
+    Python scalars, as json cannot encode np.bool_.
+    """
+    if not isinstance(column, np.ndarray):
+        return _format_payload(column, precision)
+    if column.dtype == bool:
+        return column.tolist()
+    values, codes = _distinct_floats(column)
+    rounded = np.array([float(f"{v:.{precision}g}") for v in values])
+    return rounded[codes].tolist()
 
 
 def _fail(message, code):
@@ -234,11 +258,10 @@ def command(name, default_format):
                 if fmt == "csv":
                     _emit_csv(header, columns, precision)
                 elif payload is None:
-                    # tolist() gives Python scalars: json cannot encode np.bool_
-                    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-                    _emit_json([dict(zip(header, row)) for row in zip(*cells)], precision)
+                    cells = [_json_column(c, precision) for c in columns]
+                    _emit_json([dict(zip(header, row)) for row in zip(*cells)])
                 else:
-                    _emit_json(payload, precision)
+                    _emit_json(_format_payload(payload, precision))
             except ConvergenceError as exc:
                 _fail(exc, EXIT_CONVERGENCE)
             except ClusterSensError as exc:

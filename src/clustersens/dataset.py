@@ -140,28 +140,56 @@ def _path_prefixed(path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+# rows held at once: a chunk allocates fewer containers than the young
+# garbage-collector generation's threshold (700), so reading sets off no collection
+_CHUNK_ROWS = 512
+
+
+def _chunk_columns(rows, indices):
+    """The fields at ``indices`` of each of ``rows``, as one list per index; short rows give ""."""
+    widths = set(map(len, rows))
+    if len(widths) == 1:
+        [width] = widths
+        fields = list(itertools.chain.from_iterable(rows))
+        return [fields[i::width] if i < width else [""] * len(rows) for i in indices]
+    columns = list(itertools.zip_longest(*rows, fillvalue=""))
+    return [columns[i] if i < len(columns) else [""] * len(rows) for i in indices]
+
+
 def _read_columns(path, required, optional=()) -> dict:
     """Text columns of a comma-delimited UTF-8 file with a header row.
 
-    Returns the ``required`` columns and those of ``optional`` the header
-    names. Blank lines are skipped and short rows are padded with "", and a
-    missing value is reported at its first row, then first column.
+    Returns lists of the ``required`` columns and of those ``optional``
+    ones the header names. A byte-order mark is dropped, blank lines are
+    skipped and short rows are padded with "". The rows are read
+    ``_CHUNK_ROWS`` at a time and each chunk's fields are moved into the
+    columns before the next is read, so the whole file is never held as
+    rows. A missing value is reported at its first row, then first column,
+    after the whole file is read; text that is not UTF-8 or not readable
+    as CSV is refused first.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("empty file, header row required")
-        for col in required:
-            if col not in header:
-                raise SchemaError(f"missing required column {col!r}")
-        rows = [row for row in reader if row]
-    columns = list(itertools.zip_longest(*rows, fillvalue=""))
-    names = tuple(required) + tuple(c for c in optional if c in header)
-    texts = {}
-    for name in names:
-        i = header.index(name)
-        texts[name] = columns[i] if i < len(columns) else ("",) * len(rows)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("empty file, header row required")
+            for col in required:
+                if col not in header:
+                    raise SchemaError(f"missing required column {col!r}")
+            names = tuple(required) + tuple(c for c in optional if c in header)
+            indices = [header.index(name) for name in names]
+            texts = {name: [] for name in names}
+            data = filter(None, reader)  # blank lines are skipped
+            while rows := list(itertools.islice(data, _CHUNK_ROWS)):
+                for column, part in zip(texts.values(), _chunk_columns(rows, indices)):
+                    column.extend(part)
+                del rows  # the next chunk is read after this one's rows are freed
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise ValidationError(f"not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from exc
+        except csv.Error as exc:
+            raise ValidationError(f"unreadable CSV at line {reader.line_num}: {exc}") from exc
     missing = [(col.index(""), k) for k, col in enumerate(texts.values()) if "" in col]
     if missing:
         row, k = min(missing)

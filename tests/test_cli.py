@@ -283,6 +283,61 @@ def test_fit_reader_errors_name_the_file(tmp_path, runner, body, message):
     assert error == f"error: {path}: {message}"
 
 
+# a data file and a studies file of two rows each, for the commands that read CSV
+READER_FILES = {
+    "fit": ("cluster_id,outcome,treatment,covariate_x\n", "{label},1.0,1,0\nc2,2.0,0,1\n"),
+    "meta": ("study_id,estimate,std_error\n", "{label},1.0,0.1\ns2,2.0,0.2\n"),
+}
+
+
+def reader_args(command, path):
+    if command == "fit":
+        return ["fit", str(path), "--scale", "continuous"]
+    return ["meta", "--studies", str(path)]
+
+
+@pytest.mark.parametrize("command", sorted(READER_FILES))
+def test_non_utf8_file_exits_1_with_one_error_line(tmp_path, runner, command):
+    header, body = READER_FILES[command]
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((header + body.format(label="caf\u00e9")).encode("latin-1"))
+    error = assert_single_error_line(invoke(runner, reader_args(command, path)))
+    assert error == f"error: {path}: not UTF-8 text (byte 0xe9: invalid continuation byte)"
+
+
+@pytest.mark.parametrize("command", sorted(READER_FILES))
+def test_over_long_csv_field_exits_1_with_one_error_line(tmp_path, runner, command):
+    header, body = READER_FILES[command]
+    path = tmp_path / "long.csv"
+    path.write_text(header + body.format(label="c" * (csv.field_size_limit() + 1)))
+    error = assert_single_error_line(invoke(runner, reader_args(command, path)))
+    assert error == (
+        f"error: {path}: unreadable CSV at line 2: field larger than field limit "
+        f"({csv.field_size_limit()})"
+    )
+
+
+def test_fit_reads_a_file_with_a_byte_order_mark(tmp_path, runner):
+    plain = tmp_path / "plain.csv"
+    write_csv(generate(ScenarioConfig(kind="single_continuous", clusters=40, cluster_size=3,
+                                      replications=1, seed=5), 0), plain)
+    marked = tmp_path / "marked.csv"
+    marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    expected = invoke(runner, ["fit", str(plain), "--scale", "continuous"])
+    result = invoke(runner, ["fit", str(marked), "--scale", "continuous"])
+    assert result.exit_code == expected.exit_code == 0
+    assert result.stdout == expected.stdout
+
+
+def test_meta_reads_a_studies_file_with_a_byte_order_mark(tmp_path, runner):
+    header, body = READER_FILES["meta"]
+    path = tmp_path / "studies.csv"
+    path.write_text(header + body.format(label="s1"), encoding="utf-8-sig")
+    result = invoke(runner, ["meta", "--studies", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["pooled"]["k"] == 2
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 # ---------------------------------------------------------------------------
@@ -859,6 +914,39 @@ def test_output_matches_pinned_digest(tmp_path, runner, case):
     result = invoke(runner, [arg.format(**paths) for arg in args])
     text = f"{result.exit_code}\n{result.stdout}"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def three_chunk_csv(path):
+    # 1,500 rows: more than two of the reader's 512-row chunks
+    write_csv(generate(ScenarioConfig(kind="single_continuous", clusters=500, cluster_size=3,
+                                      replications=1, seed=5), 0), path)
+    return str(path)
+
+
+def test_fit_on_a_three_chunk_file_matches_pinned_digest(tmp_path, runner):
+    # recorded with the reader that held the whole file as rows
+    data = three_chunk_csv(tmp_path / "data.csv")
+    result = invoke(runner, ["fit", data, "--scale", "continuous"])
+    text = f"{result.exit_code}\n{result.stdout}"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "b30c855e9901fd6f6b968cc1986b1fda344888d4de7bad2e92179c45747b2cbb"
+    )
+
+
+def test_stdout_is_byte_identical_across_hash_seeds(tmp_path):
+    # a rerun is a new process with a new str hash seed; no output may depend on it
+    data = three_chunk_csv(tmp_path / "data.csv")
+    src = str(Path(clustersens.__file__).resolve().parents[1])
+    commands = [["fit", data, "--scale", "continuous"],
+                ["contour", "--resolution", "50", "--threshold", "0.9"]]
+    outputs = {}
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        runs = [subprocess.run([sys.executable, "-m", "clustersens.cli", *args],
+                               capture_output=True, env=env) for args in commands]
+        assert [run.returncode for run in runs] == [0, 0]
+        outputs[seed] = [run.stdout for run in runs]
+    assert outputs["1"] == outputs["2"]
 
 
 def test_contour_signed_zeros_keep_their_sign(runner):

@@ -1,4 +1,9 @@
+import csv
+import gc
+import io
+import itertools
 import math
+import platform
 import re
 
 import numpy as np
@@ -13,6 +18,7 @@ from clustersens import (
     positivity_report,
     write_csv,
 )
+from clustersens.dataset import OPTIONAL_COLUMNS, REQUIRED_COLUMNS, _read_columns
 from clustersens.mixed_models import _prepare
 from clustersens.simulation import ScenarioConfig, generate
 
@@ -182,6 +188,111 @@ def test_generated_scenario_round_trips(tmp_path):
     path = tmp_path / "scenario.csv"
     write_csv(ds, path)
     assert_same_columns(load_csv(path, "continuous"), ds)
+
+
+def whole_file_read_columns(path, required, optional=()) -> dict:
+    """Reference for ``_read_columns``: the reader that held every row of the file at once."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty file, header row required")
+        for col in required:
+            if col not in header:
+                raise SchemaError(f"missing required column {col!r}")
+        rows = [row for row in reader if row]
+    columns = list(itertools.zip_longest(*rows, fillvalue=""))
+    names = tuple(required) + tuple(c for c in optional if c in header)
+    texts = {}
+    for name in names:
+        i = header.index(name)
+        texts[name] = columns[i] if i < len(columns) else ("",) * len(rows)
+    missing = [(col.index(""), k) for k, col in enumerate(texts.values()) if "" in col]
+    if missing:
+        row, k = min(missing)
+        raise ValidationError(f"missing value for {names[k]!r} at row {row + 1}")
+    return texts
+
+
+def columns_or_error(reader, path):
+    try:
+        texts = reader(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return {name: list(column) for name, column in texts.items()}
+
+
+# fields with commas, quotes, line breaks and spaces make csv quote them
+csv_field = st.text(alphabet='ab1.,"\n\r -', max_size=4)
+
+
+@st.composite
+def csv_files(draw):
+    """A header of the required columns, an optional study_id and an extra
+    column in some order, then 511 to 1,025 rows: copies of one base row, with
+    some rows replaced by blank lines or by short, long or empty-field rows."""
+    header = draw(st.permutations(
+        [*REQUIRED_COLUMNS, *draw(st.sets(st.sampled_from(["study_id", "note"])))]
+    ))
+    # a base row one field short leaves a column past the width of whole chunks
+    width = draw(st.sampled_from([len(header), len(header) - 1, len(header) + 1]))
+    base_row = draw(st.lists(csv_field.filter(bool), min_size=width, max_size=width))
+    n_rows = draw(st.sampled_from([511, 512, 513, 1025]))
+    other_rows = draw(st.dictionaries(
+        st.one_of(st.integers(0, n_rows - 1), st.sampled_from([510, 511, 512, 1023, 1024])),
+        st.none() | st.lists(csv_field, max_size=len(header) + 2),
+        max_size=8,
+    ))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for i in range(n_rows):
+        row = other_rows.get(i, base_row)
+        if row is None:
+            buf.write("\r\n")
+        else:
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_files())
+def test_read_columns_matches_the_whole_file_reader(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = columns_or_error(whole_file_read_columns, path)
+    assert columns_or_error(_read_columns, path) == expected
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="counts the collections of CPython's collector")
+def test_load_csv_of_30k_rows_sets_off_no_garbage_collection(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 30_000
+    y = rng.normal(size=n).tolist()
+    a, x = rng.integers(0, 2, (2, n)).tolist()
+    path = tmp_path / "big.csv"
+    path.write_text("cluster_id,outcome,treatment,covariate_x\n" + "".join(
+        f"{i // 3 + 1},{y[i]!r},{a[i]},{x[i]}.0\n" for i in range(n)
+    ))
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(700, 10, 10)  # CPython's defaults
+    try:
+        gc.collect()
+        before = [generation["collections"] for generation in gc.get_stats()]
+        ds = load_csv(path, "continuous")
+        after = [generation["collections"] for generation in gc.get_stats()]
+    finally:
+        gc.set_threshold(*thresholds)
+        if not enabled:
+            gc.disable()
+    assert ds.outcome.size == n
+    young, _, full = (end - start for start, end in zip(before, after))
+    # the reader that held all 30k rows at once ran about 77 young collections
+    assert young <= 3
+    assert full == 0
 
 
 def test_positivity_flags_empty_stratum():
