@@ -58,7 +58,15 @@ _CHUNK_ROWS = 1024
 
 
 def _format_payload(obj, precision):
-    """Recursively round floats to the output precision."""
+    """Recursively round floats to the output precision; an ndarray becomes a list.
+
+    A float64 array rounds each distinct value once.
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == bool:
+            return obj.tolist()  # Python scalars: json cannot encode np.bool_
+        values, codes = _distinct_floats(obj)
+        return np.array(_format_payload(values, precision))[codes].tolist()
     if isinstance(obj, dict):
         return {k: _format_payload(v, precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -174,21 +182,6 @@ def _emit_csv(header, columns, precision):
             click.echo(buf.getvalue(), nl=False)
 
 
-def _json_column(column, precision):
-    """A table column as Python scalars rounded as ``_format_payload`` rounds them.
-
-    A float64 array rounds each distinct value once; tolist() gives
-    Python scalars, as json cannot encode np.bool_.
-    """
-    if not isinstance(column, np.ndarray):
-        return _format_payload(column, precision)
-    if column.dtype == bool:
-        return column.tolist()
-    values, codes = _distinct_floats(column)
-    rounded = np.array([float(f"{v:.{precision}g}") for v in values])
-    return rounded[codes].tolist()
-
-
 def _fail(message, code):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -258,7 +251,7 @@ def command(name, default_format):
                 if fmt == "csv":
                     _emit_csv(header, columns, precision)
                 elif payload is None:
-                    cells = [_json_column(c, precision) for c in columns]
+                    cells = [_format_payload(c, precision) for c in columns]
                     _emit_json([dict(zip(header, row)) for row in zip(*cells)])
                 else:
                     _emit_json(_format_payload(payload, precision))

@@ -140,20 +140,10 @@ def _path_prefixed(path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-# rows held at once: a chunk allocates fewer containers than the young
-# garbage-collector generation's threshold (700), so reading sets off no collection
-_CHUNK_ROWS = 512
-
-
-def _chunk_columns(rows, indices):
-    """The fields at ``indices`` of each of ``rows``, as one list per index; short rows give ""."""
-    widths = set(map(len, rows))
-    if len(widths) == 1:
-        [width] = widths
-        fields = list(itertools.chain.from_iterable(rows))
-        return [fields[i::width] if i < width else [""] * len(rows) for i in indices]
-    columns = list(itertools.zip_longest(*rows, fillvalue=""))
-    return [columns[i] if i < len(columns) else [""] * len(rows) for i in indices]
+# rows held at once: a chunk's row lists plus the one iterator zip_longest makes
+# per row stay under the young garbage-collector generation's threshold (700)
+# while a file has no more than a few dozen columns, so reading sets off no collection
+_CHUNK_ROWS = 256
 
 
 def _read_columns(path, required, optional=()) -> dict:
@@ -182,9 +172,10 @@ def _read_columns(path, required, optional=()) -> dict:
             texts = {name: [] for name in names}
             data = filter(None, reader)  # blank lines are skipped
             while rows := list(itertools.islice(data, _CHUNK_ROWS)):
-                for column, part in zip(texts.values(), _chunk_columns(rows, indices)):
-                    column.extend(part)
-                del rows  # the next chunk is read after this one's rows are freed
+                columns = list(itertools.zip_longest(*rows, fillvalue=""))
+                for column, i in zip(texts.values(), indices):
+                    column.extend(columns[i] if i < len(columns) else ("",) * len(rows))
+                del rows, columns  # the next chunk is read after this one's are freed
         except UnicodeDecodeError as exc:
             byte = exc.object[exc.start]
             raise ValidationError(f"not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from exc

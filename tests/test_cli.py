@@ -916,16 +916,16 @@ def test_output_matches_pinned_digest(tmp_path, runner, case):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-def three_chunk_csv(path):
-    # 1,500 rows: more than two of the reader's 512-row chunks
+def many_chunk_csv(path):
+    # 1,500 rows: five whole chunks of the reader's 256 rows and part of a sixth
     write_csv(generate(ScenarioConfig(kind="single_continuous", clusters=500, cluster_size=3,
                                       replications=1, seed=5), 0), path)
     return str(path)
 
 
-def test_fit_on_a_three_chunk_file_matches_pinned_digest(tmp_path, runner):
+def test_fit_on_a_many_chunk_file_matches_pinned_digest(tmp_path, runner):
     # recorded with the reader that held the whole file as rows
-    data = three_chunk_csv(tmp_path / "data.csv")
+    data = many_chunk_csv(tmp_path / "data.csv")
     result = invoke(runner, ["fit", data, "--scale", "continuous"])
     text = f"{result.exit_code}\n{result.stdout}"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
@@ -935,7 +935,7 @@ def test_fit_on_a_three_chunk_file_matches_pinned_digest(tmp_path, runner):
 
 def test_stdout_is_byte_identical_across_hash_seeds(tmp_path):
     # a rerun is a new process with a new str hash seed; no output may depend on it
-    data = three_chunk_csv(tmp_path / "data.csv")
+    data = many_chunk_csv(tmp_path / "data.csv")
     src = str(Path(clustersens.__file__).resolve().parents[1])
     commands = [["fit", data, "--scale", "continuous"],
                 ["contour", "--resolution", "50", "--threshold", "0.9"]]

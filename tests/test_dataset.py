@@ -267,14 +267,17 @@ def test_read_columns_matches_the_whole_file_reader(tmp_path, text):
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
                     reason="counts the collections of CPython's collector")
-def test_load_csv_of_30k_rows_sets_off_no_garbage_collection(tmp_path):
+@pytest.mark.parametrize("ragged", [False, True], ids=["one-width", "ragged"])
+def test_load_csv_of_30k_rows_sets_off_no_garbage_collection(tmp_path, ragged):
     rng = np.random.default_rng(11)
     n = 30_000
     y = rng.normal(size=n).tolist()
     a, x = rng.integers(0, 2, (2, n)).tolist()
+    # a ragged file gives every hundredth row a note the others leave out
+    notes = [",note" if ragged and i % 100 == 0 else "" for i in range(n)]
     path = tmp_path / "big.csv"
-    path.write_text("cluster_id,outcome,treatment,covariate_x\n" + "".join(
-        f"{i // 3 + 1},{y[i]!r},{a[i]},{x[i]}.0\n" for i in range(n)
+    path.write_text("cluster_id,outcome,treatment,covariate_x,note\n" + "".join(
+        f"{i // 3 + 1},{y[i]!r},{a[i]},{x[i]}.0{notes[i]}\n" for i in range(n)
     ))
     enabled, thresholds = gc.isenabled(), gc.get_threshold()
     gc.enable()
