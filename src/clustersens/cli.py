@@ -84,6 +84,39 @@ def _emit_json(payload):
     click.echo(text)
 
 
+_JSON_SCALARS = {float, int, bool, type(None)}
+
+
+def _emit_json_table(header, columns):
+    """Emit the table's rows as JSON objects, with the bytes of
+    ``_emit_json([dict(zip(header, row)) for row in zip(*columns)])``.
+
+    The indented encoder is pure Python, so a large table is slow through
+    it. Here each column of scalars is encoded once by the C encoder,
+    without indent, and split into its values, and the rows are laid out
+    with the indented encoder's separators. A table with a non-scalar
+    cell, a repeated header name or a non-finite number goes through
+    ``_emit_json`` instead, which raises the refusal for the last.
+    """
+    texts = []
+    if len(set(header)) == len(header):
+        for column in columns:
+            if not set(map(type, column)) <= _JSON_SCALARS:
+                break
+            try:
+                encoded = json.dumps(column, allow_nan=False)
+            except ValueError:
+                break
+            texts.append(encoded[1:-1].split(", ") if column else [])
+    if len(texts) < len(columns):
+        _emit_json([dict(zip(header, row)) for row in zip(*columns)])
+        return
+    keys = [json.dumps(name).replace("%", "%%") for name in header]
+    row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    rows = ",\n".join(map(row.__mod__, zip(*texts)))
+    click.echo(f"[\n{rows}\n]" if rows else "[]")
+
+
 def _csv_cell(value, precision):
     if value is None:
         return ""
@@ -251,8 +284,7 @@ def command(name, default_format):
                 if fmt == "csv":
                     _emit_csv(header, columns, precision)
                 elif payload is None:
-                    cells = [_format_payload(c, precision) for c in columns]
-                    _emit_json([dict(zip(header, row)) for row in zip(*cells)])
+                    _emit_json_table(header, [_format_payload(c, precision) for c in columns])
                 else:
                     _emit_json(_format_payload(payload, precision))
             except ConvergenceError as exc:
@@ -487,7 +519,7 @@ def cmd_contour(delta_range, theta_range, resolution, threshold):
 @command("simulate", "csv")
 @click.argument("config_path", type=click.Path())
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Processes for the replicates, at most one per replication and CPU.")
+              help="Processes for the replicates, at most one per block of 32 and per CPU.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 def cmd_simulate(config_path, workers, seed):
     """Run a simulation scenario and emit its metrics table."""

@@ -7,10 +7,12 @@ the confounded mixed model, remove the analytically known bias factor,
 and score bias / spread / interval coverage of the adjusted estimator.
 Meta scenarios pool per-study confounded effects and score the estimated
 probability of a meaningful effect. ``run_scenario`` runs every kind
-through one replicate worker.
+through one worker, which takes a fixed block of consecutive replicates
+and fits all their continuous datasets as one REML stack.
 
-Replicates are keyed counter-based streams (see ``rng``), so results are
-identical across worker counts and replicate orderings.
+Replicates are keyed counter-based streams (see ``rng``), and a study's
+fit does not depend on the stack it is fitted in, so results are
+identical across worker counts, block boundaries and replicate orderings.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -44,6 +47,9 @@ _KINDS = (SINGLE_CONTINUOUS, SINGLE_BINARY, META)
 
 _NONCONVERGENCE_FLAG_FRACTION = 0.05
 _META_CLUSTER_SPREAD = 50  # meta studies draw their cluster counts on clusters +/- 50
+# replicates per unit of work: their continuous datasets are fitted as one
+# stack. Fixed, so that no result depends on the worker count.
+_BLOCK_SIZE = 32
 
 
 def nu_from_icc(icc: float) -> float:
@@ -301,23 +307,52 @@ def _run_constants(config: ScenarioConfig):
     return tuple(out)
 
 
-def _replicate(config: ScenarioConfig, per_x, index: int):
-    """(value, lb, ub) triples at x = 0, 1 for one replicate, or None.
+def _replicate_block(config: ScenarioConfig, per_x, start: int):
+    """Scored replicates ``start`` onward, up to _BLOCK_SIZE of them, in index order.
+
+    Each entry is one replicate's ``_score``. The continuous datasets of
+    the whole block (one per single-study replicate, k per meta replicate)
+    are fitted in one ``fit_lmm_batch`` call; a study's fit does not depend
+    on the stack it is fitted in. One failed study fails the stack, so the
+    block then fits each replicate alone, as it always does for binary
+    replicates.
+    """
+    indices = range(start, min(start + _BLOCK_SIZE, config.replications))
+    groups = [generate(config, index) for index in indices]
+    if config.kind != META:
+        groups = [[ds] for ds in groups]
+    stack = None
+    if config.kind != SINGLE_BINARY:
+        stack = _fits(config, [ds for group in groups for ds in group])
+    if stack is None:
+        return [_score(config, per_x, _fits(config, group)) for group in groups]
+    ends = accumulate(len(group) for group in groups)
+    return [_score(config, per_x, stack[end - len(group):end]) for group, end in zip(groups, ends)]
+
+
+def _fits(config: ScenarioConfig, datasets):
+    """The datasets' fits, or None where one fails to converge or has a singular design."""
+    try:
+        if config.kind == SINGLE_BINARY:
+            return [fit_glmm_logit(ds, config.quadrature_points) for ds in datasets]
+        return fit_lmm_batch(datasets)
+    except (ConvergenceError, SingularDesignError):
+        return None
+
+
+def _score(config: ScenarioConfig, per_x, fits):
+    """(value, lb, ub) triples at x = 0, 1 for one replicate's fits, or None.
 
     Single-study kinds give the adjusted effect; the meta kind gives the
     estimated exceedance probability with its delta-method interval.
-    Non-convergence, separation, degenerate designs and variance
-    domination drop the replicate; dropped replicates are counted, never
-    resampled.
+    Non-convergence, separation and degenerate designs (``fits`` is None)
+    and variance domination drop the replicate; dropped replicates are
+    counted, never resampled.
     """
-    data = generate(config, index)
-    datasets = data if config.kind == META else [data]
+    if fits is None:
+        return None
     out = []
     try:
-        if config.kind == SINGLE_BINARY:
-            fits = [fit_glmm_logit(data, config.quadrature_points)]
-        else:
-            fits = fit_lmm_batch(datasets)
         for x, constants in zip((0, 1), per_x):
             effects = [confounded_effect(fit, x) for fit in fits]
             if config.kind != META:
@@ -330,7 +365,7 @@ def _replicate(config: ScenarioConfig, per_x, index: int):
                 for k, eff in enumerate(effects)
             ]
             out.append(_delta_interval(pool(studies), bias, q, studies))
-    except (ConvergenceError, SingularDesignError, VarianceDominationError):
+    except VarianceDominationError:
         return None
     return out
 
@@ -404,21 +439,23 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
 
     Single-study kinds score the adjusted effect against the true
     coefficients; the meta kind scores the exceedance probability
-    estimator against its closed form. Replicates run in up to ``workers``
-    processes, no more than the replications or the CPUs; the metrics do
-    not depend on the count.
+    estimator against its closed form. The unit of work is a block of
+    _BLOCK_SIZE consecutive replicates (see ``_replicate_block``). Blocks
+    run in up to ``workers`` processes, no more than the blocks or the
+    CPUs; the block size is fixed, so the metrics do not depend on the
+    count.
     """
     started = time.perf_counter()
-    worker = partial(_replicate, config, _run_constants(config))
-    indices = range(config.replications)
+    worker = partial(_replicate_block, config, _run_constants(config))
+    starts = range(0, config.replications, _BLOCK_SIZE)
     # the pool starts all its workers at the first submit, so idle ones cost a fork each
-    workers = min(workers, config.replications, os.cpu_count() or 1)
+    workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        results = [worker(i) for i in indices]
+        blocks = [worker(start) for start in starts]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool_:
-            chunk = max(1, config.replications // (8 * workers))
-            results = list(pool_.map(worker, indices, chunksize=chunk))
+            blocks = list(pool_.map(worker, starts))
+    results = [result for block in blocks for result in block]
     if config.kind == META:
         truths = (true_p_of_q(config, 0), true_p_of_q(config, 1))
     else:

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import clustersens
-from clustersens import fit_lmm, write_csv
+from clustersens import cli, fit_lmm, write_csv
 from clustersens.cli import _emit_csv, main
 from clustersens.errors import ValidationError
 from clustersens.simulation import ScenarioConfig, generate
@@ -859,6 +859,60 @@ def test_emit_csv_refuses_the_first_non_finite_cell_in_row_major_order(capsys):
     expected = reference_or_error(["a", "b", "c"], rows_of(arrays), 6)
     assert expected == "error: result holds a non-finite number, not valid CSV: nan"
     assert emitted_csv(capsys, ["a", "b", "c"], arrays, 6) == expected
+
+
+# ---------------------------------------------------------------------------
+# JSON table emission
+# ---------------------------------------------------------------------------
+
+JSON_NAMES = st.sampled_from(["", "x", "delta_m", "100%", "%s", 'say "hi"', "caf\u00e9"])
+JSON_COLUMNS = st.sampled_from([
+    FLOATS,
+    st.one_of(FLOATS, NON_FINITE),
+    st.booleans(),
+    st.one_of(st.integers(), st.none()),
+    ANY_CELL,
+    st.one_of(FLOATS, st.lists(FLOATS, max_size=2)),
+])
+
+
+@st.composite
+def json_tables(draw):
+    kinds = draw(st.lists(JSON_COLUMNS, min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 30))
+    columns = [draw(st.lists(cells, min_size=n_rows, max_size=n_rows)) for cells in kinds]
+    names = st.lists(JSON_NAMES, min_size=len(kinds), max_size=len(kinds),
+                     unique=draw(st.booleans()))
+    return draw(names), columns
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=json_tables())
+def test_emit_json_table_matches_the_indented_encoder(capsys, table):
+    header, columns = table
+    rows = [dict(zip(header, row)) for row in zip(*columns)]
+    try:
+        expected = json.dumps(rows, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        expected = f"error: result holds a non-finite number, not valid JSON: {exc}"
+    capsys.readouterr()
+    try:
+        cli._emit_json_table(header, columns)
+        got = capsys.readouterr().out
+    except ValidationError as exc:
+        got = f"error: {exc}"
+    assert got == expected
+
+
+def test_emit_json_table_lays_out_a_scalar_table_itself(capsys, monkeypatch):
+    # the indented encoder is the slow path: a table of finite scalars under
+    # distinct names never reaches it
+    monkeypatch.setattr(cli, "_emit_json", None)
+    header = ["delta_m", "theta", "n", "explains"]
+    columns = [[0.5, -0.0, 1e300], [1.0, 2.5, 5e-324], [1, None, -7], [True, False, True]]
+    cli._emit_json_table(header, columns)
+    rows = [dict(zip(header, row)) for row in zip(*columns)]
+    assert capsys.readouterr().out == json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from clustersens import (
     ClusteredDataset,
+    ConvergenceError,
     ValidationError,
     SingularDesignError,
     fit_from_json,
@@ -210,6 +212,16 @@ def test_reml_derivatives_match_central_differences(seed, log_ratio):
     assert abs(curvature[0] - curvature_fd) <= 1e-5 * max(1.0, abs(curvature_fd))
 
 
+CRITERION_3 = ScenarioConfig(
+    kind="single_continuous", clusters=100, cluster_size=3, replications=1000,
+    seed=20260808, true_betas=(1.0, -1.0, 3.0, 1.0), theta=0.5, sigma_u2=0.25,
+    nu=4.0, phi=1.0,
+)
+CRITERION_5 = ScenarioConfig(
+    kind="meta", clusters=100, cluster_size=3, studies=30, replications=500,
+    seed=2718, true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=0.01,
+    sigma_u2=0.25, nu=4.0, phi=1.0,
+)
 SMALL_META = ScenarioConfig(
     kind="meta", clusters=60, cluster_size=3, studies=3, replications=1, seed=6,
     true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=0.01,
@@ -247,6 +259,41 @@ def test_batch_equals_separate_fits_in_any_order():
     permuted = fit_lmm_batch([studies[i] for i in order])
     for got, i in zip(permuted, order):
         assert_same_fit(got, separate[i])
+
+
+def fit_fields(fit):
+    return (
+        fit.coefficients, fit.coef_covariance, fit.random_intercept_variance,
+        fit.residual_variance, fit.log_likelihood,
+    )
+
+
+def test_a_study_fits_bit_for_bit_the_same_in_any_stack():
+    # the stacks the simulation fits: criterion-3 replicates and the
+    # studies of a criterion-5 replicate, all in clusters of 3
+    studies = [generate(CRITERION_3, i) for i in range(40)] + generate(CRITERION_5, 0)
+    for got, ds in zip(fit_lmm_batch(studies), studies):
+        expected = fit_one(ds)
+        for a, b in zip(fit_fields(got), fit_fields(expected)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert (got.boundary, got.n_iterations) == (expected.boundary, expected.n_iterations)
+
+
+def test_a_study_fits_the_same_beside_other_cluster_sizes():
+    # each study has only some of the stack's cluster sizes, so the other
+    # per-size slots of its statistics are zero
+    studies = batch_studies() + [
+        generate(replace(CRITERION_3, clusters=50, cluster_size=8), 0),
+        generate(replace(CRITERION_3, cluster_size=1), 0),
+        generate(CRITERION_3, 0),
+    ]
+    assert len(_reml_statistics(studies).sizes) > 3
+    for got, ds in zip(fit_lmm_batch(studies), studies):
+        expected = fit_one(ds)
+        for a, b in zip(fit_fields(got), fit_fields(expected)):
+            scale = np.max(np.abs(b))
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10 * scale)
+        assert got.boundary == expected.boundary
 
 
 def test_batch_agrees_with_the_brent_fit():
@@ -295,11 +342,44 @@ def test_one_rank_deficient_study_fails_the_batch_and_drops_the_replicate(monkey
     with pytest.raises(SingularDesignError):
         fit_lmm_batch([studies[0], rank_deficient_dataset(), studies[1]])
     per_x = simulation._run_constants(SMALL_META)
-    assert simulation._replicate(SMALL_META, per_x, 0) is not None
+    (kept,) = simulation._replicate_block(SMALL_META, per_x, 0)
+    assert kept is not None
     monkeypatch.setattr(
         simulation, "generate", lambda *_: [studies[0], rank_deficient_dataset(), studies[2]]
     )
-    assert simulation._replicate(SMALL_META, per_x, 0) is None
+    (dropped,) = simulation._replicate_block(SMALL_META, per_x, 0)
+    assert dropped is None
+
+
+def test_a_failed_study_drops_only_its_own_replicate_from_the_block(monkeypatch):
+    # replicate 2 is rank deficient and replicate 5's fit does not converge:
+    # the block's stacked fit fails, and every other replicate scores as it
+    # does fitted alone and inside the clean stack
+    config = replace(CRITERION_3, replications=9)
+    per_x = simulation._run_constants(config)
+    clean = simulation._replicate_block(config, per_x, 0)
+    alone = [
+        simulation._score(config, per_x, fit_lmm_batch([generate(config, i)]))
+        for i in range(config.replications)
+    ]
+    failing = {2: rank_deficient_dataset(), 5: generate(config, 5)}
+
+    def generate_with_failures(config, index):
+        return failing[index] if index in failing else generate(config, index)
+
+    def fit_or_fail(datasets):
+        if any(ds is failing[5] for ds in datasets):
+            raise ConvergenceError("REML Newton search did not converge")
+        return fit_lmm_batch(datasets)
+
+    monkeypatch.setattr(simulation, "generate", generate_with_failures)
+    monkeypatch.setattr(simulation, "fit_lmm_batch", fit_or_fail)
+    block = simulation._replicate_block(config, per_x, 0)
+    assert [i for i, result in enumerate(block) if result is None] == [2, 5]
+    assert None not in clean
+    for i, result in enumerate(block):
+        if i not in (2, 5):
+            assert result == alone[i] == clean[i]
 
 
 def test_empty_batch_is_rejected():

@@ -220,6 +220,8 @@ def test_single_study_metrics_smoke():
 
 SMALL_CONFIGS = {
     "single_continuous": dict(BASE, replications=6),
+    # two whole blocks and a partial one, so workers=2 runs a real pool
+    "single_continuous-blocks": dict(BASE, replications=2 * simulation._BLOCK_SIZE + 5),
     "single_binary": dict(
         kind="single_binary", clusters=50, cluster_size=4, replications=4, seed=34,
         true_betas=(-1.0, 1.0, 1.0, -0.5), theta=-0.5, sigma_u2=1.0, nu=nu_from_icc(0.25),
@@ -232,21 +234,33 @@ SMALL_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
-def test_metrics_deterministic_and_worker_invariant(kind):
-    config = ScenarioConfig(**SMALL_CONFIGS[kind])
+@pytest.mark.parametrize("case", sorted(SMALL_CONFIGS))
+def test_metrics_deterministic_and_worker_invariant(case, monkeypatch):
+    config = ScenarioConfig(**SMALL_CONFIGS[case])
+    pools = []
+
+    class CountingPool(simulation.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
     serial = run_scenario(config, workers=1)
     again = run_scenario(config, workers=1)
     parallel = run_scenario(config, workers=2)
-    assert serial.kind == kind
+    assert serial.kind == SMALL_CONFIGS[case]["kind"]
     assert serial.rows == again.rows == parallel.rows
     assert serial.non_converged == parallel.non_converged
     assert serial.rows[0].replications_used > 0
+    # a pool starts only where there is more than one block to share
+    assert pools == ([2] if config.replications > simulation._BLOCK_SIZE else [])
 
 
 def test_worker_pool_is_capped_by_replications_and_cpus(monkeypatch):
     # the pool forks all its workers at the first submit, so the cap is read
-    # off a stand-in that records its size and runs the replicates in process
+    # off a stand-in that records its size and runs the blocks in process;
+    # the cap is the number of blocks of replicates
     sizes = []
 
     class RecordingPool:
@@ -262,15 +276,21 @@ def test_worker_pool_is_capped_by_replications_and_cpus(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
+    def config(blocks):
+        return ScenarioConfig(**{**BASE, "replications": blocks * simulation._BLOCK_SIZE})
+
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
-    two = ScenarioConfig(**{**BASE, "replications": 2})
+    two = ScenarioConfig(**{**BASE, "replications": simulation._BLOCK_SIZE + 1})
     assert run_scenario(two, workers=5000).rows == run_scenario(two).rows
-    run_scenario(ScenarioConfig(**BASE), workers=8)
+    run_scenario(config(4), workers=8)
+    assert sizes == [2, 3]
+    # one block runs in process, whatever the worker count
+    run_scenario(config(1), workers=8)
     assert sizes == [2, 3]
     # an unknown CPU count counts as one CPU: no pool at all
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: None)
-    run_scenario(ScenarioConfig(**BASE), workers=8)
+    run_scenario(config(4), workers=8)
     assert sizes == [2, 3]
 
 
