@@ -329,7 +329,7 @@ def _effect_from_triple(estimate, lb, ub, x, level, scale):
         raise ValidationError("need lb < ub")
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
-    z = normal.ppf(0.5 * (1.0 + level))
+    z = normal.two_sided_quantile(level)
     implied_se = (ub - lb) / (2.0 * z)
     if not math.isfinite(implied_se):
         raise ValidationError(

@@ -10,7 +10,11 @@ one dataset and differs only in that search, a bounded Brent search on
 the profile's value; both assemble their fits in ``_reml_fits``. Brent
 stops where the rounding of the log-likelihood hides its slope (on 30,000
 rows up to about 2e-6 from the maximum in log ratio), so the two agree to
-about 1e-6 relative in nu, not bit for bit. Binary outcomes: each dataset
+about 1e-6 relative in nu, not bit for bit. Brent is the package's only
+use of ``scipy.optimize``, which ``fit_lmm`` imports where it runs, so the
+simulation, pooling, contour and binary-fit paths never load
+``scipy.optimize``, nor ``scipy.linalg`` with a scipy (1.17 on) whose
+``scipy.special`` does not load it. Binary outcomes: each dataset
 is reduced once, straight from its columns, to its distinct cluster
 patterns and their counts, and both fits work on that reduction. The plain
 logistic fit gives the model at nu = 0: its log-likelihood, its
@@ -19,11 +23,13 @@ interior fit is maximum marginal likelihood with adaptive Gauss-Hermite
 quadrature over the cluster intercept (Liu & Pierce 1994; Pinheiro &
 Bates 1995): a Newton iteration over (beta, log nu) on the closed-form
 score and observed information of the quadrature sum (Louis 1982, with
-the adaptive nodes moving), both from one pass per trial point.
+the adaptive nodes moving), both from one pass per trial point. Each
+Gauss-Hermite rule is built once per process (``_gauss_hermite``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy import optimize, special
+from scipy import special
 
 from .dataset import ClusteredDataset
 from .errors import ConvergenceError, DomainError, SeparationError, SingularDesignError, ValidationError
@@ -239,8 +245,10 @@ def _reml_statistics(datasets) -> _RemlStatistics:
     a = np.concatenate([ds.treatment for ds in datasets])
     x = np.concatenate([ds.covariate_x for ds in datasets])
     y = np.concatenate([ds.outcome for ds in datasets])
-    y_mean = np.add.reduceat(y, np.cumsum(rows) - rows) / rows
-    y -= np.repeat(y_mean, rows)
+    # an outcome sum past the float range is left to _design_grams to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_mean = np.add.reduceat(y, np.cumsum(rows) - rows) / rows
+        y -= np.repeat(y_mean, rows)
     data = np.column_stack([np.ones_like(y), a, x, a * x, y])
     gram = _design_grams(np.split(data, np.cumsum(rows)[:-1]))
     if np.any(rows <= _DESIGN_COLUMNS):
@@ -486,8 +494,19 @@ def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
     Differs from ``fit_lmm_batch([ds])[0]`` only in the search for the log
     ratio nu/phi: a bounded Brent search on the profile's value, which the
     benchmark's recorded figures come from (it stops within the value's
-    rounding, about 1e-6 relative in nu from the batch's optimum).
+    rounding, about 1e-6 relative in nu from the batch's optimum). It is
+    the only caller of ``scipy.optimize`` in the package and imports it on
+    its first call, so a process that never calls it never loads it.
     """
+    # Imported here, not at module level: scipy.optimize brings scipy.linalg
+    # with it, and at import they cost every process 24 MB of peak memory
+    # and 0.24 s of start-up (80.6 against 56.6 MB and 0.62 against 0.38 s
+    # for a fresh import of the package, scipy 1.17.1), while only this
+    # search uses them. An older scipy.special loads scipy.linalg itself;
+    # there only scipy.optimize's 17 MB is saved. Retiring the search
+    # (ROADMAP item 2) deletes both.
+    from scipy import optimize
+
     stats = _reml_statistics([ds])
     y, design, _, sizes, starts = _prepare(ds)
     xtx = design.T @ design
@@ -622,6 +641,20 @@ def _logistic_fit(y, design, sizes, counts):
     return beta, loglik, score, info
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(points: int):
+    """Gauss-Hermite nodes and weights for the weight exp(-t^2), built once per node count.
+
+    ``hermgauss`` solves an eigenproblem of the n x n companion matrix on
+    every call, so each process builds a rule on its first use and shares
+    it after; the arrays are read-only for that reason.
+    """
+    nodes, weights = hermgauss(points)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 class _AgqLoglik:
     """Marginal log-likelihood, score and observed information with per-cluster adaptive nodes.
 
@@ -656,7 +689,7 @@ class _AgqLoglik:
         self.starts = np.cumsum(sizes) - sizes
         self.counts = counts
         self.row_counts = np.repeat(counts, sizes)
-        nodes, weights = hermgauss(quadrature_points)
+        nodes, weights = _gauss_hermite(quadrature_points)
         self.nodes = nodes
         self.log_weights = np.log(weights) + nodes**2  # exp-scaled weights
         self.modes = np.zeros(sizes.size)

@@ -3,9 +3,13 @@
 ``cdf`` goes through the complementary error function and ``ppf`` is
 scipy's ``ndtri``; both are accurate to well below 1e-12 in absolute
 terms over the usable double range and accept scalars or numpy arrays.
+``two_sided_quantile`` is the Wald interval's critical value, computed
+once per confidence level.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import special
@@ -40,3 +44,9 @@ def ppf(p):
         raise DomainError(f"probability outside [0, 1]: {p!r}")
     out = special.ndtri(arr)
     return float(out) if arr.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=16)
+def two_sided_quantile(level: float) -> float:
+    """The z with P(|Z| <= z) = level, that is ``ppf((1 + level) / 2)``, cached per level."""
+    return ppf(0.5 * (1.0 + level))

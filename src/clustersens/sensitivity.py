@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy import special
 
 from . import normal
 from .errors import DomainError, ValidationError
-from .mixed_models import MixedModelFit, icc_logistic
+from .mixed_models import MixedModelFit, _gauss_hermite, icc_logistic
 
 SCALE_MEAN_DIFFERENCE = "mean-difference"
 SCALE_LOG_RR = "log-RR"
@@ -63,7 +62,7 @@ class ConfoundedEffect:
 
 
 def _wald_effect(estimate, std_error, x, level, scale, warnings=()):
-    z = normal.ppf(0.5 * (1.0 + level))
+    z = normal.two_sided_quantile(level)
     return ConfoundedEffect(
         estimate=estimate,
         std_error=std_error,
@@ -217,15 +216,16 @@ class UnmeasuredSpec:
         return float(self.cell_means[key])
 
 
-_EXACT_NODES, _EXACT_WEIGHTS = hermgauss(128)
+_EXACT_POINTS = 128
 
 
 def _gauss_hermite_expit(mean, variance):
     """E[expit(mean + Z)] with Z ~ N(0, variance), to ~1e-14 relative."""
     if variance == 0.0:
         return float(special.expit(mean))
-    shifted = mean + math.sqrt(2.0 * variance) * _EXACT_NODES
-    return float(np.dot(_EXACT_WEIGHTS, special.expit(shifted))) / math.sqrt(math.pi)
+    nodes, weights = _gauss_hermite(_EXACT_POINTS)
+    shifted = mean + math.sqrt(2.0 * variance) * nodes
+    return float(np.dot(weights, special.expit(shifted))) / math.sqrt(math.pi)
 
 
 def marginal_logit_exact(beta, u_spec: UnmeasuredSpec, nu: float, a: int, x: float) -> float:

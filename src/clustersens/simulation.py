@@ -8,11 +8,12 @@ and score bias / spread / interval coverage of the adjusted estimator.
 Meta scenarios pool per-study confounded effects and score the estimated
 probability of a meaningful effect. ``run_scenario`` runs every kind
 through one worker, which takes a fixed block of consecutive replicates
-and fits all their continuous datasets as one REML stack.
+and fits their continuous datasets in REML stacks of a bounded row count.
 
 Replicates are keyed counter-based streams (see ``rng``), and a study's
 fit does not depend on the stack it is fitted in, so results are
-identical across worker counts, block boundaries and replicate orderings.
+identical across worker counts, block and stack boundaries and replicate
+orderings.
 """
 
 from __future__ import annotations
@@ -47,9 +48,13 @@ _KINDS = (SINGLE_CONTINUOUS, SINGLE_BINARY, META)
 
 _NONCONVERGENCE_FLAG_FRACTION = 0.05
 _META_CLUSTER_SPREAD = 50  # meta studies draw their cluster counts on clusters +/- 50
-# replicates per unit of work: their continuous datasets are fitted as one
-# stack. Fixed, so that no result depends on the worker count.
+# replicates per unit of work, and rows per REML stack within one: a block
+# fits its stack before a replicate that would take it past _STACK_ROWS, so
+# its memory is bounded by rows. A replicate is never split, and one over
+# the cap is a stack of its own. Both fixed, so that no result depends on
+# the worker count.
 _BLOCK_SIZE = 32
+_STACK_ROWS = 32768
 
 
 def nu_from_icc(icc: float) -> float:
@@ -310,24 +315,41 @@ def _run_constants(config: ScenarioConfig):
 def _replicate_block(config: ScenarioConfig, per_x, start: int):
     """Scored replicates ``start`` onward, up to _BLOCK_SIZE of them, in index order.
 
-    Each entry is one replicate's ``_score``. The continuous datasets of
-    the whole block (one per single-study replicate, k per meta replicate)
-    are fitted in one ``fit_lmm_batch`` call; a study's fit does not depend
-    on the stack it is fitted in. One failed study fails the stack, so the
-    block then fits each replicate alone, as it always does for binary
-    replicates.
+    Each entry is one replicate's ``_score``. The block's continuous
+    datasets (one per single-study replicate, k per meta replicate) are
+    fitted in stacks of consecutive replicates, one ``fit_lmm_batch`` call
+    each; a stack is fitted, scored and released before a replicate that
+    would take it past _STACK_ROWS rows starts the next one. A study's fit
+    does not depend on the stack it is fitted in. Binary replicates are
+    fitted one at a time.
     """
-    indices = range(start, min(start + _BLOCK_SIZE, config.replications))
-    groups = [generate(config, index) for index in indices]
-    if config.kind != META:
-        groups = [[ds] for ds in groups]
-    stack = None
+    scored, stack, rows = [], [], 0
+    for index in range(start, min(start + _BLOCK_SIZE, config.replications)):
+        group = generate(config, index)
+        if config.kind != META:
+            group = [group]
+        group_rows = sum(ds.outcome.size for ds in group)
+        if stack and (config.kind == SINGLE_BINARY or rows + group_rows > _STACK_ROWS):
+            scored += _score_stack(config, per_x, stack)
+            stack, rows = [], 0
+        stack.append(group)
+        rows += group_rows
+    return scored + _score_stack(config, per_x, stack)
+
+
+def _score_stack(config: ScenarioConfig, per_x, groups):
+    """``_score`` of each replicate's group of datasets, fitted as one stack.
+
+    One failed study fails the stack, so the stack then fits each replicate
+    alone, as it always does for binary replicates.
+    """
+    fits = None
     if config.kind != SINGLE_BINARY:
-        stack = _fits(config, [ds for group in groups for ds in group])
-    if stack is None:
+        fits = _fits(config, [ds for group in groups for ds in group])
+    if fits is None:
         return [_score(config, per_x, _fits(config, group)) for group in groups]
     ends = accumulate(len(group) for group in groups)
-    return [_score(config, per_x, stack[end - len(group):end]) for group, end in zip(groups, ends)]
+    return [_score(config, per_x, fits[end - len(group):end]) for group, end in zip(groups, ends)]
 
 
 def _fits(config: ScenarioConfig, datasets):
@@ -406,7 +428,7 @@ def _delta_interval(meta_fit: MetaFit, bias: BiasDistribution, q: float, studies
     d_v = dense * z / (2.0 * spread2)
     var_v = dl_variance_of_v_hat(studies, meta_fit.v_hat)
     var_p = d_mu**2 * meta_fit.se_mu**2 + d_v**2 * var_v
-    half = normal.ppf(0.975) * math.sqrt(max(var_p, 0.0))
+    half = normal.two_sided_quantile(0.95) * math.sqrt(max(var_p, 0.0))
     return p_hat, max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
@@ -442,8 +464,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
     estimator against its closed form. The unit of work is a block of
     _BLOCK_SIZE consecutive replicates (see ``_replicate_block``). Blocks
     run in up to ``workers`` processes, no more than the blocks or the
-    CPUs; the block size is fixed, so the metrics do not depend on the
-    count.
+    CPUs; the block size and the stack's row cap are fixed, so the metrics
+    do not depend on the count.
     """
     started = time.perf_counter()
     worker = partial(_replicate_block, config, _run_constants(config))

@@ -180,19 +180,13 @@ def concordant_csv(tmp_path):
     return binary_csv(tmp_path / "concordant.csv", np.arange(80) // 4 % 2, a, x, 4)
 
 
-@pytest.mark.parametrize("scale", ["continuous", "binary"])
-def test_fit_covariate_overflowing_the_cross_products_exits_1(tmp_path, scale):
-    # a covariate_x of 1e308 overflows X'X. LAPACK writes its complaints to
-    # file descriptor 1 and numpy its warnings to stderr, past click's
-    # capture, so the command runs in a process whose streams are read whole
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=60)
-    x[5] = 1e308
-    y = rng.integers(0, 2, 60) if scale == "binary" else rng.normal(size=60)
-    path = binary_csv(tmp_path / "huge_x.csv", y, np.arange(60) % 2, x, 3)
+def assert_overflow_exits_1_in_a_process(*args):
+    # LAPACK writes its complaints to file descriptor 1 and numpy its
+    # warnings to stderr, past click's capture, so the command runs in a
+    # process whose streams are read whole
     src = str(Path(clustersens.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-m", "clustersens.cli", "fit", path, "--scale", scale],
+        [sys.executable, "-m", "clustersens.cli", *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 1
@@ -201,6 +195,33 @@ def test_fit_covariate_overflowing_the_cross_products_exits_1(tmp_path, scale):
         "error: cross-products of the data overflow the float range: "
         "a covariate_x or outcome value is too large in magnitude"
     ]
+
+
+@pytest.mark.parametrize("scale", ["continuous", "binary"])
+def test_fit_covariate_overflowing_the_cross_products_exits_1(tmp_path, scale):
+    # a covariate_x of 1e308 overflows X'X
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=60)
+    x[5] = 1e308
+    y = rng.integers(0, 2, 60) if scale == "binary" else rng.normal(size=60)
+    path = binary_csv(tmp_path / "huge_x.csv", y, np.arange(60) % 2, x, 3)
+    assert_overflow_exits_1_in_a_process("fit", path, "--scale", scale)
+
+
+def test_fit_outcome_sum_overflowing_exits_1(tmp_path):
+    # every third outcome is 1e308: the outcome sum that centres y overflows
+    # before any cross-product is formed
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=40)
+    y[::3] = 1e308
+    path = binary_csv(tmp_path / "huge_y.csv", y.tolist(), np.arange(40) % 2,
+                      rng.normal(size=40).tolist(), 4)
+    assert_overflow_exits_1_in_a_process("fit", path, "--scale", "continuous")
+
+
+def test_simulate_outcome_sum_overflowing_exits_1(tmp_path):
+    path = scenario_file(tmp_path, true_betas=[1e308, 1.0, 1.0, 1.0])
+    assert_overflow_exits_1_in_a_process("simulate", path)
 
 
 def test_fit_binary_concordant_clusters_exit_2(tmp_path, runner):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import partial
 
@@ -21,6 +22,7 @@ from clustersens.mixed_models import (
     _AgqLoglik,
     _cluster_patterns,
     _expit_softplus,
+    _gauss_hermite,
     _logistic_fit,
     _prepare,
 )
@@ -330,6 +332,31 @@ class CountingLoglik(_AgqLoglik):
     def derivatives(self, params):
         CountingLoglik.passes += 1
         return super().derivatives(params)
+
+
+@pytest.mark.parametrize("points", [1, 15, 64, 100, 128])
+def test_gauss_hermite_rule_is_built_once_and_read_only(points):
+    nodes, weights = _gauss_hermite(points)
+    expected_nodes, expected_weights = np.polynomial.hermite.hermgauss(points)
+    assert np.array_equal(nodes, expected_nodes) and np.array_equal(weights, expected_weights)
+    assert _gauss_hermite(points)[0] is nodes
+    for array in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_criterion_4_design_fits_match_pinned_digest():
+    # sha256 of each fit's coefficients, covariance, nu, log-likelihood and
+    # Newton steps as float64 bytes, recorded while every fit still built its
+    # own 15-node rule with hermgauss
+    digest = hashlib.sha256()
+    for seed in range(34, 114):
+        fit = fit_glmm_logit(criterion_4_design(seed))
+        digest.update(np.concatenate([
+            fit.coefficients, fit.coef_covariance.ravel(),
+            [fit.random_intercept_variance, fit.log_likelihood, fit.n_iterations],
+        ]).tobytes())
+    assert digest.hexdigest() == "ae3b9fa34054fc0a431b309abc45497532feb7d8837354b3c663b5b0ccf39741"
 
 
 def test_criterion_4_design_fit_evaluation_budget(monkeypatch):

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clustersens
 from clustersens import (
     ClusteredDataset,
     ConvergenceError,
@@ -382,6 +387,37 @@ def test_a_failed_study_drops_only_its_own_replicate_from_the_block(monkeypatch)
             assert result == alone[i] == clean[i]
 
 
+@pytest.mark.parametrize("config, cap", [
+    (replace(CRITERION_3, replications=32), 1000),
+    (replace(SMALL_META, replications=32, clusters=80, studies=8), 4000),
+    (replace(CRITERION_3, replications=5), 200),
+], ids=["continuous", "meta", "replicate-over-the-cap"])
+def test_a_block_fits_stacks_of_at_most_the_row_cap(monkeypatch, config, cap):
+    # the same block fitted under the cap and as one stack scores the same;
+    # a stack passes the cap only when it is a single replicate, and is
+    # closed only when the next replicate would pass it
+    per_x = simulation._run_constants(config)
+    monkeypatch.setattr(simulation, "_STACK_ROWS", 10**9)
+    whole = simulation._replicate_block(config, per_x, 0)
+    stacks = []
+
+    def recording(datasets):
+        stacks.append([ds.outcome.size for ds in datasets])
+        return fit_lmm_batch(datasets)
+
+    monkeypatch.setattr(simulation, "fit_lmm_batch", recording)
+    monkeypatch.setattr(simulation, "_STACK_ROWS", cap)
+    capped = simulation._replicate_block(config, per_x, 0)
+    assert None not in whole and capped == whole
+    per_replicate = config.studies if config.kind == "meta" else 1
+    assert sum(len(rows) for rows in stacks) == per_replicate * config.replications
+    assert len(stacks) > 1
+    for rows, following in zip(stacks, stacks[1:] + [None]):
+        assert sum(rows) <= cap or len(rows) == per_replicate
+        if following is not None:
+            assert sum(rows) + sum(following[:per_replicate]) > cap
+
+
 def test_empty_batch_is_rejected():
     with pytest.raises(ValidationError):
         fit_lmm_batch([])
@@ -568,3 +604,55 @@ def test_exact_fit_derivatives_stay_finite():
         slope, curvature = _reml_slope_curvature(stats, np.array([u]))
         assert np.isfinite(slope[0]) and np.isfinite(curvature[0])
     assert math.isfinite(fit_one(ds).log_likelihood)
+
+
+# Runs in a fresh interpreter: this test module's process already holds
+# scipy.optimize (tests/test_glmm.py imports it), so only a new process shows
+# what the package itself loads.
+IMPORT_FOOTPRINT = """
+import sys
+
+from scipy import special
+
+# scipy.special loads scipy.linalg itself in scipy releases before its lazy
+# import of linalg (scipy 1.17 has it); the package can defer only what
+# scipy.special leaves unloaded, and that is always scipy.optimize
+DEFERRED = [name for name in ("scipy.optimize", "scipy.linalg") if name not in sys.modules]
+assert "scipy.optimize" in DEFERRED
+
+import clustersens, clustersens.cli
+from clustersens import (
+    BiasDistribution, ScenarioConfig, StudyEffect, UnmeasuredSpec, contour_grid,
+    fit_glmm_logit, fit_lmm, fit_to_json, generate, marginal_logit_exact, p_of_q, pool,
+    run_scenario,
+)
+
+for kind, fields in (
+    ("single_continuous", dict(clusters=20, cluster_size=3)),
+    ("single_binary", dict(clusters=40, cluster_size=4)),
+    ("meta", dict(clusters=60, cluster_size=2, studies=3)),
+):
+    run_scenario(ScenarioConfig(kind=kind, replications=2, seed=3, **fields))
+fit_glmm_logit(generate(ScenarioConfig(kind="single_binary", clusters=40, cluster_size=4,
+                                       replications=1, seed=4), 0))
+contour_grid((0.0, 1.0), (0.0, 5.0), 7, 0.9)
+studies = [StudyEffect(str(k), 0.3 * k, 0.04) for k in range(6)]
+p_of_q(pool(studies), BiasDistribution(0.1, 0.01), 0.2)
+marginal_logit_exact([0.1, 0.5, 0.2, 0.0], UnmeasuredSpec("normal", 0.4, {(1, 0.0): 0.3}, 1.0),
+                     0.5, 1, 0.0)
+assert not any(name in sys.modules for name in DEFERRED), [n for n in DEFERRED if n in sys.modules]
+fit = fit_lmm(generate(ScenarioConfig(kind="single_continuous", clusters=30, cluster_size=3,
+                                      replications=1, seed=5), 0))
+assert all(name in sys.modules for name in ("scipy.optimize", "scipy.linalg"))
+print(fit_to_json(fit))
+"""
+
+
+def test_only_fit_lmm_loads_scipy_optimize():
+    src = str(Path(clustersens.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    ds = generate(ScenarioConfig(kind="single_continuous", clusters=30, cluster_size=3,
+                                 replications=1, seed=5), 0)
+    assert result.stdout == fit_to_json(fit_lmm(ds)) + "\n"

@@ -89,3 +89,11 @@ def test_pdf_matches_derivative_scale():
         h = 1e-6
         numeric = (normal.cdf(x + h) - normal.cdf(x - h)) / (2 * h)
         assert abs(numeric - normal.pdf(x)) < 1e-9
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 1 - 1e-12])
+def test_two_sided_quantile_is_the_cached_upper_quantile(level):
+    z = normal.two_sided_quantile(level)
+    assert z == normal.ppf(0.5 * (1.0 + level))
+    assert normal.two_sided_quantile(level) is z
+    assert abs(normal.cdf(z) - normal.cdf(-z) - level) < 1e-12

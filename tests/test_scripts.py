@@ -1,6 +1,7 @@
 """The Table 2-4 runner, run in-process at a few replications, and the worked examples."""
 
 import csv
+import hashlib
 import importlib.util
 import io
 import runpy
@@ -21,11 +22,22 @@ def load_runner():
 
 
 def run_table(capsys, table, replications):
+    """The runner module, the table's header and rows, and the sha256 of its stdout."""
     module = load_runner()
     module.main([str(table), "--replications", str(replications)])
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    return module, rows[0], rows[1:]
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    return module, rows[0], rows[1:], hashlib.sha256(out.encode("utf-8")).hexdigest()
 
+
+# sha256 of each table's stdout at 2 replications, recorded while every
+# block of replicates was fitted as one stack; table 4's 100-study rows now
+# fit each replicate in a stack of its own
+TABLE_DIGESTS = {
+    2: "68d51ecbc84209ebeea622c555f42c9d8803e4b20e13ab7b5d3586989b87d1c5",
+    3: "eb0c8b42dfaf07032c47c4386132e24ec767a3c5052273c25ed88778a65517e2",
+    4: "0a238bb100fa433605542a4940279383fe5a7775a85aeb2ae028120284779ca8",
+}
 
 GRID_COLUMNS = {
     2: ["clusters", "cluster_size", "beta1", "beta3", "theta", "sigma_u2"],
@@ -57,7 +69,8 @@ FIRST_ROW_CONFIGS = {
 @pytest.mark.parametrize("table", sorted(GRID_COLUMNS), ids=lambda t: f"table{t}")
 def test_table_script_emits_two_rows_per_grid_row(capsys, table):
     grid_columns = GRID_COLUMNS[table]
-    module, header, rows = run_table(capsys, table, 2)
+    module, header, rows, digest = run_table(capsys, table, 2)
+    assert digest == TABLE_DIGESTS[table]
     grid_rows = module.TABLES[table].rows
     assert header[: len(grid_columns)] == grid_columns
     assert header[len(grid_columns)] == "x"
@@ -72,7 +85,7 @@ def test_table_script_emits_two_rows_per_grid_row(capsys, table):
 
 def test_table_script_prints_empty_cell_for_missing_metric(capsys):
     # one replicate cannot estimate an SE: the cell is empty, not a crash
-    _, header, rows = run_table(capsys, 2, 1)
+    _, header, rows, _ = run_table(capsys, 2, 1)
     se = header.index("se")
     assert all(row[se] == "" for row in rows)
     assert all(row[header.index("bias")] != "" for row in rows)
