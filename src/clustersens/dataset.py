@@ -3,29 +3,26 @@
 A dataset holds validated, read-only numpy columns: ``outcome``,
 ``treatment`` and ``covariate_x`` as float64, and ``cluster_codes``
 (int64, in first-appearance order) indexing the ``cluster_ids`` labels.
-``ClusteredDataset.from_columns`` is the one constructor and checks every
-row once. A dataset is one study: every fitter fits it as one
-random-intercept model, and studies meet only through their study-level
-estimates (``meta``). ``truth_u`` is an optional simulation-only column
-carrying the generated unmeasured confounder and is never placed in a
-fitting design matrix.
+``ClusteredDataset.from_columns`` codes the cluster labels and passes the
+codes to ``_from_codes``, the one constructor, which checks every row
+once; the simulator, whose codes are known, calls it directly. A dataset
+is one study: every fitter fits it as one random-intercept model, and
+studies meet only through their study-level estimates (``meta``).
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
 
 REQUIRED_COLUMNS = ("cluster_id", "outcome", "treatment", "covariate_x")
-OPTIONAL_COLUMNS = ("study_id", "truth_u")
+OPTIONAL_COLUMNS = ("study_id",)
 SCALES = ("continuous", "binary")
 
 
@@ -45,27 +42,32 @@ class ClusteredDataset:
     covariate_x: np.ndarray
     cluster_codes: np.ndarray
     cluster_ids: tuple[str, ...]
-    truth_u: Optional[np.ndarray] = None
 
     @staticmethod
-    def from_columns(
-        scale: str,
-        cluster_id,
-        outcome,
-        treatment,
-        covariate_x,
-        truth_u=None,
-    ) -> "ClusteredDataset":
+    def from_columns(scale: str, cluster_id, outcome, treatment, covariate_x) -> "ClusteredDataset":
         """Validate per-row columns once and build a dataset.
 
         ``cluster_id`` is a sequence of one hashable label per row; ``str``
         of each distinct label becomes its ``cluster_ids`` entry. A rejected
         row is reported by its 1-based number.
         """
-        if scale not in SCALES:
-            raise ValidationError(f"unknown scale {scale!r}; expected one of {SCALES}")
         index = {label: k for k, label in enumerate(dict.fromkeys(cluster_id))}
         codes = np.fromiter(map(index.__getitem__, cluster_id), dtype=np.int64)
+        return ClusteredDataset._from_codes(
+            scale, codes, tuple(map(str, index)), outcome, treatment, covariate_x
+        )
+
+    @staticmethod
+    def _from_codes(
+        scale: str, codes: np.ndarray, cluster_ids, outcome, treatment, covariate_x
+    ) -> "ClusteredDataset":
+        """Check every row of the columns and build a dataset.
+
+        ``codes`` is a new int64 array indexing ``cluster_ids`` in
+        first-appearance order; it is frozen in place.
+        """
+        if scale not in SCALES:
+            raise ValidationError(f"unknown scale {scale!r}; expected one of {SCALES}")
         n = codes.size
         if n == 0:
             raise ValidationError("dataset has no records")
@@ -73,16 +75,11 @@ class ClusteredDataset:
         y = _float_column(outcome)
         a = _float_column(treatment)
         x = _float_column(covariate_x)
-        u = None if truth_u is None else _float_column(truth_u)
-        shapes = [("outcome", y.shape), ("treatment", a.shape), ("covariate_x", x.shape)]
-        if u is not None:
-            shapes.append(("truth_u", u.shape))
-        for name, shape in shapes:
-            if shape != (n,):
-                size = math.prod(shape)
+        for name, column in (("outcome", y), ("treatment", a), ("covariate_x", x)):
+            if column.shape != (n,):
                 raise ValidationError(
-                    f"column {name} has {size} values for {n} cluster_id rows: "
-                    f"row {min(size, n) + 1} is incomplete"
+                    f"column {name} has {column.size} values for {n} cluster_id rows: "
+                    f"row {min(column.size, n) + 1} is incomplete"
                 )
 
         # (message, column, bad rows); the first offending row is reported,
@@ -108,8 +105,7 @@ class ClusteredDataset:
             treatment=a,
             covariate_x=x,
             cluster_codes=codes,
-            cluster_ids=tuple(map(str, index)),
-            truth_u=u,
+            cluster_ids=cluster_ids,
         )
 
     @property
@@ -192,10 +188,11 @@ def load_csv(path, scale: str) -> ClusteredDataset:
     """Read a comma-delimited UTF-8 file with a header row into a dataset.
 
     Required columns: cluster_id, outcome, treatment, covariate_x.
-    Optional: study_id, truth_u. Row order is preserved and blank lines
-    are skipped; missing values are rejected. A file is one study: more
-    than one distinct study_id is refused (fitting would merge the studies'
-    clusters that share a label), and the column is then dropped.
+    Optional: study_id. Other columns are ignored. Row order is preserved
+    and blank lines are skipped; missing values are rejected. A file is one
+    study: more than one distinct study_id is refused (fitting would merge
+    the studies' clusters that share a label), and the column is then
+    dropped.
     """
     with _path_prefixed(path):
         texts = _read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
@@ -206,36 +203,22 @@ def load_csv(path, scale: str) -> ClusteredDataset:
                 f"{studies[1]!r}, but a dataset is one study: split the file by study, or drop "
                 "the study_id column to fit the rows as one study"
             )
-        values = {
-            name: _parse_column(texts[name], name)
-            for name in ("treatment", "outcome", "covariate_x", "truth_u")
-            if name in texts
-        }
-        return ClusteredDataset.from_columns(
-            scale,
-            texts["cluster_id"],
-            values["outcome"],
-            values["treatment"],
-            values["covariate_x"],
-            truth_u=values.get("truth_u"),
-        )
+        names = ("treatment", "outcome", "covariate_x")  # parsed, and refused, in this order
+        a, y, x = (_parse_column(texts[name], name) for name in names)
+        return ClusteredDataset.from_columns(scale, texts["cluster_id"], y, a, x)
 
 
 def write_csv(ds: ClusteredDataset, path) -> None:
     """Inverse of load_csv: field-for-field round trip on valid datasets."""
-    header = list(REQUIRED_COLUMNS)
     columns = [
         [ds.cluster_ids[c] for c in ds.cluster_codes.tolist()],
         ds.outcome.tolist(),
         ds.treatment.astype(np.int64).tolist(),
         ds.covariate_x.tolist(),
     ]
-    if ds.truth_u is not None:
-        header.append("truth_u")
-        columns.append(ds.truth_u.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(REQUIRED_COLUMNS)
         writer.writerows(zip(*columns))
 
 

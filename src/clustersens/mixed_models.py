@@ -166,7 +166,7 @@ def _prepare(ds: ClusteredDataset):
     """Design matrix and contiguous cluster blocks (rows stably sorted by cluster).
 
     The sort is needed because CSV input need not list a cluster's rows
-    together; ``truth_u`` never enters the design.
+    together.
     """
     order = np.argsort(ds.cluster_codes, kind="stable")
     y, a, x = ds.outcome[order], ds.treatment[order], ds.covariate_x[order]

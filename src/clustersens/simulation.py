@@ -57,6 +57,13 @@ _BLOCK_SIZE = 32
 _STACK_ROWS = 32768
 
 
+def _require_finite(prefix: str, named_values) -> None:
+    """Reject the first (name, value) pair whose value is nan or infinite; None passes."""
+    for name, value in named_values:
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{prefix}{name} must be finite, got {value}")
+
+
 def nu_from_icc(icc: float) -> float:
     """Random-intercept variance giving a target logistic intraclass correlation."""
     if not 0.0 <= icc < 1.0:
@@ -80,6 +87,7 @@ class MechanismParams:
     a_threshold: float = 2.0
 
     def __post_init__(self):
+        _require_finite("mechanism ", vars(self).items())
         for name in ("x_prob_below", "x_prob_above", "a_prob_below", "a_prob_above"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"mechanism {name} must lie in [0, 1], got {getattr(self, name)}")
@@ -96,7 +104,9 @@ class MetaEffectDistribution:
     v13: float = 0.05
 
     def __post_init__(self):
-        if self.v11 < 0 or self.v33 < 0 or self.v11 * self.v33 - self.v13**2 <= 0:
+        _require_finite("effect_dist ", vars(self).items())
+        # v13 * v13, not v13**2: a float power past the range raises OverflowError
+        if self.v11 < 0 or self.v33 < 0 or self.v11 * self.v33 - self.v13 * self.v13 <= 0:
             raise ValidationError("effect distribution covariance must be positive definite")
 
     def conditional_mean(self, x: float) -> float:
@@ -157,6 +167,9 @@ class ScenarioConfig:
             )
         if len(self.true_betas) != 4:
             raise ValidationError("true_betas must have 4 entries")
+        names = ("theta", "theta_var", "sigma_u2", "nu", "phi", "q")
+        _require_finite("", ((name, getattr(self, name)) for name in names))
+        _require_finite("", ((f"true_betas[{k}]", b) for k, b in enumerate(self.true_betas)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +240,9 @@ def _generate_single(config: ScenarioConfig, rng, j, betas, theta):
     else:
         y = linear
         scale = "continuous"
-    # Python ints: from_columns codes the labels by hashing, which is faster
-    # on ints than on numpy scalars
-    return ClusteredDataset.from_columns(
-        scale,
-        np.repeat(np.arange(1, j + 1), config.cluster_size).tolist(),
-        y,
-        a,
-        x,
-        truth_u=u,
-    )
+    codes = np.repeat(np.arange(j, dtype=np.int64), config.cluster_size)
+    labels = tuple(map(str, range(1, j + 1)))
+    return ClusteredDataset._from_codes(scale, codes, labels, y, a, x)
 
 
 def generate(config: ScenarioConfig, replicate_index: int):

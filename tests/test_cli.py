@@ -1235,6 +1235,45 @@ def test_simulate_bad_scenario_value_exits_1_naming_it(tmp_path, runner, overrid
     assert named in result.stderr
 
 
+META_SCENARIO = dict(kind="meta", clusters=60, studies=4, replications=3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"theta": math.nan}, "theta must be finite, got nan"),
+        ({"nu": "1e309"}, "nu must be finite, got inf"),
+        ({"phi": "1e309"}, "phi must be finite, got inf"),
+        ({"sigma_u2": "1e309"}, "sigma_u2 must be finite, got inf"),
+        ({**META_SCENARIO, "theta_var": "1e309"}, "theta_var must be finite, got inf"),
+        ({**META_SCENARIO, "effect_dist": {"mu1": "1e309"}},
+         "effect_dist mu1 must be finite, got inf"),
+        ({**META_SCENARIO, "effect_dist": {"v11": "1e309"}},
+         "effect_dist v11 must be finite, got inf"),
+        # v13 squared overflows the float range
+        ({**META_SCENARIO, "effect_dist": {"v13": 1e200}},
+         "effect distribution covariance must be positive definite"),
+        ({**META_SCENARIO, "q": math.nan}, "q must be finite, got nan"),
+        ({"mechanism": {"x_threshold": math.nan}},
+         "mechanism x_threshold must be finite, got nan"),
+        ({**META_SCENARIO, "true_betas": [1.0, math.nan, 1.0, 1.0]},
+         "true_betas[1] must be finite, got nan"),
+    ],
+    ids=["theta-nan", "nu-inf", "phi-inf", "sigma-u2-inf", "theta-var-inf", "mu1-inf",
+         "v11-inf", "v13-square-overflows", "q-nan", "x-threshold-nan", "true-beta-nan"],
+)
+def test_simulate_non_finite_scenario_number_exits_1_naming_it(tmp_path, runner, overrides,
+                                                                message):
+    # refused when the scenario is read, before any replicate runs; "1e309"
+    # is written as the JSON number 1e309, which parses to inf
+    path = Path(scenario_file(tmp_path, **overrides))
+    path.write_text(path.read_text().replace('"1e309"', "1e309"))
+    result = invoke(runner, ["simulate", str(path)])
+    assert assert_single_error_line(result) == f"error: {message}"
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_simulate_json_format(tmp_path, runner):
     path = scenario_file(tmp_path, replications=3)
     result = invoke(runner, ["simulate", path, "--format", "json"])

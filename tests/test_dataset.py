@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clustersens import (
@@ -18,26 +19,25 @@ from clustersens import (
     positivity_report,
     write_csv,
 )
+from clustersens.cli import main
 from clustersens.dataset import OPTIONAL_COLUMNS, REQUIRED_COLUMNS, _read_columns
-from clustersens.mixed_models import _prepare
 from clustersens.simulation import ScenarioConfig, generate
 
 
-def make_dataset(rows, scale="continuous", truth_u=None):
+def make_dataset(rows, scale="continuous"):
     """Dataset from (cluster, outcome, treatment, covariate_x) rows."""
     cluster, outcome, treatment, x = zip(*rows)
-    return ClusteredDataset.from_columns(scale, cluster, outcome, treatment, x, truth_u=truth_u)
+    return ClusteredDataset.from_columns(scale, cluster, outcome, treatment, x)
 
 
 def assert_same_columns(got, expected):
     assert got.scale == expected.scale
     for name in ("outcome", "treatment", "covariate_x", "cluster_codes"):
-        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        got_column, expected_column = getattr(got, name), getattr(expected, name)
+        assert np.array_equal(got_column, expected_column), name
+        assert got_column.dtype == expected_column.dtype, name
+        assert not got_column.flags.writeable and not expected_column.flags.writeable, name
     assert got.cluster_ids == expected.cluster_ids
-    if expected.truth_u is None:
-        assert got.truth_u is None
-    else:
-        assert np.array_equal(got.truth_u, expected.truth_u)
 
 
 def small_csv(tmp_path, rows, header="cluster_id,outcome,treatment,covariate_x"):
@@ -80,15 +80,25 @@ def test_missing_value_rejected(tmp_path):
         load_csv(path, "continuous")
 
 
-def test_optional_columns_parsed(tmp_path):
-    path = small_csv(
-        tmp_path,
-        ["c1,1.5,1,0,s1,0.77", "c2,2.5,0,1,s1,-0.3"],
-        header="cluster_id,outcome,treatment,covariate_x,study_id,truth_u",
-    )
-    ds = load_csv(path, "continuous")
-    assert ds.truth_u.tolist() == [0.77, -0.3]
-    assert ds.cluster_ids == ("c1", "c2")
+def test_extra_truth_u_column_ignored_by_load_csv_and_fit(tmp_path):
+    # a truth_u column, once the simulated confounder, is not read: neither
+    # an unparseable value nor a missing one is refused
+    config = ScenarioConfig(kind="single_continuous", clusters=30, cluster_size=3,
+                            replications=1, seed=7)
+    plain = tmp_path / "plain.csv"
+    write_csv(generate(config, 0), plain)
+    header, *rows = plain.read_text().splitlines()
+    truth_u = ["0.77", "abc", ""] + ["-0.3"] * (len(rows) - 3)
+    extra = tmp_path / "extra.csv"
+    extra.write_text(f"{header},study_id,truth_u\n" + "".join(
+        f"{row},s1,{u}\n" for row, u in zip(rows, truth_u)
+    ))
+    assert_same_columns(load_csv(extra, "continuous"), load_csv(plain, "continuous"))
+    runner = CliRunner()
+    fits = [runner.invoke(main, ["fit", str(path), "--scale", "continuous"])
+            for path in (plain, extra)]
+    assert [fit.exit_code for fit in fits] == [0, 0]
+    assert fits[1].stdout == fits[0].stdout
 
 
 def test_two_studies_in_one_file_refused(tmp_path):
@@ -126,23 +136,8 @@ def test_load_csv_errors_name_the_file_in_order(tmp_path, rows, message):
     assert str(caught.value).count(str(path)) == 1
 
 
-def test_truth_u_never_in_arrays():
-    truth = [9.25, -7.5, 123.0, 0.3125, 42.5, -0.0625]
-    ds = make_dataset(
-        [("a", 1.0, 1, 0.0), ("a", 2.0, 0, 1.0), ("b", 3.0, 1, 1.0),
-         ("b", 0.0, 0, 0.0), ("c", 2.5, 1, 1.0), ("c", -1.0, 0, 0.0)],
-        truth_u=truth,
-    )
-    y, design, codes, sizes, starts = _prepare(ds)
-    for column in (y, *design.T):
-        assert not np.any(np.isin(column, truth))
-
-
 def test_round_trip_identity(tmp_path):
-    ds = make_dataset(
-        [("a", 1.5e-7, 1, 0.0), ("a", -2.25, 0, 1.0), ("b", 3.0, 1, 1.0)],
-        truth_u=[0.123456789012345, -1.5, 2.0],
-    )
+    ds = make_dataset([("a", 1.5e-7, 1, 0.0), ("a", -2.25, 0, 1.0), ("b", 3.0, 1, 1.0)])
     path = tmp_path / "round.csv"
     write_csv(ds, path)
     ds2 = load_csv(path, "continuous")
@@ -155,14 +150,13 @@ record_values = st.tuples(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     st.integers(min_value=0, max_value=1),
     st.floats(min_value=-100, max_value=100, allow_nan=False),
-    st.floats(min_value=-50, max_value=50, allow_nan=False),
 )
 
 
 @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(record_values, min_size=1, max_size=25))
 def test_round_trip_identity_property(tmp_path, rows):
-    ds = make_dataset([row[:4] for row in rows], truth_u=[row[4] for row in rows])
+    ds = make_dataset(rows)
     path = tmp_path / "prop.csv"
     write_csv(ds, path)
     assert_same_columns(load_csv(path, "continuous"), ds)
@@ -177,17 +171,30 @@ def test_cluster_count_invariant_to_reordering(tmp_path):
     assert counts(ds) == counts(shuffled)
 
 
-def test_generated_scenario_round_trips(tmp_path):
-    config = ScenarioConfig(
+GENERATED_SCENARIOS = {
+    "single_continuous": dict(
         kind="single_continuous", clusters=100, cluster_size=3, replications=1, seed=7,
         true_betas=(1.0, -1.0, 3.0, 1.0), theta=0.5, sigma_u2=0.25, nu=4.0, phi=1.0,
-    )
-    ds = generate(config, 0)
-    assert ds.outcome.size == 300
-    assert ds.cluster_count == 100
-    path = tmp_path / "scenario.csv"
-    write_csv(ds, path)
-    assert_same_columns(load_csv(path, "continuous"), ds)
+    ),
+    "single_binary": dict(
+        kind="single_binary", clusters=50, cluster_size=4, replications=1, seed=7,
+        true_betas=(-1.0, 1.0, 1.0, -0.5), theta=-0.5, sigma_u2=1.0, nu=1.0,
+    ),
+    "meta": dict(kind="meta", clusters=60, cluster_size=3, studies=4, replications=1, seed=7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED_SCENARIOS))
+def test_generated_scenario_round_trips(tmp_path, kind):
+    # the generator builds datasets from known cluster codes; load_csv codes
+    # the written labels, and the two must agree column for column
+    config = ScenarioConfig(**GENERATED_SCENARIOS[kind])
+    out = generate(config, 0)
+    for ds in out if kind == "meta" else [out]:
+        assert ds.outcome.size == ds.cluster_count * config.cluster_size
+        path = tmp_path / "scenario.csv"
+        write_csv(ds, path)
+        assert_same_columns(load_csv(path, ds.scale), ds)
 
 
 def whole_file_read_columns(path, required, optional=()) -> dict:
@@ -354,8 +361,8 @@ GOOD_COLUMNS = dict(
         ("continuous", {"covariate_x": [0.0, 1.0, 1.0, math.inf]}, "non-finite covariate_x at row 4"),
         ("continuous", {"treatment": [1, 0, 1]},
          "column treatment has 3 values for 4 cluster_id rows: row 4 is incomplete"),
-        ("continuous", {"truth_u": [0.1] * 5},
-         "column truth_u has 5 values for 4 cluster_id rows: row 5 is incomplete"),
+        ("continuous", {"outcome": [1.0, 0.0, 1.0, 0.0, 1.0]},
+         "column outcome has 5 values for 4 cluster_id rows: row 5 is incomplete"),
         # the first offending row is reported, whichever check it fails
         ("continuous", {"treatment": [1, 0, 1, 7], "covariate_x": [0.0, 1.0, math.nan, 0.0]},
          "non-finite covariate_x at row 3"),

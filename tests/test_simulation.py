@@ -36,8 +36,24 @@ def columns_key(ds):
         ds.outcome.tolist(),
         ds.treatment.tolist(),
         ds.covariate_x.tolist(),
-        ds.truth_u.tolist(),
     )
+
+
+def generate_recording_u(monkeypatch, config, replicate_index):
+    """``generate``'s output and the confounder U drawn for each of its studies.
+
+    U never reaches a dataset, so it is read off the generator's mechanism draw.
+    """
+    draws = []
+    draw = simulation._draw_mechanism
+
+    def recording(*args):
+        u, x, a = draw(*args)
+        draws.append(u)
+        return u, x, a
+
+    monkeypatch.setattr(simulation, "_draw_mechanism", recording)
+    return generate(config, replicate_index), draws
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +111,16 @@ def test_continuous_generation_shape_and_variance():
     ds = generate(config, 0)
     assert ds.outcome.size == 300
     assert ds.cluster_count == 100
-    assert ds.truth_u is not None
     y, codes = ds.outcome, ds.cluster_codes
     cluster_means = np.array([y[codes == j].mean() for j in range(100)])
     # cluster means vary with variance nu + noise; very loose band around nu=4
     assert 2.0 < cluster_means.var(ddof=1) < 8.0
 
 
-def test_theta_zero_outcome_unrelated_to_truth_u():
+def test_theta_zero_outcome_unrelated_to_truth_u(monkeypatch):
     config = ScenarioConfig(**{**BASE, "theta": 0.0, "clusters": 400, "cluster_size": 3})
-    ds = generate(config, 0)
-    y, a, x, codes, u = ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes, ds.truth_u
+    ds, (u,) = generate_recording_u(monkeypatch, config, 0)
+    y, a, x, codes = ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes
     design = np.column_stack([np.ones_like(y), a, x, a * x])
     # residualize out fixed effects and cluster means, then correlate with u
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -143,11 +158,11 @@ def test_generation_deterministic():
     assert columns_key(generate(config, 2)) == columns_key(generate(config, 2))
 
 
-def _columns_digest(out):
+def _columns_digest(out, draws):
     h = hashlib.sha256()
     meta = isinstance(out, list)
-    for k, ds in enumerate(out if meta else [out]):
-        for column in (ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes, ds.truth_u):
+    for k, (ds, u) in enumerate(zip(out if meta else [out], draws, strict=True)):
+        for column in (ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes, u):
             h.update(np.ascontiguousarray(column).tobytes())
         h.update("\x1f".join(ds.cluster_ids).encode())
         # each row's study label: a meta study's 1-based position, else ""
@@ -156,9 +171,9 @@ def _columns_digest(out):
 
 
 # sha256 of replicate 7's generated columns (float64 outcome, treatment and
-# covariate, int64 cluster codes, float64 truth_u, then the cluster and study
-# labels), recorded before the data path became array-native; a changed
-# Philox draw order or a changed column changes the digest
+# covariate, int64 cluster codes, the float64 confounder U each study drew,
+# then the cluster and study labels), recorded before the data path became
+# array-native; a changed Philox draw order or a changed column changes the digest
 PINNED_DIGESTS = [
     (
         dict(kind="single_continuous", clusters=100, cluster_size=3, seed=20260808),
@@ -178,8 +193,9 @@ PINNED_DIGESTS = [
 @pytest.mark.parametrize(
     "fields, digest", PINNED_DIGESTS, ids=[fields["kind"] for fields, _ in PINNED_DIGESTS]
 )
-def test_generated_columns_match_pinned_digest(fields, digest):
-    assert _columns_digest(generate(ScenarioConfig(replications=1, **fields), 7)) == digest
+def test_generated_columns_match_pinned_digest(fields, digest, monkeypatch):
+    config = ScenarioConfig(replications=1, **fields)
+    assert _columns_digest(*generate_recording_u(monkeypatch, config, 7)) == digest
 
 
 def test_stream_independence():
