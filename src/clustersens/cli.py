@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import normal
-from .dataset import load_csv
+from .dataset import _path_prefixed, load_csv
 from .errors import ClusterSensError, ConvergenceError, ValidationError
 from .meta import (
     BiasDistribution,
@@ -58,15 +58,7 @@ _CHUNK_ROWS = 1024
 
 
 def _format_payload(obj, precision):
-    """Recursively round floats to the output precision; an ndarray becomes a list.
-
-    A float64 array rounds each distinct value once.
-    """
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == bool:
-            return obj.tolist()  # Python scalars: json cannot encode np.bool_
-        values, codes = _distinct_floats(obj)
-        return np.array(_format_payload(values, precision))[codes].tolist()
+    """Recursively round floats to the output precision."""
     if isinstance(obj, dict):
         return {k: _format_payload(v, precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -84,39 +76,6 @@ def _emit_json(payload):
     click.echo(text)
 
 
-_JSON_SCALARS = {float, int, bool, type(None)}
-
-
-def _emit_json_table(header, columns):
-    """Emit the table's rows as JSON objects, with the bytes of
-    ``_emit_json([dict(zip(header, row)) for row in zip(*columns)])``.
-
-    The indented encoder is pure Python, so a large table is slow through
-    it. Here each column of scalars is encoded once by the C encoder,
-    without indent, and split into its values, and the rows are laid out
-    with the indented encoder's separators. A table with a non-scalar
-    cell, a repeated header name or a non-finite number goes through
-    ``_emit_json`` instead, which raises the refusal for the last.
-    """
-    texts = []
-    if len(set(header)) == len(header):
-        for column in columns:
-            if not set(map(type, column)) <= _JSON_SCALARS:
-                break
-            try:
-                encoded = json.dumps(column, allow_nan=False)
-            except ValueError:
-                break
-            texts.append(encoded[1:-1].split(", ") if column else [])
-    if len(texts) < len(columns):
-        _emit_json([dict(zip(header, row)) for row in zip(*columns)])
-        return
-    keys = [json.dumps(name).replace("%", "%%") for name in header]
-    row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    rows = ",\n".join(map(row.__mod__, zip(*texts)))
-    click.echo(f"[\n{rows}\n]" if rows else "[]")
-
-
 def _csv_cell(value, precision):
     if value is None:
         return ""
@@ -129,90 +88,98 @@ def _csv_cell(value, precision):
     return value
 
 
+def _json_cell(value, precision):
+    return json.dumps(_format_payload(value, precision), allow_nan=False)
+
+
 _BOOL_TEXTS = np.array(["false", "true"], dtype=object)
 
 
-def _distinct_floats(column):
-    """The distinct values of a float64 array and each cell's index into them.
+def _column_codes(column, precision, fmt):
+    """A column as ``(texts, codes)``, cell i being ``texts[codes[i]]`` in
+    the format ``fmt``, or the row index of its first non-finite float.
 
-    Values are told apart by bit pattern, so -0.0 stays apart from 0.0.
-    """
-    keys, codes = np.unique(column.view(np.int64), return_inverse=True)
-    return keys.view(np.float64).tolist(), codes
-
-
-def _column_codes(column, precision):
-    """A column as ``(texts, codes, plain)``, cell i being ``texts[codes[i]]``
-    and ``plain`` saying that no text needs CSV quoting, or the row index of
-    its first non-finite float.
-
-    An ndarray column is float64 or bool; a list of only Python floats or
-    only bools is coded like one.
+    A float64 ndarray formats each distinct value once, keyed on its bit
+    pattern so that -0.0 stays apart from 0.0; JSON encodes the distinct
+    values in one call of the C encoder. A bool ndarray maps to
+    ``false``/``true``. A list goes cell by cell.
     """
     if not isinstance(column, np.ndarray):
-        kinds = set(map(type, column))
-        if kinds == {float}:
-            column = np.array(column)
-        elif kinds == {bool}:
-            column = np.array(column, dtype=bool)
-        else:
-            texts = []
-            for value in column:
-                try:
-                    texts.append(_csv_cell(value, precision))
-                except ValidationError:
-                    return len(texts)
-            texts = np.fromiter(texts, dtype=object, count=len(texts))
-            return texts, np.arange(len(texts)), kinds <= {float, bool}
+        cell = _csv_cell if fmt == "csv" else _json_cell
+        texts = []
+        for value in column:
+            try:
+                texts.append(cell(value, precision))
+            except (ValidationError, ValueError):  # ValueError: json's non-finite refusal
+                return len(texts)
+        return np.fromiter(texts, dtype=object, count=len(texts)), np.arange(len(texts))
     if column.dtype == bool:
-        return _BOOL_TEXTS, column.view(np.uint8), True
-    finite = np.isfinite(column)
+        return _BOOL_TEXTS, column.view(np.uint8)
+    keys, codes = np.unique(column.view(np.int64), return_inverse=True)
+    values = keys.view(np.float64)
+    if fmt == "json":  # rounding may carry a finite value past the float range
+        values = np.array(_format_payload(values.tolist(), precision))
+    finite = np.isfinite(values)
     if not finite.all():
-        return int(np.argmin(finite))
-    values, codes = _distinct_floats(column)
-    spec = f".{precision}g"
-    texts = [format(v, spec) for v in values]
+        return int(np.argmin(finite[codes]))
+    values = values.tolist()
+    if fmt == "csv":
+        spec = f".{precision}g"
+        texts = [format(v, spec) for v in values]
+    else:
+        texts = json.dumps(values)[1:-1].split(", ")
     # the narrowest code type keeps the formatted table small
-    return np.array(texts, dtype=object), codes.astype(np.min_scalar_type(len(values))), True
+    return np.array(texts, dtype=object), codes.astype(np.min_scalar_type(len(values)))
 
 
-def _emit_csv(header, columns, precision):
-    """Write the header and the table's columns as CSV to stdout.
+def _emit_table(header, columns, precision, fmt):
+    """Write the table to stdout as CSV, or as JSON objects, one per row.
 
     There is one column per header name, all of one length. A column is a
-    float64 or bool ndarray, or a list of cells. The table is formatted a
-    column at a time and no row is built before its chunk is written. A
-    float64 column formats each distinct value once, keyed on its bit
-    pattern so that -0.0 (printed ``-0``) stays apart from 0.0; a bool
-    column maps to ``false``/``true``; a list that is neither all Python
-    floats nor all bools goes through ``_csv_cell`` cell by cell. The bytes
-    equal those of writing each row through ``csv.writer``. A non-finite
-    float is refused, before anything is written, with the value that a
-    row-major scan meets first: the first row holding one, then its
-    leftmost such cell.
+    float64 or bool ndarray, or a list of scalar cells; JSON needs the
+    names to be distinct. The table is coded a column at a time (see
+    ``_column_codes``) and written a bounded chunk of rows at a time, so
+    no row is built before its chunk is written. The bytes equal those of
+    writing each row through ``csv.writer``, or of ``_emit_json`` on the
+    rounded list of row objects. A non-finite float is refused, before
+    anything is written, with the value that a row-major scan meets first:
+    the first row holding one, then its leftmost such cell.
     """
-    coded = [_column_codes(column, precision) for column in columns]
+    coded = [_column_codes(column, precision, fmt) for column in columns]
     bad = [(c, j) for j, c in enumerate(coded) if isinstance(c, int)]
     if bad:
         row, j = min(bad)
-        _csv_cell(columns[j][row], precision)  # raises the non-finite error
-    # float and bool texts never need quoting, so their rows are joined directly
-    plain = all(p for _, _, p in coded)
-    buf = io.StringIO()
-    writer = csv_module.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    click.echo(buf.getvalue(), nl=False)
+        value = columns[j][row]
+        # each raises its format's non-finite error
+        if fmt == "csv":
+            _csv_cell(value, precision)
+        _emit_json(_format_payload(value, precision))
+    n_rows = len(columns[0]) if columns else 0
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv_module.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        click.echo(buf.getvalue(), nl=False)
+        # float and bool texts never need quoting, so their rows are joined directly
+        plain = all(isinstance(column, np.ndarray) for column in columns)
+    else:
+        keys = [json.dumps(name).replace("%", "%%") for name in header]
+        layout = ("  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }").__mod__
     # rows go out a bounded chunk at a time, which keeps memory flat
-    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+    for start in range(0, n_rows, _CHUNK_ROWS):
         chunk = slice(start, start + _CHUNK_ROWS)
-        cells = zip(*[texts[codes[chunk]].tolist() for texts, codes, _ in coded])
-        if plain:
+        cells = zip(*[texts[codes[chunk]].tolist() for texts, codes in coded])
+        if fmt == "json":
+            click.echo(("[\n" if start == 0 else ",\n") + ",\n".join(map(layout, cells)), nl=False)
+        elif plain:
             click.echo("\n".join(map(",".join, cells)) + "\n", nl=False)
         else:
             buf.seek(0)
             buf.truncate()
             writer.writerows(cells)
             click.echo(buf.getvalue(), nl=False)
+    if fmt == "json":
+        click.echo("\n]" if n_rows else "[]")
 
 
 def _fail(message, code):
@@ -264,13 +231,13 @@ def _check_finite(params, values):
 def command(name, default_format):
     """Register a command whose body returns ``(payload, (header, columns))``.
 
-    The table is held as columns, one per header name, each a list of cells
-    or a float64 or bool ndarray (see ``_emit_csv``). The body takes only
-    its own options. The wrapper adds --format and --precision, rejects a
-    negative precision and any non-finite float option before the body
-    runs, emits the payload as JSON (the table's rows as objects when the
-    payload is None) or the table as CSV, and maps package errors onto the
-    documented exit codes.
+    The table is held as columns under distinct header names, each a list
+    of scalar cells or a float64 or bool ndarray (see ``_emit_table``). The
+    body takes only its own options. The wrapper adds --format and
+    --precision, rejects a negative precision and any non-finite float
+    option before the body runs, emits the payload as JSON, or the table
+    (as CSV, or as JSON row objects when the payload is None), and maps
+    package errors onto the documented exit codes.
     """
 
     def register(func):
@@ -281,10 +248,8 @@ def command(name, default_format):
                     raise ValidationError(f"--precision must be >= 0, got {precision}")
                 _check_finite(click.get_current_context().command.params, options)
                 payload, (header, columns) = func(**options)
-                if fmt == "csv":
-                    _emit_csv(header, columns, precision)
-                elif payload is None:
-                    _emit_json_table(header, [_format_payload(c, precision) for c in columns])
+                if fmt == "csv" or payload is None:
+                    _emit_table(header, columns, precision, fmt)
                 else:
                     _emit_json(_format_payload(payload, precision))
             except ConvergenceError as exc:
@@ -394,7 +359,7 @@ def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
     if fit_path is not None:
         if any(triple):
             raise ValidationError("give either --fit or the (--estimate, --lb, --ub) triple")
-        with open(fit_path, "r", encoding="utf-8") as fh:
+        with _path_prefixed(fit_path), open(fit_path, "r", encoding="utf-8") as fh:
             fit = fit_from_json(fh.read())
         effect = confounded_effect(fit, 0.0 if x is None else x, level)
     else:

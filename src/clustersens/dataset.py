@@ -129,9 +129,13 @@ def _parse_column(texts, column: str) -> np.ndarray:
 
 @contextmanager
 def _path_prefixed(path):
-    """Start the message of any ``ValidationError`` raised inside with ``<path>: ``."""
+    """Start the message of any ``ValidationError`` raised inside with
+    ``<path>: ``, and refuse text read inside that is not UTF-8 as one."""
     try:
         yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValidationError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from exc
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -151,8 +155,8 @@ def _read_columns(path, required, optional=()) -> dict:
     ``_CHUNK_ROWS`` at a time and each chunk's fields are moved into the
     columns before the next is read, so the whole file is never held as
     rows. A missing value is reported at its first row, then first column,
-    after the whole file is read; text that is not UTF-8 or not readable
-    as CSV is refused first.
+    after the whole file is read; text not readable as CSV is refused
+    first, and text that is not UTF-8 is left to ``_path_prefixed``.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -172,9 +176,6 @@ def _read_columns(path, required, optional=()) -> dict:
                 for column, i in zip(texts.values(), indices):
                     column.extend(columns[i] if i < len(columns) else ("",) * len(rows))
                 del rows, columns  # the next chunk is read after this one's are freed
-        except UnicodeDecodeError as exc:
-            byte = exc.object[exc.start]
-            raise ValidationError(f"not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from exc
         except csv.Error as exc:
             raise ValidationError(f"unreadable CSV at line {reader.line_num}: {exc}") from exc
     missing = [(col.index(""), k) for k, col in enumerate(texts.values()) if "" in col]

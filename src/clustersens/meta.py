@@ -121,6 +121,7 @@ def dl_variance_of_v_hat(studies: Sequence[StudyEffect], v_hat: float) -> float:
 
     Moments of Cochran's Q with fixed inverse-variance weights give
     Var(Q) = 2(k-1) + 4 c tau^2 + 2 d tau^4 and Var(tau^2) = Var(Q)/c^2.
+    Raises ValidationError where a square of the weights underflows to 0.
     """
     k = len(studies)
     w = [1.0 / s.within_variance for s in studies]
@@ -128,9 +129,15 @@ def dl_variance_of_v_hat(studies: Sequence[StudyEffect], v_hat: float) -> float:
     s2 = sum(wi**2 for wi in w)
     s3 = sum(wi**3 for wi in w)
     c = s1 - s2 / s1
-    d = s2 - 2.0 * s3 / s1 + s2**2 / s1**2
-    var_q = 2.0 * (k - 1) + 4.0 * c * v_hat + 2.0 * d * v_hat**2
-    return var_q / c**2
+    try:
+        d = s2 - 2.0 * s3 / s1 + s2**2 / s1**2
+        var_q = 2.0 * (k - 1) + 4.0 * c * v_hat + 2.0 * d * v_hat**2
+        return var_q / c**2
+    except ZeroDivisionError as exc:  # a square of tiny weights underflows to 0
+        raise ValidationError(
+            "the variance of the between-study variance leaves the float range: "
+            "the study weights are too small in magnitude for its moments"
+        ) from exc
 
 
 def _check_direction(direction: str) -> None:

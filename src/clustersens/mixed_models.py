@@ -350,8 +350,10 @@ def _reml_slope_curvature(stats: _RemlStatistics, log_ratio):
     g_minv_g = np.einsum("ki,ki->k", mats_e[:, 1, :q], (sol[:, 1] @ e[:, :, None])[..., 0])
     live = rss > _RSS_FLOOR
     rss = np.maximum(rss, _RSS_FLOOR)
-    log_rss1 = np.where(live, -e_a1_e / rss, 0.0)
-    log_rss2 = np.where(live, (-e_a2_e - 2.0 * g_minv_g) / rss, 0.0) - log_rss1**2
+    # a slope past the float range is left to the caller, as in _reml_statistics
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_rss1 = np.where(live, -e_a1_e / rss, 0.0)
+        log_rss2 = np.where(live, (-e_a2_e - 2.0 * g_minv_g) / rss, 0.0) - log_rss1**2
     m1 = sol[:, 1, :, :q]
     traces = np.trace(sol[:, 1:, :, :q], axis1=-2, axis2=-1)
     slope = -0.5 * (stats.dof * log_rss1 + sums[:, 0, -2] - traces[:, 0])

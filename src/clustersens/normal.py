@@ -30,7 +30,8 @@ def cdf(x):
 def pdf(x):
     """Standard normal density."""
     arr = np.asarray(x, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
+    with np.errstate(over="ignore"):  # a square past the float range has density 0
+        out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
     return float(out) if arr.ndim == 0 else out
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special
 
 from . import normal
-from .dataset import ClusteredDataset
+from .dataset import ClusteredDataset, _path_prefixed
 from .errors import (
     ConvergenceError, DomainError, SingularDesignError, ValidationError, VarianceDominationError
 )
@@ -257,7 +257,8 @@ def generate(config: ScenarioConfig, replicate_index: int):
     )
     dist = config.effect_dist
     cov = np.array([[dist.v11, dist.v13], [dist.v13, dist.v33]])
-    study_betas = rng.multivariate_normal([dist.mu1, dist.mu3], cov, size=k)
+    # MetaEffectDistribution has checked that cov is positive definite
+    study_betas = rng.multivariate_normal([dist.mu1, dist.mu3], cov, size=k, check_valid="ignore")
     thetas = rng.normal(config.theta, math.sqrt(config.theta_var), k)
     b0, _, b2, _ = config.true_betas
     datasets = []
@@ -538,27 +539,28 @@ def load_scenario(path) -> ScenarioConfig:
     type, and bools or fractions given for integer keys are rejected with a
     ValidationError naming the key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _path_prefixed(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"malformed JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValidationError("scenario file must hold a JSON object")
+        kwargs = {}
+        for key, value in raw.items():
+            if key not in _CONVERTERS:
+                raise ValidationError(f"unknown scenario key {key!r}")
+            try:
+                kwargs["nu" if key == "icc" else key] = _CONVERTERS[key](value)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ValidationError(f"bad value for scenario key {key!r}: {exc}") from exc
+        if "icc" in raw and "nu" in raw:
+            raise ValidationError("give either icc or nu, not both")
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: scenario file must hold a JSON object")
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _CONVERTERS:
-            raise ValidationError(f"{path}: unknown scenario key {key!r}")
-        try:
-            kwargs["nu" if key == "icc" else key] = _CONVERTERS[key](value)
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ValidationError(f"{path}: bad value for scenario key {key!r}: {exc}") from exc
-    if "icc" in raw and "nu" in raw:
-        raise ValidationError(f"{path}: give either icc or nu, not both")
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: incomplete scenario: {exc}") from exc
+            return ScenarioConfig(**kwargs)
+        except TypeError as exc:
+            raise ValidationError(f"incomplete scenario: {exc}") from exc
 
 
 def metrics_rows(metrics: SimMetrics):

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import clustersens
 from clustersens import cli, fit_lmm, write_csv
-from clustersens.cli import _emit_csv, main
+from clustersens.cli import _emit_table, main
 from clustersens.errors import ValidationError
 from clustersens.simulation import ScenarioConfig, generate
 
@@ -796,7 +796,7 @@ def rows_of(columns):
 def emitted_csv(capsys, header, columns, precision):
     """The emitter's stdout, or its error message."""
     try:
-        _emit_csv(header, columns, precision)
+        _emit_table(header, columns, precision, "csv")
     except ValidationError as exc:
         return f"error: {exc}"
     return capsys.readouterr().out
@@ -815,7 +815,7 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 0.1, 1.0 / 3.0, 1e308, 5e-324]),  # repeats
 )
 NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
-TEXTS = st.sampled_from(["", "plain", "a,b", 'say "hi"', "two\nlines", " lead"])
+TEXTS = st.sampled_from(["", "plain", "a,b", "a, b", 'say "hi"', "two\nlines", " lead"])
 ANY_CELL = st.one_of(
     FLOATS, st.booleans(), st.integers(), st.none(), TEXTS,
     FLOATS.map(np.float64), NON_FINITE.map(np.float64),
@@ -887,13 +887,16 @@ def test_emit_csv_refuses_the_first_non_finite_cell_in_row_major_order(capsys):
 # ---------------------------------------------------------------------------
 
 JSON_NAMES = st.sampled_from(["", "x", "delta_m", "100%", "%s", 'say "hi"', "caf\u00e9"])
+# the table contract: scalar cells under distinct names
 JSON_COLUMNS = st.sampled_from([
-    FLOATS,
-    st.one_of(FLOATS, NON_FINITE),
-    st.booleans(),
-    st.one_of(st.integers(), st.none()),
-    ANY_CELL,
-    st.one_of(FLOATS, st.lists(FLOATS, max_size=2)),
+    (FLOATS, None),
+    (st.one_of(FLOATS, NON_FINITE), None),
+    (st.booleans(), None),
+    (st.one_of(st.integers(), st.none()), None),
+    (ANY_CELL, None),
+    (FLOATS, np.float64),
+    (st.one_of(FLOATS, NON_FINITE), np.float64),
+    (st.booleans(), np.bool_),
 ])
 
 
@@ -901,28 +904,42 @@ JSON_COLUMNS = st.sampled_from([
 def json_tables(draw):
     kinds = draw(st.lists(JSON_COLUMNS, min_size=1, max_size=4))
     n_rows = draw(st.integers(0, 30))
-    columns = [draw(st.lists(cells, min_size=n_rows, max_size=n_rows)) for cells in kinds]
-    names = st.lists(JSON_NAMES, min_size=len(kinds), max_size=len(kinds),
-                     unique=draw(st.booleans()))
+    columns = []
+    for cells, dtype in kinds:
+        column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns.append(column if dtype is None else np.array(column, dtype=dtype))
+    names = st.lists(JSON_NAMES, min_size=len(kinds), max_size=len(kinds), unique=True)
     return draw(names), columns
+
+
+def indented_json_or_error(header, columns):
+    """The indented encoder on the table's row objects, or its refusal.
+
+    At precision 17 the emitter's rounding is float() of each float cell:
+    every finite double stays as it is and an np.float64 becomes a float,
+    so the reference rows are built that way.
+    """
+    rows = [
+        {name: float(v) if isinstance(v, float) else v for name, v in zip(header, row)}
+        for row in rows_of(columns)
+    ]
+    try:
+        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        return f"error: result holds a non-finite number, not valid JSON: {exc}"
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=json_tables())
 def test_emit_json_table_matches_the_indented_encoder(capsys, table):
     header, columns = table
-    rows = [dict(zip(header, row)) for row in zip(*columns)]
-    try:
-        expected = json.dumps(rows, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        expected = f"error: result holds a non-finite number, not valid JSON: {exc}"
     capsys.readouterr()
     try:
-        cli._emit_json_table(header, columns)
+        _emit_table(header, columns, 17, "json")
         got = capsys.readouterr().out
     except ValidationError as exc:
         got = f"error: {exc}"
-    assert got == expected
+    assert got == indented_json_or_error(header, columns)
 
 
 def test_emit_json_table_lays_out_a_scalar_table_itself(capsys, monkeypatch):
@@ -930,10 +947,23 @@ def test_emit_json_table_lays_out_a_scalar_table_itself(capsys, monkeypatch):
     # distinct names never reaches it
     monkeypatch.setattr(cli, "_emit_json", None)
     header = ["delta_m", "theta", "n", "explains"]
-    columns = [[0.5, -0.0, 1e300], [1.0, 2.5, 5e-324], [1, None, -7], [True, False, True]]
-    cli._emit_json_table(header, columns)
-    rows = [dict(zip(header, row)) for row in zip(*columns)]
-    assert capsys.readouterr().out == json.dumps(rows, indent=2, allow_nan=False) + "\n"
+    columns = [np.array([0.5, -0.0, 1e300]), [1.0, 2.5, 5e-324], [1, None, -7],
+               np.array([True, False, True])]
+    _emit_table(header, columns, 17, "json")
+    assert capsys.readouterr().out == indented_json_or_error(header, columns)
+
+
+def test_emit_json_table_refuses_a_value_rounded_past_the_float_range(capsys):
+    # at precision 0, 1.5e308 rounds to 2e308, which is inf: it is met on
+    # row 1, ahead of the inf of row 2, in the array and in the list alike
+    for column in (np.array([0.5, -1.5e308, math.inf]), [0.5, -1.5e308, math.inf]):
+        with pytest.raises(ValidationError) as caught:
+            _emit_table(["b"], [column], 0, "json")
+        assert str(caught.value) == (
+            "result holds a non-finite number, not valid JSON: "
+            "Out of range float values are not JSON compliant: -inf"
+        )
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -961,6 +991,10 @@ PINNED_OUTPUTS = {
     "contour-json": ([*SIGNED_ZERO_GRID, "--resolution", "5", "--format", "json",
                       "--precision", "17"],
         "2c6e891b8cdfa51253654f66de851555a5e1abd2adb13a92de3a8e0f243a3ad6"),
+    # 40,000 rows: 40 chunks of the emitter's 1,024 rows, the last one short
+    "contour-json-200": (["contour", "--resolution", "200", "--threshold", "0.9",
+                          "--format", "json"],
+        "db4ba590b63895cf3ef47ff80536b400e7b985042d5e98b79f5717c7271d89a1"),
     "contour-overflow": (["contour", "--threshold", "1", "--resolution", "5",
                           "--delta-range", "-1e308", "1e308", "--theta-range", "0", "4"],
         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
@@ -1270,8 +1304,49 @@ def test_simulate_non_finite_scenario_number_exits_1_naming_it(tmp_path, runner,
     path = Path(scenario_file(tmp_path, **overrides))
     path.write_text(path.read_text().replace('"1e309"', "1e309"))
     result = invoke(runner, ["simulate", str(path)])
-    assert assert_single_error_line(result) == f"error: {message}"
+    assert assert_single_error_line(result) == f"error: {path}: {message}"
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_non_utf8_scenario_and_fit_document_exit_1_naming_the_file(tmp_path, runner):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    for args in (["simulate", str(path)], ["sensitivity", "--fit", str(path)]):
+        error = assert_single_error_line(invoke(runner, args))
+        assert error == f"error: {path}: not UTF-8 text (byte 0xff: invalid start byte)"
+
+
+EXTREME_META = dict(kind="meta", clusters=100, cluster_size=3, studies=5, replications=2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # positive definite, though numpy's check on the drawn covariance
+        # read these variances as not positive semi-definite
+        ({"effect_dist": {"v11": 1e10, "v33": 1e10}}, None),
+        # the REML slopes overflow before pooling refuses the estimates
+        ({"effect_dist": {"v11": 1e300, "v33": 1.0, "v13": 0.0}},
+         "Cochran's Q or the between-study variance overflows the float range: the study "
+         "estimates or their weights are too large in magnitude to pool"),
+        # the normal density at z past 1e154 is 0, not an overflow
+        ({"q": 1e308}, None),
+        # the squared sum of the weights underflows to 0
+        ({"effect_dist": {"v11": 1e250, "v33": 1e40, "v13": 0.0}},
+         "the variance of the between-study variance leaves the float range: the study "
+         "weights are too small in magnitude for its moments"),
+    ],
+    ids=["covariance-check", "reml-slope-overflow", "density-of-huge-q", "dl-weights-underflow"],
+)
+def test_simulate_extreme_meta_scenario_gives_clean_stderr(tmp_path, runner, overrides, message):
+    result = invoke(runner, ["simulate", scenario_file(tmp_path, **EXTREME_META, **overrides)])
+    if message is not None:
+        assert assert_single_error_line(result) == f"error: {message}"
+        assert len(result.stderr.splitlines()) == 1
+        return
+    assert result.exit_code == 0
+    [summary] = result.stderr.splitlines()
+    assert summary.startswith("scenario meta: 2 replications, 0 non-converged, ")
 
 
 def test_simulate_json_format(tmp_path, runner):
