@@ -125,7 +125,7 @@ def fit_from_json(text: str) -> MixedModelFit:
         n_obs = int(doc.get("n_obs", 0))
         n_clusters = int(doc.get("n_clusters", 0))
         n_iterations = int(doc.get("n_iterations", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"fit document holds a malformed number: {exc}") from exc
     if coefficients.shape != (_DESIGN_COLUMNS,):
         raise ValidationError(

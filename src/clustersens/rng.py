@@ -3,8 +3,7 @@
 Each (seed, replicate) pair keys its own Philox-4x64 stream, so a
 replicate's draws never depend on which other replicates were generated,
 on generation order, or on the worker count. Within a replicate, draws
-are consumed in a fixed documented order by the generators in
-``simulation``.
+are consumed in the fixed order that ``simulation._draw`` documents.
 """
 
 from __future__ import annotations

@@ -10,14 +10,19 @@ probability of a meaningful effect. ``run_scenario`` runs every kind
 through one worker, which takes a fixed block of consecutive replicates
 and fits their continuous datasets in REML stacks of a bounded row count.
 
-Replicates are keyed counter-based streams (see ``rng``), and a study's
-fit does not depend on the stack it is fitted in, so results are
-identical across worker counts, block and stack boundaries and replicate
-orderings.
+Generation has two steps: ``_draw`` takes a replicate's raw draws from its
+own stream, in the order its docstring states, and ``_build`` derives the
+columns of a whole stack of drawn replicates at once and cuts them into
+per-study datasets. ``generate`` is the one-replicate case of the same
+two steps. Replicates are keyed counter-based streams (see ``rng``), a
+study's columns are elementwise in its own draws, and its fit does not
+depend on the stack it is fitted in, so results are identical across
+worker counts, block and stack boundaries and replicate orderings.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -25,8 +30,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
-from typing import Optional
+from itertools import accumulate, islice
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -217,55 +222,147 @@ def bias_factor_true(config: ScenarioConfig, x: int) -> float:
     )
 
 
-def _draw_mechanism(rng, n, mech: MechanismParams, sigma_u2: float):
-    """U, X, A draws; order is fixed so streams are stable across versions."""
-    u = rng.normal(0.0, math.sqrt(sigma_u2), n) if sigma_u2 > 0 else np.zeros(n)
-    px = np.where(u < mech.x_threshold, mech.x_prob_below, mech.x_prob_above)
-    x = (rng.random(n) < px).astype(float)
-    pa = np.where(u + x < mech.a_threshold, mech.a_prob_below, mech.a_prob_above)
-    a = (rng.random(n) < pa).astype(float)
-    return u, x, a
+class _StudyDraws(NamedTuple):
+    """One study's cluster count, coefficients and raw stream draws.
+
+    ``xa`` holds the X uniforms in row 0 and the A uniforms in row 1;
+    ``response`` holds the binary response uniforms, None for continuous
+    outcomes.
+    """
+
+    clusters: int
+    b1: float
+    b3: float
+    theta: float
+    zeta: np.ndarray
+    u: np.ndarray
+    xa: np.ndarray
+    eps: np.ndarray
+    response: Optional[np.ndarray]
 
 
-def _generate_single(config: ScenarioConfig, rng, j, betas, theta):
-    b0, b1, b2, b3 = betas
-    n = j * config.cluster_size
-    zeta = rng.normal(0.0, math.sqrt(config.nu), j) if config.nu > 0 else np.zeros(j)
-    u, x, a = _draw_mechanism(rng, n, config.mechanism, config.sigma_u2)
-    eps = rng.normal(0.0, math.sqrt(config.phi), n) if config.phi > 0 else np.zeros(n)
-    linear = b0 + b1 * a + b2 * x + b3 * a * x + theta * u + np.repeat(zeta, config.cluster_size) + eps
-    if config.kind == SINGLE_BINARY:
-        y = (rng.random(n) < special.expit(linear)).astype(float)
-        scale = "binary"
+def _draw(config: ScenarioConfig, replicate_index: int) -> list[_StudyDraws]:
+    """Every raw draw of one replicate from its own stream, one entry per study.
+
+    The order is fixed, so streams are stable across versions. A meta
+    replicate first draws its k study sizes (uniform on clusters +/- 50),
+    then the k (b1, b3) pairs, then the k thetas. Each study (the one study
+    of a single-study replicate) then draws, in turn: zeta (one per cluster),
+    U (one per row), the X uniforms and then the A uniforms (one
+    ``random(2n)`` call), the noise eps and, for binary outcomes only, the
+    response uniforms. No draw depends on a computed value, so ``_build``
+    derives every column afterwards. A replicate too large to allocate is
+    refused with a ValidationError naming its row count.
+    """
+    rng = replicate_stream(config.seed, replicate_index)
+    if config.kind != META:
+        _, b1, _, b3 = config.true_betas
+        studies = [(config.clusters, b1, b3, config.theta)]
     else:
-        y = linear
-        scale = "continuous"
-    codes = np.repeat(np.arange(j, dtype=np.int64), config.cluster_size)
-    labels = tuple(map(str, range(1, j + 1)))
-    return ClusteredDataset._from_codes(scale, codes, labels, y, a, x)
+        k = config.studies
+        sizes = rng.integers(
+            config.clusters - _META_CLUSTER_SPREAD, config.clusters + _META_CLUSTER_SPREAD + 1,
+            size=k,
+        )
+        dist = config.effect_dist
+        cov = np.array([[dist.v11, dist.v13], [dist.v13, dist.v33]])
+        # MetaEffectDistribution has checked that cov is positive definite
+        betas = rng.multivariate_normal([dist.mu1, dist.mu3], cov, size=k, check_valid="ignore")
+        thetas = rng.normal(config.theta, math.sqrt(config.theta_var), k)
+        studies = list(zip(sizes.tolist(), betas[:, 0].tolist(), betas[:, 1].tolist(),
+                           thetas.tolist()))
+    m = config.cluster_size
+    sd_zeta, sd_u, sd_eps = (math.sqrt(v) for v in (config.nu, config.sigma_u2, config.phi))
+    draws = []
+    try:
+        for j, b1, b3, theta in studies:
+            n = j * m
+            zeta = rng.normal(0.0, sd_zeta, j) if config.nu > 0 else np.zeros(j)
+            u = rng.normal(0.0, sd_u, n) if config.sigma_u2 > 0 else np.zeros(n)
+            xa = rng.random(2 * n).reshape(2, n)
+            eps = rng.normal(0.0, sd_eps, n) if config.phi > 0 else np.zeros(n)
+            response = rng.random(n) if config.kind == SINGLE_BINARY else None
+            draws.append(_StudyDraws(j, b1, b3, theta, zeta, u, xa, eps, response))
+    except (MemoryError, ValueError) as exc:
+        rows = sum(j for j, *_ in studies) * m
+        raise ValidationError(
+            f"replicate {replicate_index} has {rows:,} rows, more than memory holds; "
+            "give fewer clusters or a smaller cluster_size"
+        ) from exc
+    return draws
+
+
+@functools.lru_cache(maxsize=128)  # holds the 101 study sizes a meta scenario draws
+def _cluster_labels(j: int) -> tuple[str, ...]:
+    """The labels "1" to "j" of a generated study's clusters, built once per count."""
+    return tuple(map(str, range(1, j + 1)))
+
+
+def _build(config: ScenarioConfig, replicates):
+    """Each drawn replicate's datasets, with every column built for all its rows at once.
+
+    ``replicates`` is a list of ``_draw`` results; it is emptied once they
+    are read, so the raw draws are freed before the stack is fitted. The
+    mechanism, the outcome and the binary response run elementwise over the
+    concatenated studies, with per-row coefficients, so each study's
+    columns are bit for bit those it gets built alone. The stack is then cut
+    into one dataset per study.
+    """
+    counts = [len(drawn) for drawn in replicates]
+    studies = [study for drawn in replicates for study in drawn]
+    replicates.clear()
+    mech, m = config.mechanism, config.cluster_size
+    clusters = [study.clusters for study in studies]
+    rows = np.array(clusters) * m
+    u = np.concatenate([study.u for study in studies])
+    uniforms = np.concatenate([study.xa for study in studies], axis=1)
+    p = np.where(u < mech.x_threshold, mech.x_prob_below, mech.x_prob_above)
+    x = (uniforms[0] < p).astype(float)
+    p = np.where(u + x < mech.a_threshold, mech.a_prob_below, mech.a_prob_above)
+    a = (uniforms[1] < p).astype(float)
+    del uniforms, p
+
+    def per_row(name):
+        return np.repeat([getattr(study, name) for study in studies], rows)
+
+    # b0 + b1 a + b2 x + b3 a x + theta u + zeta + eps, added left to right
+    # in place, so that the stack holds few columns of its size at once
+    b0, _, b2, _ = config.true_betas
+    y = per_row("b1")
+    y *= a
+    y += b0
+    y += b2 * x
+    term = per_row("b3")
+    term *= a
+    term *= x
+    y += term
+    term = per_row("theta")
+    term *= u
+    y += term
+    del term, u
+    y += np.repeat(np.concatenate([study.zeta for study in studies]), m)
+    y += np.concatenate([study.eps for study in studies])
+    scale = "continuous"
+    if config.kind == SINGLE_BINARY:
+        response = np.concatenate([study.response for study in studies])
+        y = (response < special.expit(y)).astype(float)
+        scale = "binary"
+    # row i of a study is in its cluster i // m; each study takes a copy of its rows' codes
+    codes = np.arange(rows.max(), dtype=np.int64) // m
+    datasets = []
+    for j, n, end in zip(clusters, rows.tolist(), accumulate(rows.tolist())):
+        cut = slice(end - n, end)
+        datasets.append(ClusteredDataset._from_codes(
+            scale, codes[:n].copy(), _cluster_labels(j), y[cut], a[cut], x[cut]
+        ))
+    groups = iter(datasets)
+    return [list(islice(groups, count)) for count in counts]
 
 
 def generate(config: ScenarioConfig, replicate_index: int):
     """Deterministic data for one replicate: a dataset, or a list for meta."""
-    rng = replicate_stream(config.seed, replicate_index)
-    if config.kind in (SINGLE_CONTINUOUS, SINGLE_BINARY):
-        return _generate_single(config, rng, config.clusters, config.true_betas, config.theta)
-    # meta: study sizes, per-study effects, then each study's data in order
-    k = config.studies
-    sizes = rng.integers(
-        config.clusters - _META_CLUSTER_SPREAD, config.clusters + _META_CLUSTER_SPREAD + 1, size=k
-    )
-    dist = config.effect_dist
-    cov = np.array([[dist.v11, dist.v13], [dist.v13, dist.v33]])
-    # MetaEffectDistribution has checked that cov is positive definite
-    study_betas = rng.multivariate_normal([dist.mu1, dist.mu3], cov, size=k, check_valid="ignore")
-    thetas = rng.normal(config.theta, math.sqrt(config.theta_var), k)
-    b0, _, b2, _ = config.true_betas
-    datasets = []
-    for s in range(k):
-        betas = (b0, study_betas[s, 0], b2, study_betas[s, 1])
-        datasets.append(_generate_single(config, rng, int(sizes[s]), betas, float(thetas[s])))
-    return datasets
+    (group,) = _build(config, [_draw(config, replicate_index)])
+    return group if config.kind == META else group[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +423,22 @@ def _replicate_block(config: ScenarioConfig, per_x, start: int):
     datasets (one per single-study replicate, k per meta replicate) are
     fitted in stacks of consecutive replicates, one ``fit_lmm_batch`` call
     each; a stack is fitted, scored and released before a replicate that
-    would take it past _STACK_ROWS rows starts the next one. A study's fit
-    does not depend on the stack it is fitted in. Binary replicates are
-    fitted one at a time.
+    would take it past _STACK_ROWS rows starts the next one. Replicates are
+    drawn one by one, and a stack's datasets are built in one ``_build``
+    call just before it is fitted. A study's fit does not depend on the
+    stack it is fitted in. Binary replicates are fitted one at a time.
     """
     scored, stack, rows = [], [], 0
     for index in range(start, min(start + _BLOCK_SIZE, config.replications)):
-        group = generate(config, index)
-        if config.kind != META:
-            group = [group]
-        group_rows = sum(ds.outcome.size for ds in group)
-        if stack and (config.kind == SINGLE_BINARY or rows + group_rows > _STACK_ROWS):
-            scored += _score_stack(config, per_x, stack)
+        drawn = _draw(config, index)
+        drawn_rows = sum(study.u.size for study in drawn)
+        if stack and (config.kind == SINGLE_BINARY or rows + drawn_rows > _STACK_ROWS):
+            scored += _score_stack(config, per_x, _build(config, stack))
             stack, rows = [], 0
-        stack.append(group)
-        rows += group_rows
-    return scored + _score_stack(config, per_x, stack)
+        stack.append(drawn)
+        rows += drawn_rows
+    del drawn  # so that _build frees the last stack's raw draws before its fit
+    return scored + _score_stack(config, per_x, _build(config, stack))
 
 
 def _score_stack(config: ScenarioConfig, per_x, groups):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -543,6 +544,16 @@ def test_sensitivity_malformed_fit_document_exits_1(tmp_path, runner, text):
     path.write_text(text)
     result = invoke(runner, ["sensitivity", "--fit", str(path)])
     assert_single_error_line(result)
+
+
+@pytest.mark.parametrize("key", ["n_obs", "n_clusters", "n_iterations"])
+def test_sensitivity_fit_count_past_the_float_range_exits_1(tmp_path, runner, key):
+    # the JSON number 1e400 parses to inf, which int() refuses with an OverflowError
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({**VALID_FIT_DOC, key: "1e400"}).replace('"1e400"', "1e400"))
+    result = invoke(runner, ["sensitivity", "--fit", str(path), "--x", "1", "--theta", "0.5",
+                             "--m1x", "0.3", "--m0x", "0"])
+    assert "malformed number" in assert_single_error_line(result)
 
 
 @pytest.mark.parametrize(
@@ -1347,6 +1358,25 @@ def test_simulate_extreme_meta_scenario_gives_clean_stderr(tmp_path, runner, ove
     assert result.exit_code == 0
     [summary] = result.stderr.splitlines()
     assert summary.startswith("scenario meta: 2 replications, 0 non-converged, ")
+
+
+@pytest.mark.parametrize(
+    "overrides, rows",
+    [
+        # every allocation is of at least 1e15 rows, which malloc refuses at once
+        ({"clusters": 10**15}, f"{3 * 10**15:,}"),
+        ({**META_SCENARIO, "clusters": 100, "cluster_size": 10**14}, r"[\d,]+"),
+    ],
+    ids=["single-study", "meta"],
+)
+def test_simulate_replicate_past_memory_exits_1(tmp_path, runner, overrides, rows):
+    result = invoke(runner, ["simulate", scenario_file(tmp_path, **overrides)])
+    assert re.fullmatch(
+        f"error: replicate 0 has {rows} rows, more than memory holds; "
+        "give fewer clusters or a smaller cluster_size",
+        assert_single_error_line(result),
+    )
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_simulate_json_format(tmp_path, runner):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -350,7 +351,7 @@ def test_one_rank_deficient_study_fails_the_batch_and_drops_the_replicate(monkey
     (kept,) = simulation._replicate_block(SMALL_META, per_x, 0)
     assert kept is not None
     monkeypatch.setattr(
-        simulation, "generate", lambda *_: [studies[0], rank_deficient_dataset(), studies[2]]
+        simulation, "_build", lambda *_: [[studies[0], rank_deficient_dataset(), studies[2]]]
     )
     (dropped,) = simulation._replicate_block(SMALL_META, per_x, 0)
     assert dropped is None
@@ -368,16 +369,21 @@ def test_a_failed_study_drops_only_its_own_replicate_from_the_block(monkeypatch)
         for i in range(config.replications)
     ]
     failing = {2: rank_deficient_dataset(), 5: generate(config, 5)}
+    build, indices = simulation._build, itertools.count()
 
-    def generate_with_failures(config, index):
-        return failing[index] if index in failing else generate(config, index)
+    def build_with_failures(config, replicates):
+        # stacks are built in replicate order, so a running count is the index
+        return [
+            [failing[i]] if (i := next(indices)) in failing else group
+            for group in build(config, replicates)
+        ]
 
     def fit_or_fail(datasets):
         if any(ds is failing[5] for ds in datasets):
             raise ConvergenceError("REML Newton search did not converge")
         return fit_lmm_batch(datasets)
 
-    monkeypatch.setattr(simulation, "generate", generate_with_failures)
+    monkeypatch.setattr(simulation, "_build", build_with_failures)
     monkeypatch.setattr(simulation, "fit_lmm_batch", fit_or_fail)
     block = simulation._replicate_block(config, per_x, 0)
     assert [i for i, result in enumerate(block) if result is None] == [2, 5]

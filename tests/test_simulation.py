@@ -42,17 +42,17 @@ def columns_key(ds):
 def generate_recording_u(monkeypatch, config, replicate_index):
     """``generate``'s output and the confounder U drawn for each of its studies.
 
-    U never reaches a dataset, so it is read off the generator's mechanism draw.
+    U never reaches a dataset, so it is read off the generator's raw draws.
     """
     draws = []
-    draw = simulation._draw_mechanism
+    draw = simulation._draw
 
     def recording(*args):
-        u, x, a = draw(*args)
-        draws.append(u)
-        return u, x, a
+        studies = draw(*args)
+        draws.extend(study.u for study in studies)
+        return studies
 
-    monkeypatch.setattr(simulation, "_draw_mechanism", recording)
+    monkeypatch.setattr(simulation, "_draw", recording)
     return generate(config, replicate_index), draws
 
 
@@ -196,6 +196,44 @@ PINNED_DIGESTS = [
 def test_generated_columns_match_pinned_digest(fields, digest, monkeypatch):
     config = ScenarioConfig(replications=1, **fields)
     assert _columns_digest(*generate_recording_u(monkeypatch, config, 7)) == digest
+
+
+STACKED = {
+    "single_continuous": (dict(BASE, clusters=30, replications=10), 200),
+    "single_binary": (dict(BASE, kind="single_binary", clusters=20, cluster_size=4,
+                           replications=4, nu=1.0), 200),
+    "meta": (dict(BASE, kind="meta", clusters=60, cluster_size=2, studies=4, replications=6,
+                  theta_var=0.05), 1000),
+}
+
+
+@pytest.mark.parametrize("zeroed", [None, "nu", "sigma_u2", "phi"])
+@pytest.mark.parametrize("kind", list(STACKED))
+def test_a_stack_builds_each_replicate_as_generate_does(monkeypatch, kind, zeroed):
+    # under the lowered cap, continuous stacks hold two or three replicates
+    fields, cap = STACKED[kind]
+    config = ScenarioConfig(**(fields if zeroed is None else {**fields, zeroed: 0.0}))
+    stacks = []
+
+    def recording(config, per_x, groups):
+        stacks.append(groups)
+        return [None] * len(groups)
+
+    monkeypatch.setattr(simulation, "_score_stack", recording)
+    monkeypatch.setattr(simulation, "_STACK_ROWS", cap)
+    simulation._replicate_block(config, None, 0)
+    if kind != "single_binary":
+        assert len(stacks) > 1 and max(map(len, stacks)) > 1
+    built = [group for groups in stacks for group in groups]
+    assert len(built) == config.replications
+    for index, group in enumerate(built):
+        expected = generate(config, index)
+        for got, want in zip(group, expected if kind == "meta" else [expected], strict=True):
+            assert (got.scale, got.cluster_ids) == (want.scale, want.cluster_ids)
+            for name in ("outcome", "treatment", "covariate_x", "cluster_codes"):
+                column, oracle = getattr(got, name), getattr(want, name)
+                assert column.dtype == oracle.dtype and column.tobytes() == oracle.tobytes()
+                assert not column.flags.writeable and not oracle.flags.writeable
 
 
 def test_stream_independence():
