@@ -22,14 +22,13 @@ worker counts, block and stack boundaries and replicate orderings.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, islice
 from typing import NamedTuple, Optional
 
@@ -292,7 +291,7 @@ def _draw(config: ScenarioConfig, replicate_index: int) -> list[_StudyDraws]:
     return draws
 
 
-@functools.lru_cache(maxsize=128)  # holds the 101 study sizes a meta scenario draws
+@lru_cache(maxsize=128)  # holds the 101 study sizes a meta scenario draws
 def _cluster_labels(j: int) -> tuple[str, ...]:
     """The labels "1" to "j" of a generated study's clusters, built once per count."""
     return tuple(map(str, range(1, j + 1)))
