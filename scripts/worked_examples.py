@@ -13,29 +13,23 @@ import math
 
 from clustersens import (
     BiasDistribution,
-    ConfoundedEffect,
     MetaFit,
     PqSpec,
     SensitivitySpec,
     adjust,
     bias_factor,
+    effect_from_interval,
     explains_away,
     explains_away_meta,
     minimal_bias_factor,
     minimal_common_bias,
     p_of_q,
 )
-from clustersens.sensitivity import CONTINUOUS_OUTCOME, SCALE_MEAN_DIFFERENCE
+from clustersens.sensitivity import CONTINUOUS_OUTCOME
 
 
 def single_study_example():
-    effect = ConfoundedEffect(
-        estimate=5.49,
-        std_error=(10.23 - 0.75) / (2 * 1.959963984540054),
-        lb=0.75,
-        ub=10.23,
-        scale=SCALE_MEAN_DIFFERENCE,
-    )
+    effect = effect_from_interval(5.49, 0.75, 10.23)
     minimal = minimal_bias_factor(effect)
     print("single study: estimate 5.49 (0.75 to 10.23)")
     print(f"  minimal bias factor: {minimal.value:.4g} ({minimal.direction} direction)")

@@ -55,6 +55,7 @@ from .sensitivity import (
     bias_factor,
     confounded_effect,
     contour_grid,
+    effect_from_interval,
     explains_away,
     marginal_logit_approx,
     marginal_logit_exact,

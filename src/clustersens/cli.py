@@ -21,7 +21,6 @@ from dataclasses import asdict, replace
 import click
 import numpy as np
 
-from . import normal
 from .dataset import _path_prefixed, load_csv
 from .errors import ClusterSensError, ConvergenceError, ValidationError
 from .meta import (
@@ -40,12 +39,12 @@ from .sensitivity import (
     BINARY_BINARY_U,
     BINARY_NORMAL_U,
     CONTINUOUS_OUTCOME,
-    ConfoundedEffect,
     SensitivitySpec,
     adjust,
     bias_factor,
     confounded_effect,
     contour_grid,
+    effect_from_interval,
     explains_away,
     minimal_bias_factor,
 )
@@ -289,27 +288,6 @@ def cmd_fit(data, scale, quadrature):
     return json.loads(fit_to_json(fit)), (["coefficient", "estimate", "std_error"], columns)
 
 
-def _effect_from_triple(estimate, lb, ub, x, level, scale):
-    if not lb < ub:
-        raise ValidationError("need lb < ub")
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must lie in (0, 1), got {level}")
-    z = normal.two_sided_quantile(level)
-    implied_se = (ub - lb) / (2.0 * z)
-    if not math.isfinite(implied_se):
-        raise ValidationError(
-            f"interval ({lb:g}, {ub:g}) is too wide: its implied standard error overflows"
-        )
-    if abs((ub - estimate) - (estimate - lb)) > 1e-6 * implied_se:
-        raise ValidationError(
-            "interval is not symmetric about the estimate beyond 1e-6 of the implied "
-            f"standard error ({implied_se:g}); check the (estimate, lb, ub) triple"
-        )
-    return ConfoundedEffect(
-        estimate=estimate, std_error=implied_se, lb=lb, ub=ub, x=x, level=level, scale=scale
-    )
-
-
 # (treated flag, its partner, confounder kind) for each way to state a confounder
 _SPEC_FLAGS = (
     ("--m1x", "--m0x", CONTINUOUS_OUTCOME),
@@ -365,7 +343,7 @@ def cmd_sensitivity(fit_path, estimate, lb, ub, x, level, scale, theta,
     else:
         if not all(triple):
             raise ValidationError("need --estimate, --lb and --ub (or --fit)")
-        effect = _effect_from_triple(estimate, lb, ub, x, level, scale)
+        effect = effect_from_interval(estimate, lb, ub, level, x, scale)
     for note in effect.warnings:
         click.echo(f"warning: {note}", err=True)
 

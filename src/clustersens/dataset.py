@@ -140,6 +140,30 @@ def _path_prefixed(path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; a bool, string, null, array or object is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(value) -> list:
+    """A JSON array of numbers as a list of floats."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected an array of numbers, got {value!r}")
+    return [_json_number(v) for v in value]
+
+
+def _json_integer(value, minimum=None) -> int:
+    """A JSON number with no fractional part as an int, at least ``minimum`` if given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 # rows held at once: a chunk's row lists plus the one iterator zip_longest makes
 # per row stay under the young garbage-collector generation's threshold (700)
 # while a file has no more than a few dozen columns, so reading sets off no collection

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy import special
 
-from .dataset import ClusteredDataset
+from .dataset import ClusteredDataset, _json_integer, _json_number, _json_numbers
 from .errors import ConvergenceError, DomainError, SeparationError, SingularDesignError, ValidationError
 
 LOGISTIC_LATENT_VARIANCE = math.pi**2 / 3.0
@@ -102,8 +102,10 @@ def fit_from_json(text: str) -> MixedModelFit:
     """Rebuild a fit from ``fit_to_json`` output.
 
     Raises ValidationError for malformed JSON, a missing key, an unknown
-    scale, a wrong-sized coefficient vector or covariance, non-finite
-    numbers and a negative variance.
+    scale, a value of the wrong JSON type (``converged`` and ``boundary``
+    take booleans, the counts integers >= 0, ``quadrature_points`` null or
+    an integer >= 1, every other value numbers), a wrong-sized coefficient
+    vector or covariance, non-finite numbers and a negative variance.
     """
     try:
         doc = json.loads(text)
@@ -116,17 +118,34 @@ def fit_from_json(text: str) -> MixedModelFit:
         raise ValidationError(f"fit document lacks required key(s): {', '.join(missing)}")
     if doc["scale"] not in ("continuous", "binary"):
         raise ValidationError(f"fit document has unknown scale {doc['scale']!r}")
-    try:
-        coefficients = np.array(doc["coefficients"], dtype=float)
-        cov = np.array(doc["coef_covariance"], dtype=float)
-        nu = float(doc["random_intercept_variance"])
-        residual = None if doc.get("residual_variance") is None else float(doc["residual_variance"])
-        loglik = float(doc["log_likelihood"])
-        n_obs = int(doc.get("n_obs", 0))
-        n_clusters = int(doc.get("n_clusters", 0))
-        n_iterations = int(doc.get("n_iterations", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"fit document holds a malformed number: {exc}") from exc
+
+    def read(key, reader, default=None, nullable=False):
+        value = doc.get(key, default)
+        if value is None and nullable:
+            return None
+        try:
+            return reader(value)
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(
+                f"fit document holds a malformed number for {key!r}: {exc}"
+            ) from exc
+
+    coefficients = np.array(read("coefficients", _json_numbers), dtype=float)
+    cov = np.array(read("coef_covariance", _json_numbers), dtype=float)
+    nu = read("random_intercept_variance", _json_number)
+    residual = read("residual_variance", _json_number, nullable=True)
+    loglik = read("log_likelihood", _json_number)
+    count = functools.partial(_json_integer, minimum=0)
+    n_obs, n_clusters, n_iterations = (
+        read(key, count, 0) for key in ("n_obs", "n_clusters", "n_iterations")
+    )
+    quadrature_points = read(
+        "quadrature_points", functools.partial(_json_integer, minimum=1), nullable=True
+    )
+    converged, boundary = doc["converged"], doc.get("boundary", False)
+    for key, value in (("converged", converged), ("boundary", boundary)):
+        if not isinstance(value, bool):
+            raise ValidationError(f"fit document needs true or false for {key!r}, got {value!r}")
     if coefficients.shape != (_DESIGN_COLUMNS,):
         raise ValidationError(
             f"fit document needs {_DESIGN_COLUMNS} coefficients, got shape {coefficients.shape}"
@@ -148,11 +167,11 @@ def fit_from_json(text: str) -> MixedModelFit:
         random_intercept_variance=nu,
         residual_variance=residual,
         log_likelihood=loglik,
-        converged=bool(doc["converged"]),
-        boundary=bool(doc.get("boundary", False)),
+        converged=converged,
+        boundary=boundary,
         n_obs=n_obs,
         n_clusters=n_clusters,
-        quadrature_points=doc.get("quadrature_points"),
+        quadrature_points=quadrature_points,
         n_iterations=n_iterations,
     )
 

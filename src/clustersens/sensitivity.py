@@ -75,6 +75,34 @@ def _wald_effect(estimate, std_error, x, level, scale, warnings=()):
     )
 
 
+def effect_from_interval(estimate: float, lb: float, ub: float, level: float = 0.95,
+                         x: Optional[float] = None, scale: str = SCALE_MEAN_DIFFERENCE):
+    """A published estimate with its symmetric Wald interval at ``level``, as an effect.
+
+    The standard error is implied by the interval's width; lb and ub are
+    kept as given. An interval not symmetric about the estimate to within
+    1e-6 of that standard error is refused.
+    """
+    if not lb < ub:
+        raise ValidationError("need lb < ub")
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must lie in (0, 1), got {level}")
+    z = normal.two_sided_quantile(level)
+    implied_se = (ub - lb) / (2.0 * z)
+    if not math.isfinite(implied_se):
+        raise ValidationError(
+            f"interval ({lb:g}, {ub:g}) is too wide: its implied standard error overflows"
+        )
+    if abs((ub - estimate) - (estimate - lb)) > 1e-6 * implied_se:
+        raise ValidationError(
+            "interval is not symmetric about the estimate beyond 1e-6 of the implied "
+            f"standard error ({implied_se:g}); check the (estimate, lb, ub) triple"
+        )
+    return ConfoundedEffect(
+        estimate=estimate, std_error=implied_se, lb=lb, ub=ub, x=x, level=level, scale=scale
+    )
+
+
 def confounded_effect(fit: MixedModelFit, x: float, level: float = 0.95) -> ConfoundedEffect:
     """Treatment contrast beta1 + x*beta3 with its delta-method Wald interval."""
     if not fit.converged:

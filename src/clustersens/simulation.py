@@ -36,7 +36,9 @@ import numpy as np
 from scipy import special
 
 from . import normal
-from .dataset import ClusteredDataset, _path_prefixed
+from .dataset import (
+    ClusteredDataset, _json_integer, _json_number, _json_numbers, _path_prefixed
+)
 from .errors import (
     ConvergenceError, DomainError, SingularDesignError, ValidationError, VarianceDominationError
 )
@@ -398,20 +400,21 @@ class SimMetrics:
 
 
 def _run_constants(config: ScenarioConfig):
-    """Per-x quantities that depend on the config only, computed once per run.
+    """``(truth, constants)`` at x = 0, 1, which depend on the config only.
 
-    Single-study kinds get the true bias shift; the meta kind gets the bias
-    law (theta * dm, theta_var * dm^2) and the meaningful size q, where
+    Single-study kinds get the true effect (b1, then b1 + b3) and the true
+    bias shift; the meta kind gets ``true_p_of_q``, the bias law (theta * dm,
+    theta_var * dm^2) and the meaningful size q, where
     dm = E(U|A=1,X=x) - E(U|A=0,X=x).
     """
+    if config.kind != META:
+        _, b1, _, b3 = config.true_betas
+        return tuple(zip((b1, b1 + b3), (bias_factor_true(config, x) for x in (0, 1))))
     out = []
     for x in (0, 1):
-        if config.kind != META:
-            out.append(bias_factor_true(config, x))
-            continue
         delta_m = true_conditional_means(config, 1, x) - true_conditional_means(config, 0, x)
         bias = BiasDistribution(mu_b=config.theta * delta_m, v_b=config.theta_var * delta_m**2)
-        out.append((bias, _meta_q(config, x)))
+        out.append((true_p_of_q(config, x), (bias, _meta_q(config, x))))
     return tuple(out)
 
 
@@ -425,13 +428,14 @@ def _replicate_block(config: ScenarioConfig, per_x, start: int):
     would take it past _STACK_ROWS rows starts the next one. Replicates are
     drawn one by one, and a stack's datasets are built in one ``_build``
     call just before it is fitted. A study's fit does not depend on the
-    stack it is fitted in. Binary replicates are fitted one at a time.
+    stack it is fitted in. Binary replicates are stacked by the same rule
+    and fitted one at a time (see ``_score_stack``).
     """
     scored, stack, rows = [], [], 0
     for index in range(start, min(start + _BLOCK_SIZE, config.replications)):
         drawn = _draw(config, index)
         drawn_rows = sum(study.u.size for study in drawn)
-        if stack and (config.kind == SINGLE_BINARY or rows + drawn_rows > _STACK_ROWS):
+        if stack and rows + drawn_rows > _STACK_ROWS:
             scored += _score_stack(config, per_x, _build(config, stack))
             stack, rows = [], 0
         stack.append(drawn)
@@ -478,7 +482,7 @@ def _score(config: ScenarioConfig, per_x, fits):
         return None
     out = []
     try:
-        for x, constants in zip((0, 1), per_x):
+        for x, (_, constants) in zip((0, 1), per_x):
             effects = [confounded_effect(fit, x) for fit in fits]
             if config.kind != META:
                 (eff,) = effects
@@ -535,14 +539,13 @@ def _delta_interval(meta_fit: MetaFit, bias: BiasDistribution, q: float, studies
     return p_hat, max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
-def _aggregate(config: ScenarioConfig, results, truths, started) -> SimMetrics:
+def _aggregate(config: ScenarioConfig, results, per_x, started) -> SimMetrics:
     usable = [r for r in results if r is not None]
     non_converged = len(results) - len(usable)
     rows = []
-    for xi, x in enumerate((0, 1)):
-        truth = truths[xi]
-        estimates = np.array([r[xi][0] for r in usable])
-        covered = np.array([r[xi][1] <= truth <= r[xi][2] for r in usable])
+    for x, (truth, _) in enumerate(per_x):  # x = 0, 1
+        estimates = np.array([r[x][0] for r in usable])
+        covered = np.array([r[x][1] <= truth <= r[x][2] for r in usable])
         used = estimates.size
         bias = float(np.mean(estimates) - truth) if used else None
         se = float(np.std(estimates, ddof=1)) if used >= 2 else None
@@ -571,7 +574,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
     do not depend on the count.
     """
     started = time.perf_counter()
-    worker = partial(_replicate_block, config, _run_constants(config))
+    per_x = _run_constants(config)
+    worker = partial(_replicate_block, config, per_x)
     starts = range(0, config.replications, _BLOCK_SIZE)
     # the pool starts all its workers at the first submit, so idle ones cost a fork each
     workers = min(workers, len(starts), os.cpu_count() or 1)
@@ -581,12 +585,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
         with ProcessPoolExecutor(max_workers=workers) as pool_:
             blocks = list(pool_.map(worker, starts))
     results = [result for block in blocks for result in block]
-    if config.kind == META:
-        truths = (true_p_of_q(config, 0), true_p_of_q(config, 1))
-    else:
-        _, b1, _, b3 = config.true_betas
-        truths = (b1, b1 + b3)
-    return _aggregate(config, results, truths, started)
+    return _aggregate(config, results, per_x, started)
 
 
 # ---------------------------------------------------------------------------
@@ -594,35 +593,34 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> SimMetrics:
 # ---------------------------------------------------------------------------
 
 
-def _object_of_floats(cls):
-    return lambda value: cls(**{k: float(v) for k, v in value.items()})
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
-def _integer(value):
-    """int(value), refusing bools and fractions that int() would truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _object_of_numbers(cls):
+    return lambda value: cls(**{k: _json_number(v) for k, v in value.items()})
 
 
 _CONVERTERS = {
-    "kind": str,
-    "clusters": _integer,
-    "cluster_size": _integer,
-    "replications": _integer,
-    "seed": _integer,
-    "true_betas": lambda value: tuple(float(v) for v in value),
-    "theta": float,
-    "theta_var": float,
-    "sigma_u2": float,
-    "nu": float,
-    "icc": lambda value: nu_from_icc(float(value)),
-    "phi": float,
-    "studies": _integer,
-    "effect_dist": _object_of_floats(MetaEffectDistribution),
-    "q": lambda value: None if value is None else float(value),
-    "quadrature_points": _integer,
-    "mechanism": _object_of_floats(MechanismParams),
+    "kind": _string,
+    "clusters": _json_integer,
+    "cluster_size": _json_integer,
+    "replications": _json_integer,
+    "seed": _json_integer,
+    "true_betas": lambda value: tuple(_json_numbers(value)),
+    "theta": _json_number,
+    "theta_var": _json_number,
+    "sigma_u2": _json_number,
+    "nu": _json_number,
+    "icc": lambda value: nu_from_icc(_json_number(value)),
+    "phi": _json_number,
+    "studies": _json_integer,
+    "effect_dist": _object_of_numbers(MetaEffectDistribution),
+    "q": lambda value: None if value is None else _json_number(value),
+    "quadrature_points": _json_integer,
+    "mechanism": _object_of_numbers(MechanismParams),
 }
 
 
@@ -631,8 +629,9 @@ def load_scenario(path) -> ScenarioConfig:
 
     Accepts the ScenarioConfig field names plus "icc" as an alternative to
     "nu" (mapped through the logistic latent variance) and nested
-    "effect_dist" / "mechanism" objects. Unknown keys, values of the wrong
-    type, and bools or fractions given for integer keys are rejected with a
+    "effect_dist" / "mechanism" objects of numbers. Unknown keys and values
+    of the wrong JSON type (a string or bool for a number, a fraction for an
+    integer key, a non-array ``true_betas``) are rejected with a
     ValidationError naming the key.
     """
     with _path_prefixed(path):
@@ -649,7 +648,7 @@ def load_scenario(path) -> ScenarioConfig:
                 raise ValidationError(f"unknown scenario key {key!r}")
             try:
                 kwargs["nu" if key == "icc" else key] = _CONVERTERS[key](value)
-            except (TypeError, ValueError, AttributeError) as exc:
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
                 raise ValidationError(f"bad value for scenario key {key!r}: {exc}") from exc
         if "icc" in raw and "nu" in raw:
             raise ValidationError("give either icc or nu, not both")

@@ -32,22 +32,23 @@ def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+BASE_SCENARIO = {
+    "kind": "single_continuous",
+    "clusters": 30,
+    "cluster_size": 3,
+    "replications": 5,
+    "seed": 99,
+    "true_betas": [1.0, -1.0, 3.0, 1.0],
+    "theta": 0.5,
+    "sigma_u2": 0.25,
+    "nu": 4.0,
+    "phi": 1.0,
+}
+
+
 def scenario_file(tmp_path, **overrides):
-    doc = {
-        "kind": "single_continuous",
-        "clusters": 30,
-        "cluster_size": 3,
-        "replications": 5,
-        "seed": 99,
-        "true_betas": [1.0, -1.0, 3.0, 1.0],
-        "theta": 0.5,
-        "sigma_u2": 0.25,
-        "nu": 4.0,
-        "phi": 1.0,
-    }
-    doc.update(overrides)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({**BASE_SCENARIO, **overrides}))
     return str(path)
 
 
@@ -515,35 +516,60 @@ def test_sensitivity_hand_written_fit_document(tmp_path, runner):
     assert json.loads(result.stdout)["effect"]["estimate"] == pytest.approx(0.5)
 
 
+def fit_doc(**overrides):
+    return json.dumps({**VALID_FIT_DOC, **overrides})
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, named",
     [
-        "{not json",
-        "[1, 2, 3]",
-        json.dumps({"scale": "continuous"}),
-        json.dumps({k: v for k, v in VALID_FIT_DOC.items() if k != "coef_covariance"}),
-        json.dumps({**VALID_FIT_DOC, "scale": "ordinal"}),
-        json.dumps({**VALID_FIT_DOC, "coefficients": [1.0, 0.5, 2.0]}),
-        json.dumps({**VALID_FIT_DOC, "coefficients": "abcd"}),
-        json.dumps({**VALID_FIT_DOC, "coef_covariance": [1.0] * 15}),
-        json.dumps({**VALID_FIT_DOC, "coefficients": [1.0, math.nan, 2.0, -0.3]}),
-        json.dumps({**VALID_FIT_DOC, "coef_covariance": [math.inf] * 16}),
-        json.dumps({**VALID_FIT_DOC, "random_intercept_variance": math.nan}),
-        json.dumps({**VALID_FIT_DOC, "random_intercept_variance": -1}),
-        json.dumps({**VALID_FIT_DOC, "residual_variance": -0.5}),
+        ("{not json", "fit document"),
+        ("[1, 2, 3]", "fit document"),
+        (json.dumps({"scale": "continuous"}), "fit document"),
+        (json.dumps({k: v for k, v in VALID_FIT_DOC.items() if k != "coef_covariance"}),
+         "coef_covariance"),
+        (fit_doc(scale="ordinal"), "fit document"),
+        (fit_doc(coefficients=[1.0, 0.5, 2.0]), "coefficients"),
+        (fit_doc(coefficients="abcd"), "'coefficients'"),
+        (fit_doc(coef_covariance=[1.0] * 15), "coef_covariance"),
+        (fit_doc(coefficients=[1.0, math.nan, 2.0, -0.3]), "fit document"),
+        (fit_doc(coef_covariance=[math.inf] * 16), "fit document"),
+        (fit_doc(random_intercept_variance=math.nan), "fit document"),
+        (fit_doc(random_intercept_variance=-1), "random_intercept_variance"),
+        (fit_doc(residual_variance=-0.5), "residual_variance"),
+        # values of the wrong JSON type, each refused naming its key
+        (fit_doc(converged="false"), "'converged'"),
+        (fit_doc(converged=1), "'converged'"),
+        (fit_doc(boundary="no"), "'boundary'"),
+        (fit_doc(coefficients=["1.0", 0.5, 2.0, -0.3]), "'coefficients'"),
+        (fit_doc(coefficients=[True, 0.5, 2.0, -0.3]), "'coefficients'"),
+        (fit_doc(coef_covariance=np.eye(4).tolist()), "'coef_covariance'"),
+        (fit_doc(random_intercept_variance="0.4"), "'random_intercept_variance'"),
+        (fit_doc(residual_variance=True), "'residual_variance'"),
+        (fit_doc(log_likelihood="-120"), "'log_likelihood'"),
+        (fit_doc(n_obs=3.7), "'n_obs'"),
+        (fit_doc(n_obs=-1), "'n_obs'"),
+        (fit_doc(n_clusters="30"), "'n_clusters'"),
+        (fit_doc(n_iterations=True), "'n_iterations'"),
+        (fit_doc(quadrature_points="many"), "'quadrature_points'"),
+        (fit_doc(quadrature_points=0), "'quadrature_points'"),
     ],
     ids=[
         "malformed-json", "not-an-object", "scale-only", "missing-covariance", "unknown-scale",
         "three-coefficients", "string-coefficients", "fifteen-covariance-entries",
         "nan-coefficient", "inf-covariance", "nan-variance", "negative-intercept-variance",
-        "negative-residual-variance",
+        "negative-residual-variance", "converged-string", "converged-number", "boundary-string",
+        "coefficient-string", "coefficient-bool", "nested-covariance", "variance-string",
+        "residual-bool", "log-likelihood-string", "n-obs-fraction", "n-obs-negative",
+        "n-clusters-string", "n-iterations-bool", "quadrature-string", "quadrature-zero",
     ],
 )
-def test_sensitivity_malformed_fit_document_exits_1(tmp_path, runner, text):
+def test_sensitivity_malformed_fit_document_exits_1(tmp_path, runner, text, named):
     path = tmp_path / "fit.json"
     path.write_text(text)
     result = invoke(runner, ["sensitivity", "--fit", str(path)])
-    assert_single_error_line(result)
+    error = assert_single_error_line(result)
+    assert error.startswith(f"error: {path}: fit document ") and named in error
 
 
 @pytest.mark.parametrize("key", ["n_obs", "n_clusters", "n_iterations"])
@@ -574,6 +600,20 @@ def test_sensitivity_incomplete_confounder_flags_exit_1(runner, flags, message):
     )
     assert_single_error_line(result)
     assert result.stderr.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--fit", "fit.json", "--estimate", "1", "--lb", "0", "--ub", "2"],
+         "give either --fit or the (--estimate, --lb, --ub) triple"),
+        (["--estimate", "1"], "need --estimate, --lb and --ub (or --fit)"),
+        (["--estimate", "1", "--lb", "2", "--ub", "0"], "need lb < ub"),
+    ],
+    ids=["fit-and-triple", "partial-triple", "reversed-interval"],
+)
+def test_sensitivity_usage_errors_exit_1(runner, args, message):
+    assert assert_single_error_line(invoke(runner, ["sensitivity", *args])) == f"error: {message}"
 
 
 def test_sensitivity_normal_confounder_spec(runner):
@@ -706,8 +746,11 @@ def test_meta_p_of_q_flags(runner):
         (["--mu", "0.3", "--q", "0.1", "--r", "0.3"], "need --studies or both --mu and --v"),
         (["--mu", "0.3", "--v", "0.04", "--bias-mean", "0.1"], "--bias-mean needs --q"),
         (["--mu", "0.3", "--v", "0.04"], "nothing to compute: give studies, a pooled fit, or q/r"),
+        (["--mu", "1", "--v", "1", "--q", "0.5", "--bias-mean", "0.1", "--bias-variance", "-1"],
+         "bias variance must be >= 0, got -1.0"),
     ],
-    ids=["studies-and-pair", "half-pair", "bias-mean-without-q", "nothing-to-compute"],
+    ids=["studies-and-pair", "half-pair", "bias-mean-without-q", "nothing-to-compute",
+         "negative-bias-variance"],
 )
 def test_meta_usage_errors_exit_1(runner, args, message):
     result = invoke(runner, ["meta", *args])
@@ -754,6 +797,11 @@ def test_contour_bad_resolution_exits_1(runner):
         ["contour", "--resolution", "1", "--threshold", "0.5"],
     )
     assert result.exit_code == 1
+
+
+def test_contour_unordered_range_exits_1(runner):
+    result = invoke(runner, ["contour", "--delta-range", "1", "0", "--threshold", "1"])
+    assert assert_single_error_line(result) == "error: ranges must be ordered (lo, hi)"
 
 
 def test_contour_unallocatable_grid_exits_1(runner):
@@ -1280,7 +1328,59 @@ def test_simulate_bad_scenario_value_exits_1_naming_it(tmp_path, runner, overrid
     assert named in result.stderr
 
 
+WITHOUT_NU = {k: v for k, v in BASE_SCENARIO.items() if k != "nu"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([BASE_SCENARIO], "scenario file must hold a JSON object"),
+        ({k: v for k, v in BASE_SCENARIO.items() if k != "clusters"}, "incomplete scenario: "),
+        ({**BASE_SCENARIO, "icc": 0.2}, "give either icc or nu, not both"),
+        ({**WITHOUT_NU, "icc": 1.0}, "icc must lie in [0, 1), got 1.0"),
+        ({**BASE_SCENARIO, "replications": 0}, "replications must be >= 1"),
+        ({**BASE_SCENARIO, "true_betas": [1.0, -1.0, 3.0]}, "true_betas must have 4 entries"),
+        ({**BASE_SCENARIO, "clusters": 1}, "need at least 2 clusters of at least 1 unit"),
+    ],
+    ids=["not-an-object", "no-clusters", "icc-and-nu", "icc-one", "no-replications",
+         "three-betas", "one-cluster"],
+)
+def test_simulate_invalid_scenario_exits_1_naming_the_file(tmp_path, runner, doc, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    error = assert_single_error_line(invoke(runner, ["simulate", str(path)]))
+    assert error.startswith(f"error: {path}: {message}")
+    assert message.endswith(": ") or error == f"error: {path}: {message}"
+
+
 META_SCENARIO = dict(kind="meta", clusters=60, studies=4, replications=3)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"true_betas": "1234"}, "true_betas"),
+        ({"true_betas": [1.0, "-1", 3.0, 1.0]}, "true_betas"),
+        ({"theta": True}, "theta"),
+        ({"theta": "0.5"}, "theta"),
+        ({"icc": "0.2"}, "icc"),
+        ({"clusters": "60"}, "clusters"),
+        ({"seed": "99"}, "seed"),
+        ({"kind": 3}, "kind"),
+        ({**META_SCENARIO, "q": "0.1"}, "q"),
+        ({**META_SCENARIO, "effect_dist": {"mu1": "3"}}, "effect_dist"),
+        ({"mechanism": {"x_threshold": False}}, "mechanism"),
+        # a JSON integer past the float range, refused where it is converted
+        ({"theta": 10**400}, "theta"),
+    ],
+    ids=["true-betas-string", "true-beta-string", "theta-bool", "theta-string", "icc-string",
+         "clusters-string", "seed-string", "kind-number", "q-string", "effect-dist-string",
+         "mechanism-bool", "theta-past-float-range"],
+)
+def test_simulate_wrongly_typed_scenario_value_exits_1(tmp_path, runner, overrides, key):
+    path = scenario_file(tmp_path, **overrides)
+    error = assert_single_error_line(invoke(runner, ["simulate", path]))
+    assert error.startswith(f"error: {path}: bad value for scenario key {key!r}: ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

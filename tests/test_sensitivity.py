@@ -13,6 +13,7 @@ from clustersens import (
     bias_factor,
     confounded_effect,
     contour_grid,
+    effect_from_interval,
     explains_away,
     fit_lmm,
     minimal_bias_factor,
@@ -28,10 +29,7 @@ from clustersens.sensitivity import (
 )
 from clustersens.simulation import ScenarioConfig, generate
 
-COHORT_EFFECT = ConfoundedEffect(
-    estimate=5.49, std_error=(10.23 - 0.75) / (2 * 1.959963984540054),
-    lb=0.75, ub=10.23, scale=SCALE_MEAN_DIFFERENCE,
-)
+COHORT_EFFECT = effect_from_interval(5.49, 0.75, 10.23)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -72,6 +70,15 @@ def test_published_interval_shape():
     eff = _wald_effect(5.49, COHORT_EFFECT.std_error, None, 0.95, SCALE_MEAN_DIFFERENCE)
     assert abs(eff.lb - 0.75) < 1e-12
     assert abs(eff.ub - 10.23) < 1e-12
+
+
+def test_effect_from_interval_keeps_the_published_bounds():
+    assert COHORT_EFFECT.std_error == (10.23 - 0.75) / (2 * 1.959963984540054)
+    assert (COHORT_EFFECT.lb, COHORT_EFFECT.ub, COHORT_EFFECT.x) == (0.75, 10.23, None)
+    # rebuilt from the implied SE, this lb would be 5.6e-17 and the direction "positive"
+    eff = effect_from_interval(0.5, 0.0, 1.0)
+    assert (eff.lb, eff.ub) == (0.0, 1.0)
+    assert minimal_bias_factor(eff).direction == "none"
 
 
 def test_binary_fit_with_large_icc_warns():

@@ -210,7 +210,7 @@ STACKED = {
 @pytest.mark.parametrize("zeroed", [None, "nu", "sigma_u2", "phi"])
 @pytest.mark.parametrize("kind", list(STACKED))
 def test_a_stack_builds_each_replicate_as_generate_does(monkeypatch, kind, zeroed):
-    # under the lowered cap, continuous stacks hold two or three replicates
+    # under the lowered cap, every kind's stacks hold two or three replicates
     fields, cap = STACKED[kind]
     config = ScenarioConfig(**(fields if zeroed is None else {**fields, zeroed: 0.0}))
     stacks = []
@@ -222,8 +222,7 @@ def test_a_stack_builds_each_replicate_as_generate_does(monkeypatch, kind, zeroe
     monkeypatch.setattr(simulation, "_score_stack", recording)
     monkeypatch.setattr(simulation, "_STACK_ROWS", cap)
     simulation._replicate_block(config, None, 0)
-    if kind != "single_binary":
-        assert len(stacks) > 1 and max(map(len, stacks)) > 1
+    assert len(stacks) > 1 and max(map(len, stacks)) > 1
     built = [group for groups in stacks for group in groups]
     assert len(built) == config.replications
     for index, group in enumerate(built):
