@@ -564,11 +564,14 @@ def _cluster_patterns(ds: ClusteredDataset):
     marginal likelihood is a count-weighted sum over the distinct patterns
     (the frequency-weighted response patterns of Bock & Aitkin 1981). One
     lexsort keyed first on the cluster code groups the rows by cluster and
-    sorts each cluster's rows, and the clusters of each size are grouped by
-    ``np.unique`` on their sorted rows laid side by side. Returns y, the
-    design, the sizes and the counts of the patterns, ordered by size and
-    then by rows. Continuous covariates rarely repeat, and those clusters
-    keep a count of 1.
+    sorts each cluster's rows. The clusters of each size, their sorted rows
+    laid side by side as one key row each, are ordered by a second, stable
+    lexsort over those key columns; a pattern starts wherever a key row
+    differs from the one before, and the gaps between starts are the counts.
+    Of clusters whose keys compare equal (0.0 and -0.0 do), the first in
+    cluster order stands for them all. Returns y, the design, the sizes and
+    the counts of the patterns, ordered by size and then by rows. Continuous
+    covariates rarely repeat, and those clusters keep a count of 1.
     """
     y, a, x, codes = ds.outcome, ds.treatment, ds.covariate_x, ds.cluster_codes
     units = np.column_stack([a, x, y])[np.lexsort((y, x, a, codes))]
@@ -579,9 +582,10 @@ def _cluster_patterns(ds: ClusteredDataset):
     for size in distinct_sizes:
         first_rows = starts[sizes == size]
         keys = units[first_rows[:, None] + np.arange(size)].reshape(first_rows.size, -1)
-        patterns, count = np.unique(keys, axis=0, return_counts=True)
-        blocks.append(patterns.reshape(-1, 3))
-        counts.append(count)
+        keys = keys[np.lexsort(keys.T[::-1])]
+        first = np.flatnonzero(np.append(True, np.any(keys[1:] != keys[:-1], axis=1)))
+        blocks.append(keys[first].reshape(-1, 3))
+        counts.append(np.diff(first, append=first_rows.size))
     a, x, y = np.concatenate(blocks).T
     pattern_sizes = np.repeat(distinct_sizes, [count.size for count in counts])
     return (
@@ -640,11 +644,11 @@ def _logistic_fit(y, design, sizes, counts):
             step_beta = np.linalg.solve(design.T @ wx, wx.T @ z)
         except np.linalg.LinAlgError:
             break
-        converged = np.max(np.abs(step_beta - beta)) < 1e-8
+        converged = np.abs(step_beta - beta).max() < 1e-8
         beta = step_beta
-        if converged or np.max(np.abs(beta)) > 2 * _SEPARATION_BOUND:
+        if converged or np.abs(beta).max() > 2 * _SEPARATION_BOUND:
             break
-    if not converged or np.max(np.abs(beta)) >= _SEPARATION_BOUND:
+    if not converged or np.abs(beta).max() >= _SEPARATION_BOUND:
         raise SeparationError(
             "logistic fit has no finite maximum (separation)", best={"coefficients": beta.tolist()}
         )
@@ -751,10 +755,9 @@ class _AgqLoglik:
             p = special.expit(eta_fixed + zeta[codes])
             grad = np.add.reduceat(y - p, starts) - zeta / nu
             hess = np.add.reduceat(p * (1.0 - p), starts) + 1.0 / nu
-            step = grad / hess
-            np.clip(step, -4.0, 4.0, out=step)
+            step = np.minimum(np.maximum(grad / hess, -4.0), 4.0)
             zeta += step
-            if np.max(np.abs(step)) < 1e-11:
+            if np.abs(step).max() < 1e-11:
                 break
         self.modes = zeta
 
@@ -764,14 +767,12 @@ class _AgqLoglik:
         scale = np.sqrt(2.0 / hess)  # (J,)
         offsets = scale[:, None] * self.nodes[None, :]  # z_k - m, (J, K)
         z_nodes = zeta[:, None] + offsets
+        z_squares = z_nodes**2
+        prior = z_squares / (2.0 * nu)  # minus the log prior density at the nodes, to a constant
         eta_nodes = eta_fixed[:, None] + z_nodes[codes, :]  # (n, K)
         p_nodes, softplus = _expit_softplus(eta_nodes)
         loglik_terms = y[:, None] * eta_nodes - softplus
-        rel = (
-            np.add.reduceat(loglik_terms, starts, axis=0)
-            - z_nodes**2 / (2.0 * nu)
-            + self.log_weights[None, :]
-        )  # (J, K)
+        rel = np.add.reduceat(loglik_terms, starts, axis=0) - prior + self.log_weights[None, :]
         shift = rel.max(axis=1)
         expo = np.exp(rel - shift[:, None])
         total = expo.sum(axis=1)
@@ -782,12 +783,15 @@ class _AgqLoglik:
 
         # score: dm, dh per cluster, then E_w[dg] + d log s
         post = expo / total[:, None]  # posterior node weights, (J, K)
+        post_rows = post[codes, :]  # (n, K)
         resid = y[:, None] - p_nodes  # (n, K)
-        slope = np.add.reduceat(resid, starts, axis=0) - z_nodes / nu  # dg/dz at the nodes
-        slope_mean = np.sum(post * slope, axis=1)
+        resid_sums = np.add.reduceat(resid, starts, axis=0)
+        slope = resid_sums - z_nodes / nu  # dg/dz at the nodes
+        post_slope = post * slope
+        slope_mean = np.sum(post_slope, axis=1)
         # d log s enters through the node offsets (z_k - m) and through log s itself
-        spread = 1.0 + np.sum(post * slope * offsets, axis=1)
-        node_squares = np.sum(post * z_nodes**2, axis=1)
+        spread = 1.0 + np.sum(post_slope * offsets, axis=1)
+        node_squares = np.sum(post * z_squares, axis=1)
         third = w * (1.0 - 2.0 * p)
         third_sums = np.add.reduceat(third, starts)
         dmode_beta = -np.add.reduceat(design * w[:, None], starts, axis=0) / hess[:, None]
@@ -796,7 +800,7 @@ class _AgqLoglik:
         dmode_nu = zeta / (nu * hess)  # dm / d log nu
         dhess_nu = third_sums * dmode_nu - 1.0 / nu
         score_beta = (
-            design.T @ (self.row_counts * np.sum(post[codes, :] * resid, axis=1))
+            design.T @ (self.row_counts * np.sum(post_rows * resid, axis=1))
             + dmode_beta.T @ (counts * slope_mean)
             - 0.5 * (dhess_beta / hess[:, None]).T @ (counts * spread)
         )
@@ -817,10 +821,11 @@ class _AgqLoglik:
         dlog_scale = -np.column_stack([dhess_beta, dhess_nu]) / (2.0 * hess[:, None])
         dz = dmode[:, None, :] + offsets[:, :, None] * dlog_scale[:, None, :]
         dgk = np.empty_like(dz)
-        dgk[..., :-1] = np.add.reduceat(
-            design[:, :, None] * resid[:, None, :], starts, axis=0
+        dgk[..., 0] = resid_sums  # the intercept column of design is 1
+        dgk[..., 1:-1] = np.add.reduceat(
+            design[:, 1:, None] * resid[:, None, :], starts, axis=0
         ).transpose(0, 2, 1)
-        dgk[..., -1] = z_nodes**2 / (2.0 * nu)
+        dgk[..., -1] = prior
         dgk += slope[..., None] * dz
         dgk -= post[:, None, :] @ dgk
         weights = (counts[:, None] * post).reshape(-1, 1)
@@ -831,7 +836,7 @@ class _AgqLoglik:
 
         # E_w[dg_z dz_k'] with dg_z = (-sum p(1-p) x, z_k / nu): the beta rows
         # per unit row, through sum_k w_k p(1-p) dz_k = r0 dm + r1 d log s
-        node_w = post[codes, :] * w_nodes  # (n, K)
+        node_w = post_rows * w_nodes  # (n, K)
         r0 = self.row_counts * np.sum(node_w, axis=1)
         r1 = self.row_counts * np.sum(node_w * offsets[codes, :], axis=1)
         mixed = np.empty((size, size))

@@ -43,7 +43,12 @@ from .errors import (
     ConvergenceError, DomainError, SingularDesignError, ValidationError, VarianceDominationError
 )
 from .meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, p_of_q, pool
-from .mixed_models import LOGISTIC_LATENT_VARIANCE, fit_glmm_logit, fit_lmm_batch
+from .mixed_models import (
+    LOGISTIC_LATENT_VARIANCE,
+    _MAX_QUADRATURE_POINTS,
+    fit_glmm_logit,
+    fit_lmm_batch,
+)
 from .rng import replicate_stream
 from .sensitivity import confounded_effect
 
@@ -173,6 +178,11 @@ class ScenarioConfig:
             )
         if len(self.true_betas) != 4:
             raise ValidationError("true_betas must have 4 entries")
+        if not 1 <= self.quadrature_points <= _MAX_QUADRATURE_POINTS:
+            raise ValidationError(
+                f"quadrature_points must lie in [1, {_MAX_QUADRATURE_POINTS}], "
+                f"got {self.quadrature_points}"
+            )
         names = ("theta", "theta_var", "sigma_u2", "nu", "phi", "q")
         _require_finite("", ((name, getattr(self, name)) for name in names))
         _require_finite("", ((f"true_betas[{k}]", b) for k, b in enumerate(self.true_betas)))

@@ -1329,6 +1329,10 @@ def test_simulate_bad_scenario_value_exits_1_naming_it(tmp_path, runner, overrid
 
 
 WITHOUT_NU = {k: v for k, v in BASE_SCENARIO.items() if k != "nu"}
+BINARY_SCENARIO = {
+    "kind": "single_binary", "clusters": 200, "cluster_size": 4, "replications": 2, "seed": 34,
+    "true_betas": [-4.5, 1.0, 3.0, -0.5], "theta": -0.5, "sigma_u2": 1.0, "icc": 0.25,
+}
 
 
 @pytest.mark.parametrize(
@@ -1341,9 +1345,15 @@ WITHOUT_NU = {k: v for k, v in BASE_SCENARIO.items() if k != "nu"}
         ({**BASE_SCENARIO, "replications": 0}, "replications must be >= 1"),
         ({**BASE_SCENARIO, "true_betas": [1.0, -1.0, 3.0]}, "true_betas must have 4 entries"),
         ({**BASE_SCENARIO, "clusters": 1}, "need at least 2 clusters of at least 1 unit"),
+        # checked before any replicate is drawn, whether or not the kind fits the GLMM
+        ({**BINARY_SCENARIO, "quadrature_points": 0}, "quadrature_points must lie in [1, 100], got 0"),
+        ({**BINARY_SCENARIO, "quadrature_points": 101},
+         "quadrature_points must lie in [1, 100], got 101"),
+        ({**BASE_SCENARIO, "quadrature_points": 0}, "quadrature_points must lie in [1, 100], got 0"),
     ],
     ids=["not-an-object", "no-clusters", "icc-and-nu", "icc-one", "no-replications",
-         "three-betas", "one-cluster"],
+         "three-betas", "one-cluster", "binary-no-nodes", "binary-101-nodes",
+         "continuous-no-nodes"],
 )
 def test_simulate_invalid_scenario_exits_1_naming_the_file(tmp_path, runner, doc, message):
     path = tmp_path / "scenario.json"

@@ -14,6 +14,7 @@ from clustersens import (
     fit_glmm_logit,
     fit_to_json,
     icc_logistic,
+    load_csv,
 )
 from clustersens.errors import ConvergenceError, DomainError
 from clustersens import mixed_models
@@ -359,6 +360,22 @@ def test_criterion_4_design_fits_match_pinned_digest():
     assert digest.hexdigest() == "ae3b9fa34054fc0a431b309abc45497532feb7d8837354b3c663b5b0ccf39741"
 
 
+def test_agq_derivatives_match_pinned_digest():
+    # sha256 of the log-likelihood, score and information as float64 bytes,
+    # each from a fresh evaluator (cold modes) at the start point, below the
+    # variance floor and at the log nu wall: points and branches the fit
+    # digest never reports
+    digest = hashlib.sha256()
+    designs = [criterion_4_design(seed) for seed in range(34, 38)] + [mixed_size_dataset()]
+    for ds in designs:
+        patterns = _cluster_patterns(ds)
+        beta = _logistic_fit(*patterns)[0]
+        for log_nu in (math.log(0.5), math.log(mixed_models._VAR_FLOOR) - 1.0, 9.0):
+            loglik, score, info = _AgqLoglik(*patterns, 15).derivatives(np.append(beta, log_nu))
+            digest.update(np.concatenate([[loglik], score, info.ravel()]).tobytes())
+    assert digest.hexdigest() == "2a53e1b3dd3ceafbfba72dfa6b845a3674cd87ae6896e57756247b0303de61cd"
+
+
 def test_criterion_4_design_fit_evaluation_budget(monkeypatch):
     # a Newton step costs one pass per trial point; over these seeds the fits
     # took 5.7 passes on average and at most 10
@@ -516,6 +533,68 @@ def test_pattern_weighted_evaluator_matches_per_cluster_oracle(name):
         expected_value, expected_score = oracle.value_and_score(np.array(params))
         assert abs(value - expected_value) <= 1e-12 * abs(expected_value)
         assert np.max(np.abs(score - expected_score)) <= 1e-10 * np.max(np.abs(expected_score))
+
+
+def reference_patterns(ds):
+    """Independent grouping: a dict keyed on (size, sorted (a, x, y) row tuples).
+
+    Clusters are visited in code order and each cluster's rows are sorted
+    stably, so among rows or clusters that compare equal (0.0 and -0.0) the
+    first seen is the one kept; the patterns come out ordered by size, then
+    by rows.
+    """
+    clusters = {}
+    rows = zip(ds.treatment.tolist(), ds.covariate_x.tolist(), ds.outcome.tolist())
+    for code, row in zip(ds.cluster_codes.tolist(), rows):
+        clusters.setdefault(code, []).append(row)
+    counts = {}
+    for code in sorted(clusters):
+        key = (len(clusters[code]), tuple(sorted(clusters[code])))
+        counts[key] = counts.get(key, 0) + 1
+    keys = sorted(counts)
+    a, x, y = (np.array(column) for column in zip(*(row for _, rows in keys for row in rows)))
+    return (
+        y,
+        np.column_stack([np.ones_like(y), a, x, a * x]),
+        np.array([size for size, _ in keys]),
+        np.array([counts[key] for key in keys], dtype=float),
+    )
+
+
+def random_pattern_csv(path, rng):
+    """A binary design with sizes 1-4, x cells from a small set with -0.0 or
+    continuous, written with its rows shuffled so clusters interleave."""
+    x_cells = ["0.0", "-0.0", "1.0", "-1.5"] if rng.random() < 0.7 else None
+    lines = []
+    for j, size in enumerate(rng.integers(1, 5, int(rng.integers(2, 60)))):
+        for _ in range(size):
+            x = rng.choice(x_cells) if x_cells else repr(float(rng.normal()))
+            lines.append(f"c{j},{rng.integers(0, 2)},{rng.integers(0, 2)},{x}")
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    path.write_text("cluster_id,outcome,treatment,covariate_x\n" + "\n".join(lines) + "\n")
+    return path
+
+
+def assert_same_patterns(ds):
+    got, expected = _cluster_patterns(ds), reference_patterns(ds)
+    for name, g, e in zip(("y", "design", "sizes", "counts"), got, expected):
+        assert g.shape == e.shape and g.dtype == e.dtype, name
+        assert g.tobytes() == e.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(34, 42))
+def test_cluster_patterns_match_a_dict_grouping_on_criterion_4_designs(seed):
+    assert_same_patterns(criterion_4_design(seed))
+
+
+def test_cluster_patterns_match_a_dict_grouping_on_random_designs(tmp_path):
+    rng = np.random.default_rng(2525)
+    signed_zeros = 0
+    for k in range(60):
+        ds = load_csv(random_pattern_csv(tmp_path / f"d{k}.csv", rng), "binary")
+        signed_zeros += bool(np.any(np.signbit(ds.covariate_x) & (ds.covariate_x == 0.0)))
+        assert_same_patterns(ds)
+    assert signed_zeros >= 20
 
 
 def test_duplicated_clusters_report_real_counts_and_the_same_optimum():
