@@ -3,11 +3,13 @@
 A dataset holds validated, read-only numpy columns: ``outcome``,
 ``treatment`` and ``covariate_x`` as float64, and ``cluster_codes``
 (int64, in first-appearance order) indexing the ``cluster_ids`` labels.
-``ClusteredDataset.from_columns`` codes the cluster labels and passes the
-codes to ``_from_codes``, the one constructor, which checks every row
-once; the simulator, whose codes are known, calls it directly. A dataset
-is one study: every fitter fits it as one random-intercept model, and
-studies meet only through their study-level estimates (``meta``).
+``ClusteredDataset.from_columns``, the one constructor, codes the cluster
+labels and checks every row once. A dataset is one study: every fitter
+fits it as one random-intercept model, and studies meet only through
+their study-level estimates (``meta``). ``_Stack`` lays the columns of
+several studies end to end: the REML fitter reads one, and the simulator
+builds one and runs the same row checks (``_row_failure``) once over all
+of its rows.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,19 +56,6 @@ class ClusteredDataset:
         """
         index = {label: k for k, label in enumerate(dict.fromkeys(cluster_id))}
         codes = np.fromiter(map(index.__getitem__, cluster_id), dtype=np.int64)
-        return ClusteredDataset._from_codes(
-            scale, codes, tuple(map(str, index)), outcome, treatment, covariate_x
-        )
-
-    @staticmethod
-    def _from_codes(
-        scale: str, codes: np.ndarray, cluster_ids, outcome, treatment, covariate_x
-    ) -> "ClusteredDataset":
-        """Check every row of the columns and build a dataset.
-
-        ``codes`` is a new int64 array indexing ``cluster_ids`` in
-        first-appearance order; it is frozen in place.
-        """
         if scale not in SCALES:
             raise ValidationError(f"unknown scale {scale!r}; expected one of {SCALES}")
         n = codes.size
@@ -82,22 +72,10 @@ class ClusteredDataset:
                     f"row {min(column.size, n) + 1} is incomplete"
                 )
 
-        # (message, column, bad rows); the first offending row is reported,
-        # and on that row the first check in this order that fails
-        checks = [
-            ("treatment must be 0 or 1, got {!r}", a, (a != 0.0) & (a != 1.0)),
-            ("non-finite outcome", y, ~np.isfinite(y)),
-            ("non-finite covariate_x", x, ~np.isfinite(x)),
-        ]
-        if scale == "binary":
-            checks.insert(
-                2, ("binary-scale outcome must be 0 or 1, got {!r}", y, (y != 0.0) & (y != 1.0))
-            )
-        failures = [(int(np.argmax(bad)), k) for k, (_, _, bad) in enumerate(checks) if bad.any()]
-        if failures:
-            row, k = min(failures)
-            message, column, _ = checks[k]
-            raise ValidationError(f"{message.format(column[row].item())} at row {row + 1}")
+        failure = _row_failure(scale, y, a, x)
+        if failure is not None:
+            row, message = failure
+            raise ValidationError(f"{message} at row {row + 1}")
 
         return ClusteredDataset(
             scale=scale,
@@ -105,12 +83,118 @@ class ClusteredDataset:
             treatment=a,
             covariate_x=x,
             cluster_codes=codes,
-            cluster_ids=cluster_ids,
+            cluster_ids=tuple(map(str, index)),
         )
 
     @property
     def cluster_count(self) -> int:
         return len(self.cluster_ids)
+
+
+def _row_failure(scale: str, y, a, x):
+    """``(row, message)`` of the columns' first bad row, 0-based, or None.
+
+    On that row the first check in this order that fails is reported:
+    treatment, outcome, binary-scale outcome, covariate.
+    """
+    checks = [
+        ("treatment must be 0 or 1, got {!r}", a, (a != 0.0) & (a != 1.0)),
+        ("non-finite outcome", y, ~np.isfinite(y)),
+        ("non-finite covariate_x", x, ~np.isfinite(x)),
+    ]
+    if scale == "binary":
+        checks.insert(
+            2, ("binary-scale outcome must be 0 or 1, got {!r}", y, (y != 0.0) & (y != 1.0))
+        )
+    failures = [(int(np.argmax(bad)), k) for k, (_, _, bad) in enumerate(checks) if bad.any()]
+    if not failures:
+        return None
+    row, k = min(failures)
+    message, column, _ = checks[k]
+    return row, message.format(column[row].item())
+
+
+@lru_cache(maxsize=128)  # holds the 101 study sizes a meta scenario draws
+def _cluster_labels(j: int) -> tuple[str, ...]:
+    """The labels "1" to "j" of a generated study's clusters, built once per count."""
+    return tuple(map(str, range(1, j + 1)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Stack:
+    """The columns of K studies of one scale laid end to end, each study's rows together.
+
+    ``cluster_codes`` number the clusters across the stack, study k's after
+    study k - 1's; ``rows`` and ``clusters`` hold each study's row and
+    cluster counts. The columns are frozen in place. A stack is what the
+    REML fitter reads (``fit_lmm_batch`` concatenates its datasets into one)
+    and what the simulator builds.
+    """
+
+    scale: str
+    outcome: np.ndarray  # (N,) float64
+    treatment: np.ndarray  # (N,) float64
+    covariate_x: np.ndarray  # (N,) float64
+    cluster_codes: np.ndarray  # (N,) int64
+    rows: np.ndarray  # (K,) int64
+    clusters: np.ndarray  # (K,) int64
+
+    def __post_init__(self):
+        for column in (self.outcome, self.treatment, self.covariate_x, self.cluster_codes):
+            column.flags.writeable = False
+
+    @staticmethod
+    def of(datasets) -> "_Stack":
+        """The datasets, checked already, concatenated in order; they must share one scale."""
+        scales = list(dict.fromkeys(ds.scale for ds in datasets))
+        if len(scales) > 1:
+            raise ValidationError(f"a stack holds one scale, got {scales[0]!r} and {scales[1]!r}")
+        rows = np.array([ds.outcome.size for ds in datasets])
+        clusters = np.array([ds.cluster_count for ds in datasets])
+        codes = np.concatenate([ds.cluster_codes for ds in datasets])
+        codes += np.repeat(np.cumsum(clusters) - clusters, rows)
+        columns = (
+            np.concatenate([getattr(ds, name) for ds in datasets])
+            for name in ("outcome", "treatment", "covariate_x")
+        )
+        return _Stack(scales[0], *columns, codes, rows, clusters)
+
+    def check_rows(self, study_name) -> None:
+        """Run ``from_columns``'s row checks once over the stack.
+
+        The first bad row is refused with a ValidationError that starts with
+        ``study_name(k)`` for its study k (0-based) and gives its 1-based row
+        within that study.
+        """
+        failure = _row_failure(self.scale, self.outcome, self.treatment, self.covariate_x)
+        if failure is not None:
+            row, message = failure
+            ends = np.cumsum(self.rows)
+            k = int(np.searchsorted(ends, row, side="right"))
+            within = row - int(ends[k] - self.rows[k])
+            raise ValidationError(f"{study_name(k)}: {message} at row {within + 1}")
+
+    def cut(self, per: int) -> list["_Stack"]:
+        """The studies in consecutive runs of ``per``, each run a stack of its own."""
+        rows = [0, *itertools.accumulate(self.rows.tolist())]
+        clusters = [0, *itertools.accumulate(self.clusters.tolist())]
+        parts = []
+        for k in range(0, self.rows.size, per):
+            end = min(k + per, self.rows.size)
+            cut = slice(rows[k], rows[end])
+            parts.append(_Stack(
+                self.scale, self.outcome[cut], self.treatment[cut], self.covariate_x[cut],
+                self.cluster_codes[cut] - clusters[k], self.rows[k:end], self.clusters[k:end],
+            ))
+        return parts
+
+    def dataset(self) -> ClusteredDataset:
+        """A one-study stack as a dataset, its clusters labelled "1" to "j" as generated."""
+        (j,) = self.clusters.tolist()
+        return ClusteredDataset(
+            self.scale, self.outcome, self.treatment, self.covariate_x, self.cluster_codes,
+            _cluster_labels(j),
+        )
 
 
 def _parse_column(texts, column: str) -> np.ndarray:

@@ -8,7 +8,9 @@ meaningful effect below a chosen threshold.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +21,17 @@ from .errors import DomainError, ValidationError, VarianceDominationError
 POSITIVE = "positive"
 NEGATIVE = "negative"
 _DIRECTIONS = (POSITIVE, NEGATIVE)
+
+
+def _left_sum(values):
+    """The values added one by one, left to right.
+
+    The built-in ``sum`` of floats is compensated from Python 3.12 on
+    (``sum([1e16, 1.0, -1e16])`` is 0.0 on 3.11 and 1.0 on 3.12), so the
+    package's float sums go through this one, which gives the same bits on
+    every Python.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -90,13 +103,13 @@ def pool(studies: Sequence[StudyEffect]) -> MetaFit:
         raise ValidationError(f"pooling needs at least 2 studies, got {len(studies)}")
     k = len(studies)
     w = [1.0 / s.within_variance for s in studies]
-    s1 = sum(w)
-    fixed_mean = sum(wi * s.estimate for wi, s in zip(w, studies)) / s1
+    s1 = _left_sum(w)
+    fixed_mean = _left_sum(wi * s.estimate for wi, s in zip(w, studies)) / s1
     try:
-        q_stat = sum(wi * (s.estimate - fixed_mean) ** 2 for wi, s in zip(w, studies))
+        q_stat = _left_sum(wi * (s.estimate - fixed_mean) ** 2 for wi, s in zip(w, studies))
     except OverflowError:  # float ** raises where a deviation past ~1e154 is squared
         q_stat = math.inf
-    s2 = sum(wi * wi for wi in w)
+    s2 = _left_sum(wi * wi for wi in w)
     c = s1 - s2 / s1
     v_hat = max(0.0, (q_stat - (k - 1)) / c) if c > 0 else 0.0
     if not (math.isfinite(q_stat) and math.isfinite(v_hat)):
@@ -105,8 +118,8 @@ def pool(studies: Sequence[StudyEffect]) -> MetaFit:
             "the study estimates or their weights are too large in magnitude to pool"
         )
     w_re = [1.0 / (s.within_variance + v_hat) for s in studies]
-    total = sum(w_re)
-    mu_hat = sum(wi * s.estimate for wi, s in zip(w_re, studies)) / total
+    total = _left_sum(w_re)
+    mu_hat = _left_sum(wi * s.estimate for wi, s in zip(w_re, studies)) / total
     return MetaFit(
         mu_hat=mu_hat,
         v_hat=v_hat,
@@ -125,9 +138,9 @@ def dl_variance_of_v_hat(studies: Sequence[StudyEffect], v_hat: float) -> float:
     """
     k = len(studies)
     w = [1.0 / s.within_variance for s in studies]
-    s1 = sum(w)
-    s2 = sum(wi**2 for wi in w)
-    s3 = sum(wi**3 for wi in w)
+    s1 = _left_sum(w)
+    s2 = _left_sum(wi**2 for wi in w)
+    s3 = _left_sum(wi**3 for wi in w)
     c = s1 - s2 / s1
     try:
         d = s2 - 2.0 * s3 / s1 + s2**2 / s1**2

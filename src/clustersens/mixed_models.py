@@ -2,12 +2,15 @@
 
 Continuous outcomes: REML with the variance ratio nu/phi profiled out,
 which reduces estimation to a one-dimensional search on the log ratio.
-``fit_lmm_batch`` reduces each dataset to its Gram matrix and
-per-cluster-size sums and searches a batch of studies together by a
+``fit_lmm_batch`` concatenates its datasets into one stack
+(``dataset._Stack``, the form the simulator builds and fits through
+``_fit_reml_stack``), reduces each study to its Gram matrix and
+per-cluster-size sums and searches the studies together by a
 safeguarded Newton iteration on the closed-form first and second
 derivatives of the profile, started from a coarse grid. ``fit_lmm`` fits
 one dataset and differs only in that search, a bounded Brent search on
-the profile's value; both assemble their fits in ``_reml_fits``. Brent
+the profile's value; both assemble their fits as arrays in ``_reml_fits``
+and as ``MixedModelFit`` objects in ``_fit_objects``. Brent
 stops where the rounding of the log-likelihood hides its slope (on 30,000
 rows up to about 2e-6 from the maximum in log ratio), so the two agree to
 about 1e-6 relative in nu, not bit for bit. Brent is the package's only
@@ -33,13 +36,13 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy import special
 
-from .dataset import ClusteredDataset, _json_integer, _json_number, _json_numbers
+from .dataset import ClusteredDataset, _json_integer, _json_number, _json_numbers, _Stack
 from .errors import ConvergenceError, DomainError, SeparationError, SingularDesignError, ValidationError
 
 LOGISTIC_LATENT_VARIANCE = math.pi**2 / 3.0
@@ -252,42 +255,38 @@ class _RemlStatistics:
     y_mean: np.ndarray  # (K,)
 
 
-def _reml_statistics(datasets) -> _RemlStatistics:
-    """Validate a stack of continuous datasets and reduce each to sufficient statistics."""
-    for ds in datasets:
-        if ds.scale != "continuous":
-            raise ValidationError(f"REML fits require continuous-scale datasets, got {ds.scale!r}")
-        if ds.cluster_count < 2:
-            # one cluster's intercept is confounded with beta_0: nu is not identified
-            raise ValidationError(f"REML fit needs at least 2 clusters, got {ds.cluster_count}")
-    rows = np.array([ds.outcome.size for ds in datasets])
-    a = np.concatenate([ds.treatment for ds in datasets])
-    x = np.concatenate([ds.covariate_x for ds in datasets])
-    y = np.concatenate([ds.outcome for ds in datasets])
+def _reml_statistics(stack: _Stack) -> _RemlStatistics:
+    """Validate a stack of continuous studies and reduce each to sufficient statistics."""
+    if stack.scale != "continuous":
+        raise ValidationError(f"REML fits require continuous-scale datasets, got {stack.scale!r}")
+    rows, clusters = stack.rows, stack.clusters
+    few = clusters < 2
+    if few.any():
+        # one cluster's intercept is confounded with beta_0: nu is not identified
+        raise ValidationError(f"REML fit needs at least 2 clusters, got {clusters[few.argmax()]}")
+    a, x = stack.treatment, stack.covariate_x
     # an outcome sum past the float range is left to _design_grams to report
     with np.errstate(over="ignore", invalid="ignore"):
-        y_mean = np.add.reduceat(y, np.cumsum(rows) - rows) / rows
-        y -= np.repeat(y_mean, rows)
+        y_mean = np.add.reduceat(stack.outcome, np.cumsum(rows) - rows) / rows
+        y = stack.outcome - np.repeat(y_mean, rows)
     data = np.column_stack([np.ones_like(y), a, x, a * x, y])
     gram = _design_grams(np.split(data, np.cumsum(rows)[:-1]))
     if np.any(rows <= _DESIGN_COLUMNS):
         raise ValidationError("not enough observations to estimate four coefficients")
 
-    clusters = np.array([ds.cluster_count for ds in datasets])
-    codes = np.concatenate([ds.cluster_codes for ds in datasets])
-    codes += np.repeat(np.cumsum(clusters) - clusters, rows)
+    codes = stack.cluster_codes
     total = int(clusters.sum())
     sums = np.column_stack(
         [np.bincount(codes, weights=column, minlength=total) for column in data.T]
     )  # each cluster's sums of [X, y]; column 0 is its size
     sizes, level = np.unique(sums[:, 0], return_inverse=True)
-    cell = np.repeat(np.arange(len(datasets)) * sizes.size, clusters) + level
+    cell = np.repeat(np.arange(rows.size) * sizes.size, clusters) + level
     order = np.argsort(cell, kind="stable")
     firsts = np.flatnonzero(np.diff(cell[order], prepend=-1))
     filled = cell[order][firsts]
     counts = np.diff(firsts, append=total)
     outer = np.stack([part.T @ part for part in np.split(sums[order], firsts[1:])])
-    terms = np.zeros((len(datasets) * sizes.size, _AUGMENTED**2 + 2))
+    terms = np.zeros((rows.size * sizes.size, _AUGMENTED**2 + 2))
     terms[filled] = np.column_stack(
         [outer.reshape(filled.size, -1), counts * sizes[filled % sizes.size], counts]
     )
@@ -295,7 +294,7 @@ def _reml_statistics(datasets) -> _RemlStatistics:
         gram=gram,
         dof=(rows - _DESIGN_COLUMNS).astype(float),
         sizes=sizes,
-        terms=terms.reshape(len(datasets), sizes.size, -1),
+        terms=terms.reshape(rows.size, sizes.size, -1),
         y_mean=y_mean,
     )
 
@@ -444,8 +443,9 @@ def fit_lmm_batch(datasets) -> list[MixedModelFit]:
     sums, so a search step costs the same whatever its cluster count. The
     variance ratio nu/phi is profiled out and each study's log ratio is
     maximized by a safeguarded Newton iteration on the closed-form first
-    and second derivatives, run for all studies at once; ``_reml_fits``
-    assembles the fits.
+    and second derivatives, run for all studies at once. The datasets are
+    concatenated into one stack and fitted by ``_fit_reml_stack``, the
+    simulator's path.
 
     Raises ValidationError for an empty batch, a non-continuous dataset,
     one with fewer than 2 clusters or one with at most four observations,
@@ -455,12 +455,30 @@ def fit_lmm_batch(datasets) -> list[MixedModelFit]:
     """
     if not datasets:
         raise ValidationError("fit_lmm_batch needs at least one dataset")
-    stats = _reml_statistics(datasets)
+    stack = _Stack.of(datasets)
+    return _fit_objects(stack, _fit_reml_stack(stack))
+
+
+class _RemlFits(NamedTuple):
+    """A stack's K REML fits as arrays; see ``MixedModelFit`` for the fields."""
+
+    coefficients: np.ndarray  # (K, 4)
+    coef_covariance: np.ndarray  # (K, 4, 4)
+    random_intercept_variance: np.ndarray  # (K,)
+    residual_variance: np.ndarray  # (K,)
+    log_likelihood: np.ndarray  # (K,)
+    boundary: np.ndarray  # (K,) bool
+    n_iterations: np.ndarray  # (K,) int
+
+
+def _fit_reml_stack(stack: _Stack) -> _RemlFits:
+    """``fit_lmm_batch`` on a stack, the fits as arrays."""
+    stats = _reml_statistics(stack)
     log_ratio, steps = _maximize_log_ratio(stats)
-    return _reml_fits(stats, datasets, log_ratio, steps)
+    return _reml_fits(stats, log_ratio, steps)
 
 
-def _reml_fits(stats: _RemlStatistics, datasets, log_ratio, steps) -> list[MixedModelFit]:
+def _reml_fits(stats: _RemlStatistics, log_ratio, steps) -> _RemlFits:
     """GLS fits, with their GLS covariance, at each study's searched log ratio (K,).
 
     A log ratio within 2e-5 of its lower bound is reported as
@@ -470,25 +488,21 @@ def _reml_fits(stats: _RemlStatistics, datasets, log_ratio, steps) -> list[Mixed
     if not np.all(np.isfinite(loglik)):
         raise SingularDesignError("weighted design cross-product is singular")
     ratio = _ratio(log_ratio)
-    boundary = ratio == 0.0
     cov = phi[:, None, None] * np.linalg.inv(xtwx)
     cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    return _RemlFits(beta, cov, ratio * phi, phi, loglik, ratio == 0.0, steps)
+
+
+def _fit_objects(stack: _Stack, fits: _RemlFits) -> list[MixedModelFit]:
+    """One ``MixedModelFit`` per study of a stack, from its REML fits."""
+    columns = {
+        name: column if column.ndim > 1 else column.tolist()
+        for name, column in fits._asdict().items()
+    }
+    columns.update(n_obs=stack.rows.tolist(), n_clusters=stack.clusters.tolist())
     return [
-        MixedModelFit(
-            scale="continuous",
-            coefficients=beta[i],
-            coef_covariance=cov[i],
-            random_intercept_variance=float(ratio[i] * phi[i]),
-            residual_variance=float(phi[i]),
-            log_likelihood=float(loglik[i]),
-            converged=True,
-            boundary=bool(boundary[i]),
-            n_obs=ds.outcome.size,
-            n_clusters=ds.cluster_count,
-            quadrature_points=None,
-            n_iterations=int(steps[i]),
-        )
-        for i, ds in enumerate(datasets)
+        MixedModelFit(scale="continuous", converged=True, **dict(zip(columns, values)))
+        for values in zip(*columns.values())
     ]
 
 
@@ -528,7 +542,8 @@ def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
     # (ROADMAP item 2) deletes both.
     from scipy import optimize
 
-    stats = _reml_statistics([ds])
+    stack = _Stack.of([ds])
+    stats = _reml_statistics(stack)
     y, design, _, sizes, starts = _prepare(ds)
     xtx = design.T @ design
     xty = design.T @ y
@@ -548,7 +563,8 @@ def fit_lmm(ds: ClusteredDataset) -> MixedModelFit:
             f"REML search did not converge within 200 iterations: {result.message}",
             best={"log_ratio": float(result.x)},
         )
-    return _reml_fits(stats, [ds], np.array([result.x]), [result.nfev])[0]
+    fits = _reml_fits(stats, np.array([result.x]), np.array([result.nfev]))
+    return _fit_objects(stack, fits)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from scipy import special
 
 from . import normal
 from .errors import DomainError, ValidationError
+from .meta import _left_sum
 from .mixed_models import MixedModelFit, _gauss_hermite, icc_logistic
 
 SCALE_MEAN_DIFFERENCE = "mean-difference"
@@ -61,18 +62,38 @@ class ConfoundedEffect:
             raise ValidationError("interval must bracket the estimate")
 
 
-def _wald_effect(estimate, std_error, x, level, scale, warnings=()):
+def _wald_interval(estimate, std_error, level):
+    """The Wald interval (lb, ub) at ``level``, for scalars or elementwise over arrays."""
     z = normal.two_sided_quantile(level)
+    return estimate - z * std_error, estimate + z * std_error
+
+
+def _wald_effect(estimate, std_error, x, level, scale, warnings=()):
+    lb, ub = _wald_interval(estimate, std_error, level)
     return ConfoundedEffect(
         estimate=estimate,
         std_error=std_error,
-        lb=estimate - z * std_error,
-        ub=estimate + z * std_error,
+        lb=lb,
+        ub=ub,
         x=x,
         level=level,
         scale=scale,
         warnings=tuple(warnings),
     )
+
+
+def _contrasts(beta, cov, x):
+    """Treatment contrasts beta1 + x*beta3 and their delta-method standard errors.
+
+    ``beta`` holds coefficients [1, A, X, A*X] in its last axis and ``cov``
+    their covariances in its last two, so one call takes one fit's contrast
+    or, elementwise, every fit's of a stack. A variance <= 0 is refused.
+    """
+    estimate = beta[..., 1] + x * beta[..., 3]
+    variance = cov[..., 1, 1] + x * x * cov[..., 3, 3] + 2.0 * x * cov[..., 1, 3]
+    if np.any(variance <= 0):
+        raise ValidationError("degenerate coefficient covariance for this contrast")
+    return estimate, np.sqrt(variance)
 
 
 def effect_from_interval(estimate: float, lb: float, ub: float, level: float = 0.95,
@@ -111,10 +132,7 @@ def confounded_effect(fit: MixedModelFit, x: float, level: float = 0.95) -> Conf
         raise ValidationError(f"level must lie in (0, 1), got {level}")
     beta = np.asarray(fit.coefficients, dtype=float)
     cov = np.asarray(fit.coef_covariance, dtype=float)
-    estimate = float(beta[1] + x * beta[3])
-    variance = float(cov[1, 1] + x * x * cov[3, 3] + 2.0 * x * cov[1, 3])
-    if variance <= 0:
-        raise ValidationError("degenerate coefficient covariance for this contrast")
+    estimate, std_error = map(float, _contrasts(beta, cov, x))
     warnings = []
     scale = SCALE_MEAN_DIFFERENCE
     if fit.scale == "binary":
@@ -125,7 +143,7 @@ def confounded_effect(fit: MixedModelFit, x: float, level: float = 0.95) -> Conf
                 f"fitted ICC {icc:.3f} exceeds {_ICC_WARN_THRESHOLD}; log-RR bias factors "
                 "are only reliable for small intraclass correlation"
             )
-    return _wald_effect(estimate, math.sqrt(variance), x, level, scale, warnings)
+    return _wald_effect(estimate, std_error, x, level, scale, warnings)
 
 
 @dataclass(frozen=True)
@@ -199,7 +217,7 @@ def bias_factor(spec: Union[SensitivitySpec, Sequence[SensitivitySpec]]) -> Bias
                 "closed form assumes a small confounder effect"
             )
     return BiasFactor(
-        value=sum(_single_bias_value(s) for s in specs),
+        value=_left_sum(_single_bias_value(s) for s in specs),
         scale=scales.pop(),
         components=specs,
         warnings=tuple(warnings),

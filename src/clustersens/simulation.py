@@ -12,12 +12,14 @@ and fits their continuous datasets in REML stacks of a bounded row count.
 
 Generation has two steps: ``_draw`` takes a replicate's raw draws from its
 own stream, in the order its docstring states, and ``_build`` derives the
-columns of a whole stack of drawn replicates at once and cuts them into
-per-study datasets. ``generate`` is the one-replicate case of the same
-two steps. Replicates are keyed counter-based streams (see ``rng``), a
-study's columns are elementwise in its own draws, and its fit does not
-depend on the stack it is fitted in, so results are identical across
-worker counts, block and stack boundaries and replicate orderings.
+columns of a whole stack of drawn replicates at once (a ``dataset._Stack``),
+which the REML fitter reads as it is; the contrasts of its fits are taken
+as columns. ``generate`` is the one-replicate case of the same two steps,
+cut into per-study datasets, as binary stacks are for their fits.
+Replicates are keyed counter-based streams (see ``rng``), a study's
+columns are elementwise in its own draws, and its fit does not depend on
+the stack it is fitted in, so results are identical across worker counts,
+block and stack boundaries and replicate orderings.
 """
 
 from __future__ import annotations
@@ -28,17 +30,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import accumulate, islice
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import special
 
 from . import normal
-from .dataset import (
-    ClusteredDataset, _json_integer, _json_number, _json_numbers, _path_prefixed
-)
+from .dataset import _json_integer, _json_number, _json_numbers, _path_prefixed, _Stack
 from .errors import (
     ConvergenceError, DomainError, SingularDesignError, ValidationError, VarianceDominationError
 )
@@ -46,11 +45,11 @@ from .meta import BiasDistribution, MetaFit, StudyEffect, dl_variance_of_v_hat, 
 from .mixed_models import (
     LOGISTIC_LATENT_VARIANCE,
     _MAX_QUADRATURE_POINTS,
+    _fit_reml_stack,
     fit_glmm_logit,
-    fit_lmm_batch,
 )
 from .rng import replicate_stream
-from .sensitivity import confounded_effect
+from .sensitivity import _contrasts, _wald_interval
 
 SINGLE_CONTINUOUS = "single_continuous"
 SINGLE_BINARY = "single_binary"
@@ -303,28 +302,23 @@ def _draw(config: ScenarioConfig, replicate_index: int) -> list[_StudyDraws]:
     return draws
 
 
-@lru_cache(maxsize=128)  # holds the 101 study sizes a meta scenario draws
-def _cluster_labels(j: int) -> tuple[str, ...]:
-    """The labels "1" to "j" of a generated study's clusters, built once per count."""
-    return tuple(map(str, range(1, j + 1)))
-
-
-def _build(config: ScenarioConfig, replicates):
-    """Each drawn replicate's datasets, with every column built for all its rows at once.
+def _build(config: ScenarioConfig, replicates, first: int) -> _Stack:
+    """The stack of drawn replicates ``first`` onward, every column built for all its rows at once.
 
     ``replicates`` is a list of ``_draw`` results; it is emptied once they
     are read, so the raw draws are freed before the stack is fitted. The
     mechanism, the outcome and the binary response run elementwise over the
     concatenated studies, with per-row coefficients, so each study's
-    columns are bit for bit those it gets built alone. The stack is then cut
-    into one dataset per study.
+    columns are bit for bit those it gets built alone. An outcome past the
+    float range is left to the row checks, which run once over the stack
+    and name a bad row's replicate, its study and its row within the study.
     """
-    counts = [len(drawn) for drawn in replicates]
+    per = len(replicates[0])
     studies = [study for drawn in replicates for study in drawn]
     replicates.clear()
     mech, m = config.mechanism, config.cluster_size
-    clusters = [study.clusters for study in studies]
-    rows = np.array(clusters) * m
+    clusters = np.array([study.clusters for study in studies])
+    rows = clusters * m
     u = np.concatenate([study.u for study in studies])
     uniforms = np.concatenate([study.xa for study in studies], axis=1)
     p = np.where(u < mech.x_threshold, mech.x_prob_below, mech.x_prob_above)
@@ -339,41 +333,38 @@ def _build(config: ScenarioConfig, replicates):
     # b0 + b1 a + b2 x + b3 a x + theta u + zeta + eps, added left to right
     # in place, so that the stack holds few columns of its size at once
     b0, _, b2, _ = config.true_betas
-    y = per_row("b1")
-    y *= a
-    y += b0
-    y += b2 * x
-    term = per_row("b3")
-    term *= a
-    term *= x
-    y += term
-    term = per_row("theta")
-    term *= u
-    y += term
-    del term, u
-    y += np.repeat(np.concatenate([study.zeta for study in studies]), m)
-    y += np.concatenate([study.eps for study in studies])
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = per_row("b1")
+        y *= a
+        y += b0
+        y += b2 * x
+        term = per_row("b3")
+        term *= a
+        term *= x
+        y += term
+        term = per_row("theta")
+        term *= u
+        y += term
+        del term, u
+        y += np.repeat(np.concatenate([study.zeta for study in studies]), m)
+        y += np.concatenate([study.eps for study in studies])
     scale = "continuous"
     if config.kind == SINGLE_BINARY:
         response = np.concatenate([study.response for study in studies])
         y = (response < special.expit(y)).astype(float)
         scale = "binary"
-    # row i of a study is in its cluster i // m; each study takes a copy of its rows' codes
-    codes = np.arange(rows.max(), dtype=np.int64) // m
-    datasets = []
-    for j, n, end in zip(clusters, rows.tolist(), accumulate(rows.tolist())):
-        cut = slice(end - n, end)
-        datasets.append(ClusteredDataset._from_codes(
-            scale, codes[:n].copy(), _cluster_labels(j), y[cut], a[cut], x[cut]
-        ))
-    groups = iter(datasets)
-    return [list(islice(groups, count)) for count in counts]
+    # every study's clusters hold m rows, so row i of the stack is in its cluster i // m
+    codes = np.arange(y.size, dtype=np.int64) // m
+    stack = _Stack(scale, y, a, x, codes, rows, clusters)
+    stack.check_rows(lambda k: f"replicate {first + k // per}, study {k % per + 1}")
+    return stack
 
 
 def generate(config: ScenarioConfig, replicate_index: int):
     """Deterministic data for one replicate: a dataset, or a list for meta."""
-    (group,) = _build(config, [_draw(config, replicate_index)])
-    return group if config.kind == META else group[0]
+    stack = _build(config, [_draw(config, replicate_index)], replicate_index)
+    datasets = [part.dataset() for part in stack.cut(1)]
+    return datasets if config.kind == META else datasets[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,82 +422,98 @@ def _run_constants(config: ScenarioConfig):
 def _replicate_block(config: ScenarioConfig, per_x, start: int):
     """Scored replicates ``start`` onward, up to _BLOCK_SIZE of them, in index order.
 
-    Each entry is one replicate's ``_score``. The block's continuous
-    datasets (one per single-study replicate, k per meta replicate) are
-    fitted in stacks of consecutive replicates, one ``fit_lmm_batch`` call
-    each; a stack is fitted, scored and released before a replicate that
-    would take it past _STACK_ROWS rows starts the next one. Replicates are
-    drawn one by one, and a stack's datasets are built in one ``_build``
-    call just before it is fitted. A study's fit does not depend on the
-    stack it is fitted in. Binary replicates are stacked by the same rule
-    and fitted one at a time (see ``_score_stack``).
+    Each entry is one replicate's ``_score``. The block's replicates are
+    drawn one by one and gathered in stacks of consecutive replicates; a
+    stack is built in one ``_build`` call, then fitted, scored and released
+    before a replicate that would take it past _STACK_ROWS rows starts the
+    next one. A study's fit does not depend on the stack it is fitted in.
     """
-    scored, stack, rows = [], [], 0
+    scored, stack, rows, first = [], [], 0, start
     for index in range(start, min(start + _BLOCK_SIZE, config.replications)):
         drawn = _draw(config, index)
         drawn_rows = sum(study.u.size for study in drawn)
         if stack and rows + drawn_rows > _STACK_ROWS:
-            scored += _score_stack(config, per_x, _build(config, stack))
-            stack, rows = [], 0
+            scored += _score_stack(config, per_x, _build(config, stack, first))
+            stack, rows, first = [], 0, index
         stack.append(drawn)
         rows += drawn_rows
     del drawn  # so that _build frees the last stack's raw draws before its fit
-    return scored + _score_stack(config, per_x, _build(config, stack))
+    return scored + _score_stack(config, per_x, _build(config, stack, first))
 
 
-def _score_stack(config: ScenarioConfig, per_x, groups):
-    """``_score`` of each replicate's group of datasets, fitted as one stack.
+def _score_stack(config: ScenarioConfig, per_x, stack: _Stack):
+    """``_score`` of each replicate of a stack, in order.
 
-    One failed study fails the stack, so the stack then fits each replicate
-    alone, as it always does for binary replicates.
+    A continuous stack is fitted as one (``_fit_reml_stack``). One failed
+    study fails it, so the stack is then cut into its replicates and each
+    is fitted alone, as binary replicates always are.
     """
-    fits = None
-    if config.kind != SINGLE_BINARY:
-        fits = _fits(config, [ds for group in groups for ds in group])
-    if fits is None:
-        return [_score(config, per_x, _fits(config, group)) for group in groups]
-    ends = accumulate(len(group) for group in groups)
-    return [_score(config, per_x, fits[end - len(group):end]) for group, end in zip(groups, ends)]
+    fits = None if config.kind == SINGLE_BINARY else _fits(config, stack)
+    if fits is not None:
+        return _score(config, per_x, *fits)
+    scored = []
+    for part in stack.cut(config.studies if config.kind == META else 1):
+        fits = _fits(config, part)
+        scored += [None] if fits is None else _score(config, per_x, *fits)
+    return scored
 
 
-def _fits(config: ScenarioConfig, datasets):
-    """The datasets' fits, or None where one fails to converge or has a singular design."""
+def _fits(config: ScenarioConfig, stack: _Stack):
+    """Coefficients (K, 4) and covariances (K, 4, 4) of a stack's studies, or None.
+
+    None where one fit fails to converge or has a singular design. Binary
+    studies are cut into datasets and fitted one at a time.
+    """
     try:
         if config.kind == SINGLE_BINARY:
-            return [fit_glmm_logit(ds, config.quadrature_points) for ds in datasets]
-        return fit_lmm_batch(datasets)
+            fits = [fit_glmm_logit(part.dataset(), config.quadrature_points) for part in stack.cut(1)]
+            return (np.array([fit.coefficients for fit in fits]),
+                    np.array([fit.coef_covariance for fit in fits]))
+        fits = _fit_reml_stack(stack)
+        return fits.coefficients, fits.coef_covariance
     except (ConvergenceError, SingularDesignError):
         return None
 
 
-def _score(config: ScenarioConfig, per_x, fits):
-    """(value, lb, ub) triples at x = 0, 1 for one replicate's fits, or None.
+def _score(config: ScenarioConfig, per_x, beta, cov):
+    """(value, lb, ub) triples at x = 0, 1 for each replicate of fitted studies, or None.
 
-    Single-study kinds give the adjusted effect; the meta kind gives the
-    estimated exceedance probability with its delta-method interval.
-    Non-convergence, separation and degenerate designs (``fits`` is None)
-    and variance domination drop the replicate; dropped replicates are
-    counted, never resampled.
+    ``beta`` and ``cov`` hold the coefficients (K, 4) and covariances
+    (K, 4, 4) of whole replicates' studies in order. Every study's contrast
+    and Wald interval are taken at once, by the rules ``confounded_effect``
+    uses. Single-study kinds give the adjusted effect; the meta kind pools
+    each replicate's studies and gives the estimated exceedance probability
+    with its delta-method interval. Variance domination drops the
+    replicate, as non-convergence, separation and degenerate designs do
+    before it is scored (``_score_stack``); dropped replicates are counted,
+    never resampled.
     """
-    if fits is None:
-        return None
-    out = []
-    try:
-        for x, (_, constants) in zip((0, 1), per_x):
-            effects = [confounded_effect(fit, x) for fit in fits]
-            if config.kind != META:
-                (eff,) = effects
-                out.append((eff.estimate - constants, eff.lb - constants, eff.ub - constants))
-                continue
-            bias, q = constants
-            studies = [
-                StudyEffect(str(k + 1), eff.estimate, eff.std_error**2)
-                for k, eff in enumerate(effects)
-            ]
-            out.append(_delta_interval(pool(studies), bias, q, studies))
-    except VarianceDominationError:
-        return None
-    return out
+    per = config.studies if config.kind == META else 1
+    effects = []  # per x: its constants, then each study's estimate, std_error, lb and ub
+    for x, (_, constants) in zip((0, 1), per_x):
+        estimate, std_error = _contrasts(beta, cov, x)
+        lb, ub = _wald_interval(estimate, std_error, 0.95)
+        effects.append((constants, estimate.tolist(), std_error.tolist(), lb.tolist(), ub.tolist()))
+    scored = []
+    for start in range(0, len(beta), per):
+        out = []
+        try:
+            for constants, estimate, std_error, lb, ub in effects:
+                if config.kind != META:
+                    value, low, high = estimate[start], lb[start], ub[start]
+                    out.append((value - constants, low - constants, high - constants))
+                    continue
+                bias, q = constants
+                cut = slice(start, start + per)
+                studies = [
+                    StudyEffect(str(k + 1), value, se**2)
+                    for k, (value, se) in enumerate(zip(estimate[cut], std_error[cut]))
+                ]
+                out.append(_delta_interval(pool(studies), bias, q, studies))
+        except VarianceDominationError:
+            out = None
+        scored.append(out)
+    return scored
 
 
 def _meta_q(config: ScenarioConfig, x: int) -> float:

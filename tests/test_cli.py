@@ -226,6 +226,21 @@ def test_simulate_outcome_sum_overflowing_exits_1(tmp_path):
     assert_overflow_exits_1_in_a_process("simulate", path)
 
 
+def test_simulate_outcome_past_the_float_range_names_its_replicate_study_and_row(tmp_path, capfd):
+    # b0 + b1 a overflows on the first treated row; numpy's overflow warning
+    # would reach the process's stderr past click, so the streams are read
+    # at the file descriptors
+    path = scenario_file(
+        tmp_path, clusters=50, cluster_size=3, replications=3, seed=1, true_betas=[1e308] * 4
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", path])
+    out, err = capfd.readouterr()
+    assert exit_info.value.code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: replicate 0, study 1: non-finite outcome at row 1"]
+
+
 def test_fit_binary_concordant_clusters_exit_2(tmp_path, runner):
     result = invoke(runner, ["fit", concordant_csv(tmp_path), "--scale", "binary"])
     error = assert_single_error_line(result, exit_code=2)

@@ -20,7 +20,7 @@ from clustersens import (
     write_csv,
 )
 from clustersens.cli import main
-from clustersens.dataset import OPTIONAL_COLUMNS, REQUIRED_COLUMNS, _read_columns
+from clustersens.dataset import OPTIONAL_COLUMNS, REQUIRED_COLUMNS, _read_columns, _Stack
 from clustersens.simulation import ScenarioConfig, generate
 
 
@@ -393,3 +393,37 @@ def test_from_columns_copies_and_freezes_columns():
         ds.outcome[0] = 5.0
     assert ds.cluster_ids == ("a", "b")
     assert ds.treatment.dtype == np.float64 and ds.cluster_codes.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"outcome": [1.0, 0.0, 1.0, 0.0, math.inf, 1.0, 0.0, 1.0]},
+         "replicate 7, study 2: non-finite outcome at row 1"),
+        ({"treatment": [1, 0, 1, 0, 1, 0, 1, 3], "covariate_x": [0.0] * 6 + [math.nan, 0.0]},
+         "replicate 7, study 2: non-finite covariate_x at row 3"),
+        ({"treatment": [1, 0, 5, 0, 1, 0, 1, 0]},
+         "replicate 7, study 1: treatment must be 0 or 1, got 5.0 at row 3"),
+    ],
+    ids=["second-study", "first-row-wins", "first-study"],
+)
+def test_a_stack_checks_its_rows_once_and_names_the_study_and_row(change, message):
+    # two studies of four rows, two clusters each, through from_columns' checks
+    columns = {
+        "outcome": [1.0, 0.0, 1.0, 0.0] * 2,
+        "treatment": [1, 0, 1, 0] * 2,
+        "covariate_x": [0.0, 1.0, 1.0, 0.0] * 2,
+        **change,
+    }
+    stack = _Stack(
+        "continuous", *(np.array(columns[name], dtype=float) for name in columns),
+        np.array([0, 0, 1, 1, 2, 2, 3, 3]), np.array([4, 4]), np.array([2, 2]),
+    )
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        stack.check_rows(lambda k: f"replicate 7, study {k + 1}")
+    k = int(message.split("study ")[1][0]) - 1
+    row = slice(4 * k, 4 * k + 4)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message.split(': ', 1)[1])}$"):
+        ClusteredDataset.from_columns(
+            "continuous", list("aabb"), *(columns[name][row] for name in columns)
+        )

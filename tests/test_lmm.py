@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -22,7 +21,8 @@ from clustersens import (
     fit_to_json,
 )
 from clustersens import simulation
-from clustersens.mixed_models import _reml_slope_curvature, _reml_statistics
+from clustersens.dataset import _Stack
+from clustersens.mixed_models import _fit_reml_stack, _reml_slope_curvature, _reml_statistics
 from clustersens.simulation import ScenarioConfig, generate
 
 
@@ -206,7 +206,7 @@ def test_fit_json_round_trip():
 def test_reml_derivatives_match_central_differences(seed, log_ratio):
     # unbalanced clusters of 1 to 7 units; the value comes from the dense oracle
     ds = random_dataset(np.random.default_rng(4000 + seed), n_clusters=8, size_low=1, size_high=7)
-    slope, curvature = _reml_slope_curvature(_reml_statistics([ds]), np.array([log_ratio]))
+    slope, curvature = _reml_slope_curvature(_reml_statistics(_Stack.of([ds])), np.array([log_ratio]))
 
     def value(u):
         return dense_reml(ds, math.exp(u))[0]
@@ -285,6 +285,52 @@ def test_a_study_fits_bit_for_bit_the_same_in_any_stack():
         assert (got.boundary, got.n_iterations) == (expected.boundary, expected.n_iterations)
 
 
+def interleaved_csv_dataset(tmp_path):
+    # six clusters whose rows interleave, so the codes are not contiguous
+    rng = np.random.default_rng(77)
+    labels = [f"c{k % 6}" for k in rng.permutation(36)]
+    lines = ["cluster_id,outcome,treatment,covariate_x"] + [
+        f"{label},{rng.normal() + int(label[1]):.17g},{k % 2},{(k // 2) % 2}"
+        for k, label in enumerate(labels)
+    ]
+    path = tmp_path / "interleaved.csv"
+    path.write_text("\n".join(lines) + "\n")
+    ds = clustersens.load_csv(path, "continuous")
+    assert np.any(np.diff(ds.cluster_codes) < 0)
+    return ds
+
+
+def test_the_stack_fit_equals_fit_lmm_batch_on_the_cut_datasets_bit_for_bit(tmp_path):
+    criterion_3 = simulation._build(
+        CRITERION_3, [simulation._draw(CRITERION_3, i) for i in range(12)], 0
+    )
+    criterion_5 = simulation._build(CRITERION_5, [simulation._draw(CRITERION_5, 3)], 3)
+    csv = interleaved_csv_dataset(tmp_path)
+    mixed = _Stack.of([part.dataset() for part in criterion_3.cut(1)[:3]] + [csv])
+    for stack, datasets in [
+        (criterion_3, [part.dataset() for part in criterion_3.cut(1)]),
+        (criterion_5, [part.dataset() for part in criterion_5.cut(1)]),
+        (mixed, [part.dataset() for part in criterion_3.cut(1)[:3]] + [csv]),
+    ]:
+        fits = _fit_reml_stack(stack)
+        expected = fit_lmm_batch(datasets)
+        assert len(expected) == fits.coefficients.shape[0] == stack.rows.size
+        for k, fit in enumerate(expected):
+            pairs = [
+                (fits.coefficients[k], fit.coefficients),
+                (fits.coef_covariance[k], fit.coef_covariance),
+                (fits.random_intercept_variance[k], fit.random_intercept_variance),
+                (fits.residual_variance[k], fit.residual_variance),
+                (fits.log_likelihood[k], fit.log_likelihood),
+            ]
+            for got, want in pairs:
+                assert np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
+            assert (bool(fits.boundary[k]), int(fits.n_iterations[k])) == (
+                fit.boundary, fit.n_iterations
+            )
+            assert (fit.n_obs, fit.n_clusters) == (stack.rows[k], stack.clusters[k])
+
+
 def test_a_study_fits_the_same_beside_other_cluster_sizes():
     # each study has only some of the stack's cluster sizes, so the other
     # per-size slots of its statistics are zero
@@ -293,7 +339,7 @@ def test_a_study_fits_the_same_beside_other_cluster_sizes():
         generate(replace(CRITERION_3, cluster_size=1), 0),
         generate(CRITERION_3, 0),
     ]
-    assert len(_reml_statistics(studies).sizes) > 3
+    assert len(_reml_statistics(_Stack.of(studies)).sizes) > 3
     for got, ds in zip(fit_lmm_batch(studies), studies):
         expected = fit_one(ds)
         for a, b in zip(fit_fields(got), fit_fields(expected)):
@@ -351,10 +397,16 @@ def test_one_rank_deficient_study_fails_the_batch_and_drops_the_replicate(monkey
     (kept,) = simulation._replicate_block(SMALL_META, per_x, 0)
     assert kept is not None
     monkeypatch.setattr(
-        simulation, "_build", lambda *_: [[studies[0], rank_deficient_dataset(), studies[2]]]
+        simulation, "_build", lambda *_: _Stack.of([studies[0], rank_deficient_dataset(), studies[2]])
     )
     (dropped,) = simulation._replicate_block(SMALL_META, per_x, 0)
     assert dropped is None
+
+
+def score_alone(config, per_x, ds):
+    fit = fit_lmm_batch([ds])[0]
+    (score,) = simulation._score(config, per_x, fit.coefficients[None], fit.coef_covariance[None])
+    return score
 
 
 def test_a_failed_study_drops_only_its_own_replicate_from_the_block(monkeypatch):
@@ -364,28 +416,31 @@ def test_a_failed_study_drops_only_its_own_replicate_from_the_block(monkeypatch)
     config = replace(CRITERION_3, replications=9)
     per_x = simulation._run_constants(config)
     clean = simulation._replicate_block(config, per_x, 0)
-    alone = [
-        simulation._score(config, per_x, fit_lmm_batch([generate(config, i)]))
-        for i in range(config.replications)
-    ]
-    failing = {2: rank_deficient_dataset(), 5: generate(config, 5)}
-    build, indices = simulation._build, itertools.count()
+    alone = [score_alone(config, per_x, generate(config, i)) for i in range(config.replications)]
+    build, failing = simulation._build, {}
 
-    def build_with_failures(config, replicates):
-        # stacks are built in replicate order, so a running count is the index
-        return [
-            [failing[i]] if (i := next(indices)) in failing else group
-            for group in build(config, replicates)
+    def build_with_failures(config, replicates, first):
+        # replicate 2's study is swapped for a rank-deficient one, and the
+        # rows of replicate 5 are marked for fit_or_fail
+        parts = build(config, replicates, first).cut(1)
+        datasets = [
+            rank_deficient_dataset() if first + i == 2 else part.dataset()
+            for i, part in enumerate(parts)
         ]
+        stack = _Stack.of(datasets)
+        if first <= 5 < first + len(parts):
+            failing[5] = stack.cut(1)[5 - first].outcome
+        return stack
 
-    def fit_or_fail(datasets):
-        if any(ds is failing[5] for ds in datasets):
+    def fit_or_fail(stack):
+        if 5 in failing and np.shares_memory(stack.outcome, failing[5]):
             raise ConvergenceError("REML Newton search did not converge")
-        return fit_lmm_batch(datasets)
+        return _fit_reml_stack(stack)
 
     monkeypatch.setattr(simulation, "_build", build_with_failures)
-    monkeypatch.setattr(simulation, "fit_lmm_batch", fit_or_fail)
+    monkeypatch.setattr(simulation, "_fit_reml_stack", fit_or_fail)
     block = simulation._replicate_block(config, per_x, 0)
+    assert 5 in failing
     assert [i for i, result in enumerate(block) if result is None] == [2, 5]
     assert None not in clean
     for i, result in enumerate(block):
@@ -407,11 +462,11 @@ def test_a_block_fits_stacks_of_at_most_the_row_cap(monkeypatch, config, cap):
     whole = simulation._replicate_block(config, per_x, 0)
     stacks = []
 
-    def recording(datasets):
-        stacks.append([ds.outcome.size for ds in datasets])
-        return fit_lmm_batch(datasets)
+    def recording(stack):
+        stacks.append(stack.rows.tolist())
+        return _fit_reml_stack(stack)
 
-    monkeypatch.setattr(simulation, "fit_lmm_batch", recording)
+    monkeypatch.setattr(simulation, "_fit_reml_stack", recording)
     monkeypatch.setattr(simulation, "_STACK_ROWS", cap)
     capped = simulation._replicate_block(config, per_x, 0)
     assert None not in whole and capped == whole
@@ -605,7 +660,7 @@ def test_cluster_level_covariates_in_large_clusters():
 
 def test_exact_fit_derivatives_stay_finite():
     ds = exact_fit_dataset()
-    stats = _reml_statistics([ds])
+    stats = _reml_statistics(_Stack.of([ds]))
     for u in (-20.0, -5.0, 0.0, 5.0, 15.0):
         slope, curvature = _reml_slope_curvature(stats, np.array([u]))
         assert np.isfinite(slope[0]) and np.isfinite(curvature[0])

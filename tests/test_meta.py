@@ -20,7 +20,8 @@ from clustersens import (
 )
 from clustersens.cli import main
 from clustersens.errors import DomainError
-from clustersens.meta import dl_variance_of_v_hat
+from clustersens.meta import _left_sum, dl_variance_of_v_hat
+from clustersens.sensitivity import CONTINUOUS_OUTCOME, SensitivitySpec, bias_factor
 
 POOLED_LOG_RR_FIT = MetaFit(mu_hat=math.log(1.33), v_hat=0.08, se_mu=0.05, q_statistic=40.0, k=19)
 
@@ -35,6 +36,21 @@ def make_studies(estimates, variances):
 # ---------------------------------------------------------------------------
 # pool
 # ---------------------------------------------------------------------------
+
+
+def test_float_sums_add_left_to_right_on_every_python():
+    # added left to right, each 1e-16 is lost to rounding, so the total is
+    # 1.5; an exactly rounded sum (math.fsum) and the compensated built-in
+    # sum of Python 3.12 on give 1.5000000000000002
+    weights = [1.0, 1e-16, 1e-16, 0.5]
+    assert _left_sum(weights) == 1.5 != math.fsum(weights)
+    studies = make_studies([2.0] * 4, [1.0 / w for w in weights])
+    fit = pool(studies)
+    # equal estimates give Q = 0 and v_hat = 0, so se_mu is 1 / sqrt(sum of the weights)
+    assert (fit.v_hat, fit.se_mu) == (0.0, math.sqrt(1.0 / 1.5))
+    assert dl_variance_of_v_hat(studies, 0.5) == 17.0  # compensated: 16.999999999999986
+    specs = [SensitivitySpec(CONTINUOUS_OUTCOME, 1.0, w, 0.0) for w in weights]
+    assert bias_factor(specs).value == 1.5
 
 
 def test_identical_studies_collapse():

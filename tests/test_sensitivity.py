@@ -15,7 +15,9 @@ from clustersens import (
     contour_grid,
     effect_from_interval,
     explains_away,
+    fit_glmm_logit,
     fit_lmm,
+    fit_lmm_batch,
     minimal_bias_factor,
 )
 from clustersens.errors import DomainError
@@ -25,7 +27,9 @@ from clustersens.sensitivity import (
     CONTINUOUS_OUTCOME,
     SCALE_LOG_RR,
     SCALE_MEAN_DIFFERENCE,
+    _contrasts,
     _wald_effect,
+    _wald_interval,
 )
 from clustersens.simulation import ScenarioConfig, generate
 
@@ -106,6 +110,35 @@ def test_binary_fit_with_large_icc_warns():
         converged=True,
     )
     assert confounded_effect(calm, 1.0).warnings == ()
+
+
+def test_columnar_contrasts_equal_confounded_effect_bit_for_bit():
+    continuous = fit_lmm_batch(generate(ScenarioConfig(
+        kind="meta", clusters=60, cluster_size=3, studies=12, replications=1, seed=31,
+        true_betas=(1.0, 3.0, 3.0, 4.0), theta=5.0, theta_var=0.01,
+    ), 0))
+    binary = fit_glmm_logit(generate(ScenarioConfig(
+        kind="single_binary", clusters=60, cluster_size=4, replications=1, seed=34, nu=1.0,
+    ), 0))
+    for fits in (continuous, [binary]):
+        beta = np.array([fit.coefficients for fit in fits])
+        cov = np.array([fit.coef_covariance for fit in fits])
+        for x in (0, 1):
+            estimate, std_error = _contrasts(beta, cov, x)
+            lb, ub = _wald_interval(estimate, std_error, 0.95)
+            for k, fit in enumerate(fits):
+                eff = confounded_effect(fit, x)
+                got = (estimate[k], std_error[k], lb[k], ub[k])
+                want = (eff.estimate, eff.std_error, eff.lb, eff.ub)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_columnar_contrasts_refuse_a_variance_at_or_below_zero():
+    beta = np.zeros((2, 4))
+    cov = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
+    _contrasts(beta, cov, 0)
+    with pytest.raises(ValidationError, match="degenerate coefficient covariance"):
+        _contrasts(beta, cov, 1)
 
 
 def test_non_converged_fit_refused():

@@ -210,24 +210,46 @@ STACKED = {
 @pytest.mark.parametrize("zeroed", [None, "nu", "sigma_u2", "phi"])
 @pytest.mark.parametrize("kind", list(STACKED))
 def test_a_stack_builds_each_replicate_as_generate_does(monkeypatch, kind, zeroed):
-    # under the lowered cap, every kind's stacks hold two or three replicates
+    # under the lowered cap, every kind's stacks hold two or three replicates;
+    # each stack's columns are its replicates' generated columns end to end
     fields, cap = STACKED[kind]
     config = ScenarioConfig(**(fields if zeroed is None else {**fields, zeroed: 0.0}))
+    per = config.studies if kind == "meta" else 1
     stacks = []
 
-    def recording(config, per_x, groups):
-        stacks.append(groups)
-        return [None] * len(groups)
+    def recording(config, per_x, stack):
+        stacks.append(stack)
+        return [None] * (stack.rows.size // per)
 
     monkeypatch.setattr(simulation, "_score_stack", recording)
     monkeypatch.setattr(simulation, "_STACK_ROWS", cap)
     simulation._replicate_block(config, None, 0)
-    assert len(stacks) > 1 and max(map(len, stacks)) > 1
-    built = [group for groups in stacks for group in groups]
-    assert len(built) == config.replications
-    for index, group in enumerate(built):
-        expected = generate(config, index)
-        for got, want in zip(group, expected if kind == "meta" else [expected], strict=True):
+    assert len(stacks) > 1 and max(stack.rows.size for stack in stacks) > per
+    assert sum(stack.rows.size for stack in stacks) == per * config.replications
+    index = 0
+    for stack in stacks:
+        expected = []
+        for _ in range(stack.rows.size // per):
+            group = generate(config, index)
+            expected += group if kind == "meta" else [group]
+            index += 1
+        assert stack.scale == expected[0].scale
+        assert stack.rows.tolist() == [ds.outcome.size for ds in expected]
+        assert stack.clusters.tolist() == [ds.cluster_count for ds in expected]
+        offsets = np.cumsum([0] + [ds.cluster_count for ds in expected[:-1]])
+        oracles = {
+            name: np.concatenate([getattr(ds, name) for ds in expected])
+            for name in ("outcome", "treatment", "covariate_x")
+        }
+        oracles["cluster_codes"] = np.concatenate(
+            [ds.cluster_codes + offset for ds, offset in zip(expected, offsets)]
+        )
+        for name, oracle in oracles.items():
+            column = getattr(stack, name)
+            assert column.dtype == oracle.dtype and column.tobytes() == oracle.tobytes()
+            assert not column.flags.writeable
+        for part, want in zip(stack.cut(1), expected, strict=True):
+            got = part.dataset()
             assert (got.scale, got.cluster_ids) == (want.scale, want.cluster_ids)
             for name in ("outcome", "treatment", "covariate_x", "cluster_codes"):
                 column, oracle = getattr(got, name), getattr(want, name)
