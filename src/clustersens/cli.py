@@ -32,7 +32,13 @@ from .meta import (
     p_of_q,
     pool,
 )
-from .mixed_models import fit_from_json, fit_glmm_logit, fit_lmm, fit_to_json
+from .mixed_models import (
+    _check_quadrature_points,
+    fit_from_json,
+    fit_glmm_logit,
+    fit_lmm,
+    fit_to_json,
+)
 from .sensitivity import (
     SCALE_LOG_RR,
     SCALE_MEAN_DIFFERENCE,
@@ -277,6 +283,7 @@ def command(name, default_format):
               help="Gauss-Hermite nodes for the binary-scale fit.")
 def cmd_fit(data, scale, quadrature):
     """Fit the confounded random-intercept model to a CSV file."""
+    _check_quadrature_points(quadrature)  # on either scale, before the file is read
     ds = load_csv(data, scale)
     fit = fit_lmm(ds) if scale == "continuous" else fit_glmm_logit(ds, quadrature)
     click.echo(f"fit converged on {fit.n_obs} observations in {fit.n_clusters} clusters", err=True)

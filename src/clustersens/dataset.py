@@ -15,7 +15,10 @@ of its rows.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -254,6 +257,26 @@ def _json_integer(value, minimum=None) -> int:
 _CHUNK_ROWS = 256
 
 
+def _header_columns(header, required, optional=()):
+    """The ``required`` and present ``optional`` names of a header row, and their indices.
+
+    A missing required column is refused first, then a needed name that
+    the header holds twice; other columns may repeat.
+    """
+    for col in required:
+        if col not in header:
+            raise SchemaError(f"missing required column {col!r}")
+    names = tuple(required) + tuple(c for c in optional if c in header)
+    indices = [header.index(name) for name in names]
+    for name, i in zip(names, indices):
+        if name in header[i + 1:]:
+            raise SchemaError(
+                f"column {name!r} appears twice in the header "
+                f"(columns {i + 1} and {header.index(name, i + 1) + 1})"
+            )
+    return names, indices
+
+
 def _read_columns(path, required, optional=()) -> dict:
     """Text columns of a comma-delimited UTF-8 file with a header row.
 
@@ -272,11 +295,7 @@ def _read_columns(path, required, optional=()) -> dict:
             header = next(reader, None)
             if header is None:
                 raise SchemaError("empty file, header row required")
-            for col in required:
-                if col not in header:
-                    raise SchemaError(f"missing required column {col!r}")
-            names = tuple(required) + tuple(c for c in optional if c in header)
-            indices = [header.index(name) for name in names]
+            names, indices = _header_columns(header, required, optional)
             texts = {name: [] for name in names}
             data = filter(None, reader)  # blank lines are skipped
             while rows := list(itertools.islice(data, _CHUNK_ROWS)):
@@ -293,28 +312,79 @@ def _read_columns(path, required, optional=()) -> dict:
     return texts
 
 
+def _plain_csv_columns(path):
+    """``load_csv``'s columns of a plain file, read by numpy's C text reader; else None.
+
+    A plain file is a regular file of UTF-8 text with no ``"``, no NUL,
+    no lone CR and no line longer than csv's field limit, whose header
+    names each needed column once and whose needed fields numpy reads in
+    every row, with no empty label and one study. Without quotes the csv
+    reader splits such a file at the same commas and line ends, and numpy
+    reads each number as ``float`` does, so the columns are the csv
+    reader's bit for bit. Any other file gives None: the csv reader reads
+    it, and words every error.
+    """
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return None  # a pipe can be read only once: leave it to the csv reader
+        raw = fh.read()
+    lone_cr = b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")
+    if b'"' in raw or b"\0" in raw or lone_cr:
+        return None
+    line_ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    if np.diff(line_ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
+        return None
+    try:
+        header, _, body = raw.decode("utf-8-sig").partition("\n")
+        names, indices = _header_columns(
+            header.removesuffix("\r").split(","), REQUIRED_COLUMNS, OPTIONAL_COLUMNS
+        )
+    except (UnicodeDecodeError, SchemaError):
+        return None
+    if not body or body.isspace():
+        return None  # numpy warns of a file without rows
+    dtype = [(name, object if name in ("cluster_id", "study_id") else np.float64)
+             for name in names]
+    try:
+        rows = np.loadtxt(
+            io.StringIO(body), dtype, delimiter=",", comments=None, usecols=indices, ndmin=1
+        )
+    except ValueError:
+        return None
+    cluster_id = rows["cluster_id"].tolist()
+    studies = set(rows["study_id"].tolist()) if "study_id" in names else set()
+    if "" in cluster_id or "" in studies or len(studies) > 1:
+        return None
+    return cluster_id, rows["outcome"], rows["treatment"], rows["covariate_x"]
+
+
 def load_csv(path, scale: str) -> ClusteredDataset:
     """Read a comma-delimited UTF-8 file with a header row into a dataset.
 
     Required columns: cluster_id, outcome, treatment, covariate_x.
-    Optional: study_id. Other columns are ignored. Row order is preserved
-    and blank lines are skipped; missing values are rejected. A file is one
-    study: more than one distinct study_id is refused (fitting would merge
-    the studies' clusters that share a label), and the column is then
-    dropped.
+    Optional: study_id. Other columns are ignored; a required or optional
+    one named twice is refused. Row order is preserved and blank lines are
+    skipped; missing values are rejected. A file is one study: more than
+    one distinct study_id is refused (fitting would merge the studies'
+    clusters that share a label), and the column is then dropped. A plain
+    file is read by numpy's C reader (``_plain_csv_columns``), any other
+    by the csv reader, into the same columns.
     """
     with _path_prefixed(path):
-        texts = _read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
-        studies = list(dict.fromkeys(texts.pop("study_id", ())))
-        if len(studies) > 1:
-            raise ValidationError(
-                f"study_id holds {len(studies)} studies, first {studies[0]!r} and "
-                f"{studies[1]!r}, but a dataset is one study: split the file by study, or drop "
-                "the study_id column to fit the rows as one study"
-            )
-        names = ("treatment", "outcome", "covariate_x")  # parsed, and refused, in this order
-        a, y, x = (_parse_column(texts[name], name) for name in names)
-        return ClusteredDataset.from_columns(scale, texts["cluster_id"], y, a, x)
+        columns = _plain_csv_columns(path)
+        if columns is None:
+            texts = _read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
+            studies = list(dict.fromkeys(texts.pop("study_id", ())))
+            if len(studies) > 1:
+                raise ValidationError(
+                    f"study_id holds {len(studies)} studies, first {studies[0]!r} and "
+                    f"{studies[1]!r}, but a dataset is one study: split the file by study, or "
+                    "drop the study_id column to fit the rows as one study"
+                )
+            names = ("treatment", "outcome", "covariate_x")  # parsed, and refused, in this order
+            a, y, x = (_parse_column(texts[name], name) for name in names)
+            columns = texts["cluster_id"], y, a, x
+        return ClusteredDataset.from_columns(scale, *columns)
 
 
 def write_csv(ds: ClusteredDataset, path) -> None:

@@ -14,7 +14,7 @@ class ValidationError(ClusterSensError):
 
 
 class SchemaError(ValidationError):
-    """A required CSV column is missing."""
+    """A CSV header lacks a required column or names a needed one twice."""
 
 
 class DomainError(ValidationError):

@@ -965,6 +965,18 @@ def _maximize_agq(loglik_fn: _AgqLoglik, params, gtol, nu_score):
     return params, loglik, info, steps
 
 
+def _check_quadrature_points(quadrature_points: int) -> None:
+    """Refuse a Gauss-Hermite node count outside [1, ``_MAX_QUADRATURE_POINTS``]."""
+    if quadrature_points < 1:
+        raise DomainError(f"quadrature_points must be >= 1, got {quadrature_points}")
+    if quadrature_points > _MAX_QUADRATURE_POINTS:
+        # numpy's Gauss-Hermite weights underflow to zero or overflow from
+        # 371 nodes, and hermgauss builds a dense n x n companion matrix
+        raise DomainError(
+            f"quadrature_points must be <= {_MAX_QUADRATURE_POINTS}, got {quadrature_points}"
+        )
+
+
 def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedModelFit:
     """Maximum marginal likelihood logistic fit with a cluster random intercept.
 
@@ -995,14 +1007,7 @@ def fit_glmm_logit(ds: ClusteredDataset, quadrature_points: int = 15) -> MixedMo
     """
     if ds.scale != "binary":
         raise ValidationError(f"fit_glmm_logit requires a binary-scale dataset, got {ds.scale!r}")
-    if quadrature_points < 1:
-        raise DomainError(f"quadrature_points must be >= 1, got {quadrature_points}")
-    if quadrature_points > _MAX_QUADRATURE_POINTS:
-        # numpy's Gauss-Hermite weights underflow to zero or overflow from
-        # 371 nodes, and hermgauss builds a dense n x n companion matrix
-        raise DomainError(
-            f"quadrature_points must be <= {_MAX_QUADRATURE_POINTS}, got {quadrature_points}"
-        )
+    _check_quadrature_points(quadrature_points)
     if ds.cluster_count < 2:
         raise ValidationError(f"fit_glmm_logit needs at least 2 clusters, got {ds.cluster_count}")
     y, design, sizes, counts = _cluster_patterns(ds)

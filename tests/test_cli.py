@@ -146,6 +146,17 @@ def test_fit_quadrature_above_100_exits_1(tmp_path, runner):
     assert "quadrature_points must be <= 100, got 101" in result.stderr
 
 
+@pytest.mark.parametrize("quadrature", ["0", "-5"])
+def test_fit_quadrature_below_1_exits_1_on_the_continuous_scale_too(tmp_path, runner, quadrature):
+    # the continuous fit uses no nodes, but an impossible count is refused on either scale
+    path = tmp_path / "data.csv"
+    write_csv(generate(ScenarioConfig(kind="single_continuous", clusters=40, cluster_size=3,
+                                      replications=1, seed=5), 0), path)
+    result = invoke(runner, ["fit", str(path), "--scale", "continuous", "--quadrature", quadrature])
+    error = assert_single_error_line(result)
+    assert error == f"error: quadrature_points must be >= 1, got {quadrature}"
+
+
 def test_fit_all_zero_binary_exits_2(tmp_path, runner):
     rows = ["cluster_id,outcome,treatment,covariate_x"]
     for j in range(6):
@@ -352,6 +363,21 @@ def test_over_long_csv_field_exits_1_with_one_error_line(tmp_path, runner, comma
     assert error == (
         f"error: {path}: unreadable CSV at line 2: field larger than field limit "
         f"({csv.field_size_limit()})"
+    )
+
+
+@pytest.mark.parametrize("command", sorted(READER_FILES))
+def test_a_column_named_twice_in_the_header_exits_1(tmp_path, runner, command):
+    # the reader took the first of the two silently; an ignored column may still repeat
+    header, body = READER_FILES[command]
+    names = header.rstrip("\n").split(",")
+    path = tmp_path / "repeated.csv"
+    path.write_text(",".join([*names, "note", "note", names[1]]) + "\n"
+                    + body.format(label="c1").replace("\n", ",a,b,9\n"))
+    error = assert_single_error_line(invoke(runner, reader_args(command, path)))
+    assert error == (
+        f"error: {path}: column {names[1]!r} appears twice in the header "
+        f"(columns 2 and {len(names) + 3})"
     )
 
 

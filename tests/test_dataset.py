@@ -3,8 +3,10 @@ import gc
 import io
 import itertools
 import math
+import os
 import platform
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,15 @@ from clustersens import (
     write_csv,
 )
 from clustersens.cli import main
-from clustersens.dataset import OPTIONAL_COLUMNS, REQUIRED_COLUMNS, _read_columns, _Stack
+from clustersens.dataset import (
+    OPTIONAL_COLUMNS,
+    REQUIRED_COLUMNS,
+    _parse_column,
+    _path_prefixed,
+    _plain_csv_columns,
+    _read_columns,
+    _Stack,
+)
 from clustersens.simulation import ScenarioConfig, generate
 
 
@@ -233,30 +243,59 @@ def columns_or_error(reader, path):
 csv_field = st.text(alphabet='ab1.,"\n\r -', max_size=4)
 
 
+# longer than csv's field limit, so the csv reader refuses a file holding it
+LONG_FIELD = "n" * (csv.field_size_limit() + 1)
+
+
 @st.composite
-def csv_files(draw):
+def csv_files(draw, fields=None, changes=None, row_counts=st.sampled_from([511, 512, 513, 1025]),
+              line_ends=("\r\n",), blank_lines=("\r\n",)):
     """A header of the required columns, an optional study_id and an extra
     column in some order, then 511 to 1,025 rows: copies of one base row, with
-    some rows replaced by blank lines or by short, long or empty-field rows."""
+    some rows replaced by blank lines, by short, long or empty-field rows or
+    by the base row with one field changed.
+
+    ``fields`` and ``changes`` map a column to the strategies of its base-row
+    field and of a changed field; any other column draws ``csv_field``. Given
+    ``changes``, only their columns change, the base row is never short, and a
+    short or long row is the base row cut short or run on; otherwise its
+    fields are drawn afresh.
+    ``row_counts`` draws the row count; ``line_ends`` and ``blank_lines`` are
+    the choices of line end and blank line.
+    """
+    fields, changes = fields or {}, changes or {}
     header = draw(st.permutations(
         [*REQUIRED_COLUMNS, *draw(st.sets(st.sampled_from(["study_id", "note"])))]
     ))
-    # a base row one field short leaves a column past the width of whole chunks
-    width = draw(st.sampled_from([len(header), len(header) - 1, len(header) + 1]))
-    base_row = draw(st.lists(csv_field.filter(bool), min_size=width, max_size=width))
-    n_rows = draw(st.sampled_from([511, 512, 513, 1025]))
+    widths = [len(header), len(header) + 1]
+    if not changes:  # a base row one field short leaves a column past the width of whole chunks
+        widths.append(len(header) - 1)
+    width = draw(st.sampled_from(widths))
+    columns = [*header, "extra"][:width]
+    base_row = [draw(fields.get(name, csv_field).filter(bool)) for name in columns]
+    n_rows = draw(row_counts)
+    changeable = [i for i, name in enumerate(columns) if name in changes] or range(width)
+    changed_row = st.sampled_from(changeable).flatmap(
+        lambda i: changes.get(columns[i], csv_field).map(
+            lambda field: [*base_row[:i], field, *base_row[i + 1:]]
+        )
+    )
+    if changes:  # a short or long row is the base row cut or run on
+        short_or_long_row = st.integers(0, len(header) + 2).map(lambda k: (base_row * 2)[:k])
+    else:
+        short_or_long_row = st.lists(csv_field, max_size=len(header) + 2)
     other_rows = draw(st.dictionaries(
-        st.one_of(st.integers(0, n_rows - 1), st.sampled_from([510, 511, 512, 1023, 1024])),
-        st.none() | st.lists(csv_field, max_size=len(header) + 2),
+        st.one_of(st.integers(0, max(n_rows - 1, 0)), st.sampled_from([510, 511, 512, 1023, 1024])),
+        st.none() | short_or_long_row | changed_row,
         max_size=8,
     ))
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(line_ends)))
     writer.writerow(header)
     for i in range(n_rows):
         row = other_rows.get(i, base_row)
         if row is None:
-            buf.write("\r\n")
+            buf.write(draw(st.sampled_from(blank_lines)))
         else:
             writer.writerow(row)
     return buf.getvalue()
@@ -272,19 +311,146 @@ def test_read_columns_matches_the_whole_file_reader(tmp_path, text):
     assert columns_or_error(_read_columns, path) == expected
 
 
+def csv_reader_load_csv(path, scale):
+    """Reference for ``load_csv``: its body before numpy's reader, the csv reader alone."""
+    with _path_prefixed(path):
+        texts = _read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
+        studies = list(dict.fromkeys(texts.pop("study_id", ())))
+        if len(studies) > 1:
+            raise ValidationError(
+                f"study_id holds {len(studies)} studies, first {studies[0]!r} and "
+                f"{studies[1]!r}, but a dataset is one study: split the file by study, or "
+                "drop the study_id column to fit the rows as one study"
+            )
+        names = ("treatment", "outcome", "covariate_x")
+        a, y, x = (_parse_column(texts[name], name) for name in names)
+        return ClusteredDataset.from_columns(scale, texts["cluster_id"], y, a, x)
+
+
+def dataset_or_error(load, path):
+    """The dataset's columns bit for bit, with dtypes, write flags and labels;
+    or the type and message of the error. A warning fails the read."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ds = load(path, "continuous")
+        except ValidationError as exc:
+            return type(exc), str(exc)
+    names = ("outcome", "treatment", "covariate_x", "cluster_codes")
+    columns = [getattr(ds, name) for name in names]
+    return ds.scale, [(c.dtype, c.flags.writeable, c.tobytes()) for c in columns], ds.cluster_ids
+
+
+# a base row that numpy's reader takes; a changed field may be one that float()
+# reads and numpy's reader does not, a second study, an empty or quoted label or
+# a note over csv's field limit
+NUMBERS = st.sampled_from(["0", "-2.25", " 1.5 ", "+.5", "1e400"])
+LOAD_CSV_FIELDS = {
+    "cluster_id": st.sampled_from(["a", "b1", " c ", "#"]),  # numpy must not read "#" as a comment
+    "study_id": st.just("s1"),
+    "outcome": NUMBERS,
+    "treatment": st.sampled_from(["0", "1", " 1 ", "1.0"]),
+    "covariate_x": NUMBERS,
+}
+ODD_NUMBERS = st.sampled_from(["1_000", "\u0661", "nan", "0x1p3", "1,5"])
+LOAD_CSV_CHANGES = {
+    "cluster_id": st.sampled_from(["", "b,1", 'b"1', "b"]),
+    "study_id": st.sampled_from(["s2", ""]),
+    "outcome": ODD_NUMBERS,
+    "treatment": st.sampled_from(["2", "\u0661", "0_0"]),
+    "covariate_x": ODD_NUMBERS,
+    "note": st.just(LONG_FIELD),
+}
+
+
+def test_load_csv_matches_the_csv_reader(tmp_path):
+    path = tmp_path / "data.csv"
+    took_numpy = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=csv_files(LOAD_CSV_FIELDS, LOAD_CSV_CHANGES,
+                       row_counts=st.integers(0, 40) | st.just(513), line_ends=("\r\n", "\n"),
+                       blank_lines=("\r\n", "\n", "\r", " \n", "\t\r\n")),
+        # csv.writer refuses NUL before Python 3.11, so it goes in after writing
+        nul=st.sampled_from(["", "", "", "\0"]),
+    )
+    def check(text, nul):
+        path.write_text(text.replace("b", "b" + nul), encoding="utf-8", newline="")
+        assert dataset_or_error(load_csv, path) == dataset_or_error(csv_reader_load_csv, path)
+        took_numpy.append(_plain_csv_columns(path) is not None)
+
+    check()
+    assert any(took_numpy) and not all(took_numpy)
+
+
+@pytest.mark.parametrize(
+    "tail, numpy_reads",
+    [
+        ("\nc1,1.5,1,0\nc2,2.5,0,1\n", True),
+        ("\r\nc1,1.5,1,0\r\n\r\nc2,2.5,0,1\r\n", True),
+        ("\nc#1,1.5,1,0\nc2,+.5,0, 1 \n", True),
+        ("\nc1,1e400,1,0\n", True),  # read, then refused as non-finite
+        (",study_id\nc1,1.5,1,0,s1\nc2,2.5,0,1,s1\n", True),
+        (",note,note\nc1,1.5,1,0,x,y\n", True),
+        (",note\rc9,1.5,1,0\nc1,1.5,1,0\nc2,2.5,0,1\n", False),  # c9 is a row to csv
+        ("\rc1,1.5,1,0\rc2,2.5,0,1\r", False),
+        ('\n"c1",1.5,1,0\n', False),
+        ("\nc1,1_5,1,0\n", False),
+        ("\nc1,\u0661,1,0\n", False),
+        ("\nc1,1.5,1,0\n \nc2,2.5,0,1\n", False),
+        ("\nc1,,1,0\n", False),
+        ("\n,1.5,1,0\n", False),
+        ("\nc\x001,1.5,1,0\n", False),
+        ("\n", False),
+        ("\r\n\n\n", False),
+        (",study_id\nc1,1.5,1,0,s1\nc2,2.5,0,1,s2\n", False),
+        (",study_id\nc1,1.5,1,0,\nc2,2.5,0,1,\n", False),
+        (f",note\nc1,1.5,1,0,{LONG_FIELD}\n", False),
+    ],
+    ids=["plain", "crlf-and-blank-line", "hash-and-spaces", "overflow", "one-study",
+         "repeated-ignored-column", "lone-cr-in-header", "lone-cr", "quoted", "underscore",
+         "arabic-indic-digit", "whitespace-line", "empty-number", "empty-label", "nul",
+         "header-only", "blank-lines-only", "two-studies", "empty-study", "long-note"],
+)
+def test_load_csv_takes_numpy_only_where_both_readers_agree(tmp_path, tail, numpy_reads):
+    path = tmp_path / "data.csv"
+    path.write_text("cluster_id,outcome,treatment,covariate_x" + tail, newline="")
+    assert dataset_or_error(load_csv, path) == dataset_or_error(csv_reader_load_csv, path)
+    assert (_plain_csv_columns(path) is not None) == numpy_reads
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe through /dev/fd")
+def test_load_csv_reads_a_pipe_once(tmp_path):
+    # a quoted file goes to the csv reader: numpy's reader must not have drained the pipe
+    text = 'cluster_id,outcome,treatment,covariate_x\n"c1",1.5,1,0\n"c2",2.5,0,1\n'
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, text.encode())
+        os.close(write_fd)
+        ds = load_csv(f"/dev/fd/{read_fd}", "continuous")
+    finally:
+        os.close(read_fd)
+    assert_same_columns(ds, load_csv(path, "continuous"))
+
+
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
                     reason="counts the collections of CPython's collector")
-@pytest.mark.parametrize("ragged", [False, True], ids=["one-width", "ragged"])
-def test_load_csv_of_30k_rows_sets_off_no_garbage_collection(tmp_path, ragged):
+@pytest.mark.parametrize("layout", ["one-width", "ragged", "quoted"])
+def test_load_csv_of_30k_rows_sets_off_no_garbage_collection(tmp_path, layout):
     rng = np.random.default_rng(11)
     n = 30_000
     y = rng.normal(size=n).tolist()
     a, x = rng.integers(0, 2, (2, n)).tolist()
-    # a ragged file gives every hundredth row a note the others leave out
-    notes = [",note" if ragged and i % 100 == 0 else "" for i in range(n)]
+    # a ragged file gives every hundredth row a note the others leave out; numpy's
+    # reader takes both, and the chunked csv reader the file with quoted labels
+    notes = [",note" if layout == "ragged" and i % 100 == 0 else "" for i in range(n)]
+    quote = '"' if layout == "quoted" else ""
     path = tmp_path / "big.csv"
     path.write_text("cluster_id,outcome,treatment,covariate_x,note\n" + "".join(
-        f"{i // 3 + 1},{y[i]!r},{a[i]},{x[i]}.0{notes[i]}\n" for i in range(n)
+        f"{quote}{i // 3 + 1}{quote},{y[i]!r},{a[i]},{x[i]}.0{notes[i]}\n" for i in range(n)
     ))
     enabled, thresholds = gc.isenabled(), gc.get_threshold()
     gc.enable()
@@ -299,6 +465,7 @@ def test_load_csv_of_30k_rows_sets_off_no_garbage_collection(tmp_path, ragged):
         if not enabled:
             gc.disable()
     assert ds.outcome.size == n
+    assert (_plain_csv_columns(path) is None) == (layout == "quoted")
     young, _, full = (end - start for start, end in zip(before, after))
     # the reader that held all 30k rows at once ran about 77 young collections
     assert young <= 3
