@@ -470,7 +470,8 @@ def cmd_contour(delta_range, theta_range, resolution, threshold):
 @click.argument("config_path", type=click.Path())
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Processes for the replicates, at most one per block of 32 and per CPU.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=int, default=None,
+              help="Override the config seed, an integer in [0, 2**64 - 1].")
 def cmd_simulate(config_path, workers, seed):
     """Run a simulation scenario and emit its metrics table."""
     config = load_scenario(config_path)

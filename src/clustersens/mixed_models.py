@@ -265,12 +265,14 @@ def _reml_statistics(stack: _Stack) -> _RemlStatistics:
         # one cluster's intercept is confounded with beta_0: nu is not identified
         raise ValidationError(f"REML fit needs at least 2 clusters, got {clusters[few.argmax()]}")
     a, x = stack.treatment, stack.covariate_x
+    ends = np.cumsum(rows)
+    starts = ends - rows
     # an outcome sum past the float range is left to _design_grams to report
     with np.errstate(over="ignore", invalid="ignore"):
-        y_mean = np.add.reduceat(stack.outcome, np.cumsum(rows) - rows) / rows
+        y_mean = np.add.reduceat(stack.outcome, starts) / rows
         y = stack.outcome - np.repeat(y_mean, rows)
     data = np.column_stack([np.ones_like(y), a, x, a * x, y])
-    gram = _design_grams(np.split(data, np.cumsum(rows)[:-1]))
+    gram = _design_grams([data[s:e] for s, e in zip(starts.tolist(), ends.tolist())])
     if np.any(rows <= _DESIGN_COLUMNS):
         raise ValidationError("not enough observations to estimate four coefficients")
 
@@ -285,7 +287,9 @@ def _reml_statistics(stack: _Stack) -> _RemlStatistics:
     firsts = np.flatnonzero(np.diff(cell[order], prepend=-1))
     filled = cell[order][firsts]
     counts = np.diff(firsts, append=total)
-    outer = np.stack([part.T @ part for part in np.split(sums[order], firsts[1:])])
+    ordered, bounds = sums[order], [*firsts.tolist(), total]
+    cells = (ordered[s:e] for s, e in zip(bounds, bounds[1:]))
+    outer = np.stack([part.T @ part for part in cells])
     terms = np.zeros((rows.size * sizes.size, _AUGMENTED**2 + 2))
     terms[filled] = np.column_stack(
         [outer.reshape(filled.size, -1), counts * sizes[filled % sizes.size], counts]

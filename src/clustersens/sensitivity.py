@@ -109,6 +109,8 @@ def effect_from_interval(estimate: float, lb: float, ub: float, level: float = 0
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
     z = normal.two_sided_quantile(level)
+    if z == 0.0:  # (1 + level) / 2 rounds to 1/2
+        raise ValidationError(f"level {level} is too small: its critical value rounds to 0")
     implied_se = (ub - lb) / (2.0 * z)
     if not math.isfinite(implied_se):
         raise ValidationError(

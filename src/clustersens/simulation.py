@@ -48,7 +48,7 @@ from .mixed_models import (
     _fit_reml_stack,
     fit_glmm_logit,
 )
-from .rng import replicate_stream
+from .rng import _MAX_KEY, ReplicateStreams
 from .sensitivity import _contrasts, _wald_interval
 
 SINGLE_CONTINUOUS = "single_continuous"
@@ -168,6 +168,8 @@ class ScenarioConfig:
             raise ValidationError("need at least 2 clusters of at least 1 unit")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
+        if not 0 <= self.seed <= _MAX_KEY:  # a Philox key word holds 64 bits
+            raise ValidationError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
         if self.kind == META and self.studies < 2:
             raise ValidationError("meta scenarios need at least 2 studies")
         if self.kind == META and self.clusters < _META_CLUSTER_SPREAD + 2:
@@ -251,8 +253,13 @@ class _StudyDraws(NamedTuple):
     response: Optional[np.ndarray]
 
 
-def _draw(config: ScenarioConfig, replicate_index: int) -> list[_StudyDraws]:
+def _draw(
+    config: ScenarioConfig, streams: ReplicateStreams, replicate_index: int
+) -> list[_StudyDraws]:
     """Every raw draw of one replicate from its own stream, one entry per study.
+
+    ``streams`` holds the config seed's streams. The replicate's stream is
+    read only here, before the caller's next draw re-keys it.
 
     The order is fixed, so streams are stable across versions. A meta
     replicate first draws its k study sizes (uniform on clusters +/- 50),
@@ -264,7 +271,7 @@ def _draw(config: ScenarioConfig, replicate_index: int) -> list[_StudyDraws]:
     derives every column afterwards. A replicate too large to allocate is
     refused with a ValidationError naming its row count.
     """
-    rng = replicate_stream(config.seed, replicate_index)
+    rng = streams(replicate_index)
     if config.kind != META:
         _, b1, _, b3 = config.true_betas
         studies = [(config.clusters, b1, b3, config.theta)]
@@ -362,7 +369,8 @@ def _build(config: ScenarioConfig, replicates, first: int) -> _Stack:
 
 def generate(config: ScenarioConfig, replicate_index: int):
     """Deterministic data for one replicate: a dataset, or a list for meta."""
-    stack = _build(config, [_draw(config, replicate_index)], replicate_index)
+    drawn = _draw(config, ReplicateStreams(config.seed), replicate_index)
+    stack = _build(config, [drawn], replicate_index)
     datasets = [part.dataset() for part in stack.cut(1)]
     return datasets if config.kind == META else datasets[0]
 
@@ -427,10 +435,12 @@ def _replicate_block(config: ScenarioConfig, per_x, start: int):
     stack is built in one ``_build`` call, then fitted, scored and released
     before a replicate that would take it past _STACK_ROWS rows starts the
     next one. A study's fit does not depend on the stack it is fitted in.
+    The block re-keys one generator for each of its replicates.
     """
+    streams = ReplicateStreams(config.seed)
     scored, stack, rows, first = [], [], 0, start
     for index in range(start, min(start + _BLOCK_SIZE, config.replications)):
-        drawn = _draw(config, index)
+        drawn = _draw(config, streams, index)
         drawn_rows = sum(study.u.size for study in drawn)
         if stack and rows + drawn_rows > _STACK_ROWS:
             scored += _score_stack(config, per_x, _build(config, stack, first))

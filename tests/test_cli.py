@@ -1196,10 +1196,17 @@ def test_contour_signed_zeros_keep_their_sign(runner):
              "level must lie in (0, 1)")
             for level in ("0", "1", "1.5", "-0.5")
         ),
+        # (1 + level) / 2 rounds to 1/2, so the critical value is 0
+        *(
+            (["sensitivity", "--estimate", "1", "--lb", "0.5", "--ub", "1.5", "--level", level],
+             f"level {level} is too small")
+            for level in ("1e-17", "1e-300", "5e-324")
+        ),
     ],
     ids=["contour-threshold", "contour-range", "meta-mu", "meta-bias-mean", "sensitivity-theta",
          "sensitivity-overflowing-interval", "sensitivity-level-0", "sensitivity-level-1",
-         "sensitivity-level-1.5", "sensitivity-level-negative"],
+         "sensitivity-level-1.5", "sensitivity-level-negative", "sensitivity-level-1e-17",
+         "sensitivity-level-1e-300", "sensitivity-level-5e-324"],
 )
 def test_non_finite_float_option_exits_1_naming_it(runner, args, named):
     result = invoke(runner, args)
@@ -1324,6 +1331,13 @@ def test_simulate_seed_override_changes_output(tmp_path, runner):
     assert base.stdout != reseeded.stdout
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_seed_override_outside_64_bits_exits_1(tmp_path, runner, seed):
+    result = invoke(runner, ["simulate", scenario_file(tmp_path), "--seed", seed])
+    error = assert_single_error_line(result)
+    assert error == f"error: seed must lie in [0, 2**64 - 1], got {seed}"
+
+
 def test_simulate_single_replication_warns_and_blanks_se(tmp_path, runner):
     path = scenario_file(tmp_path, replications=1)
     result = invoke(runner, ["simulate", path])
@@ -1391,10 +1405,13 @@ BINARY_SCENARIO = {
         ({**BINARY_SCENARIO, "quadrature_points": 101},
          "quadrature_points must lie in [1, 100], got 101"),
         ({**BASE_SCENARIO, "quadrature_points": 0}, "quadrature_points must lie in [1, 100], got 0"),
+        # a Philox key word holds 64 bits: these seeds would alias 2**64 - 1 and 0
+        ({**BASE_SCENARIO, "seed": -1}, "seed must lie in [0, 2**64 - 1], got -1"),
+        ({**BASE_SCENARIO, "seed": 2**64}, f"seed must lie in [0, 2**64 - 1], got {2**64}"),
     ],
     ids=["not-an-object", "no-clusters", "icc-and-nu", "icc-one", "no-replications",
          "three-betas", "one-cluster", "binary-no-nodes", "binary-101-nodes",
-         "continuous-no-nodes"],
+         "continuous-no-nodes", "seed-negative", "seed-past-64-bits"],
 )
 def test_simulate_invalid_scenario_exits_1_naming_the_file(tmp_path, runner, doc, message):
     path = tmp_path / "scenario.json"

@@ -23,6 +23,7 @@ from clustersens import (
 from clustersens import simulation
 from clustersens.dataset import _Stack
 from clustersens.mixed_models import _fit_reml_stack, _reml_slope_curvature, _reml_statistics
+from clustersens.rng import ReplicateStreams
 from clustersens.simulation import ScenarioConfig, generate
 
 
@@ -301,10 +302,12 @@ def interleaved_csv_dataset(tmp_path):
 
 
 def test_the_stack_fit_equals_fit_lmm_batch_on_the_cut_datasets_bit_for_bit(tmp_path):
+    streams = ReplicateStreams(CRITERION_3.seed)
     criterion_3 = simulation._build(
-        CRITERION_3, [simulation._draw(CRITERION_3, i) for i in range(12)], 0
+        CRITERION_3, [simulation._draw(CRITERION_3, streams, i) for i in range(12)], 0
     )
-    criterion_5 = simulation._build(CRITERION_5, [simulation._draw(CRITERION_5, 3)], 3)
+    streams = ReplicateStreams(CRITERION_5.seed)
+    criterion_5 = simulation._build(CRITERION_5, [simulation._draw(CRITERION_5, streams, 3)], 3)
     csv = interleaved_csv_dataset(tmp_path)
     mixed = _Stack.of([part.dataset() for part in criterion_3.cut(1)[:3]] + [csv])
     for stack, datasets in [

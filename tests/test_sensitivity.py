@@ -85,6 +85,12 @@ def test_effect_from_interval_keeps_the_published_bounds():
     assert minimal_bias_factor(eff).direction == "none"
 
 
+@pytest.mark.parametrize("level", [1e-17, 1e-300, 5e-324])
+def test_effect_from_interval_refuses_a_level_whose_critical_value_is_0(level):
+    with pytest.raises(ValidationError, match="critical value rounds to 0"):
+        effect_from_interval(1.0, 0.5, 1.5, level=level)
+
+
 def test_binary_fit_with_large_icc_warns():
     import clustersens.mixed_models as mm
 
